@@ -37,8 +37,6 @@ from .ansatz import (
     ImagParams,
     build_dqap_state,
     build_imag_state,
-    dqap_param_derivatives,
-    imag_param_derivatives,
     intermediate_states,
     orbital_support,
     state_and_derivatives,

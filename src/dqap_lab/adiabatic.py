@@ -20,11 +20,12 @@ ramp solves  x'' = 2 (x - cos g) x'^2 / ((x - cos g)^2 + sin^2 g).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .ansatz import DqapParams, ImagParams
+from .ansatz import DqapParams, ImagParams, _forward_pass
 from .errors import NoConvergence, OpenShellError
 from .lattice import LatticeSpec, build_v1, build_v2, exact_ground_state, initial_state
 from .slater import SlaterState, apply_bond_layer, overlap
@@ -188,14 +189,11 @@ def _reduced_odd_angle(spec, angle):
 
 def _partial_circuit_state(spec, params, m, alpha):
     """Circuit state after m layers with the last odd-family angle scaled by alpha."""
-    state = SlaterState(initial_state(spec))
-    for k in range(m - 1):
-        state = apply_bond_layer(state, 2, params.angles[k, 1], spec, mode="real")
-        state = apply_bond_layer(state, 1, params.angles[k, 0], spec, mode="real")
+    table = params.angles[:m].copy()
     if m >= 1:
-        state = apply_bond_layer(state, 2, params.angles[m - 1, 1], spec, mode="real")
-        theta = _reduced_odd_angle(spec, params.angles[m - 1, 0])
-        state = apply_bond_layer(state, 1, alpha * theta, spec, mode="real")
+        table[-1, 0] = alpha * _reduced_odd_angle(spec, table[-1, 0])
+    for state in _forward_pass(spec, table, "real"):
+        pass
     return state
 
 
@@ -234,19 +232,22 @@ def maximize_overlap(
     one axis at a time.  As in `scheduling_overlap`, alpha scales the
     last odd-family angle after its reduction to angle*t in
     (-pi/2, pi/2], so tables whose odd angles differ by multiples of
-    pi/t give the same result.  Returns (chi, alpha, overlap_sq).
+    pi/t give the same result.  At m = 0 the prefix is the dimer state,
+    which no alpha changes; a free alpha is then reported as 1.  Returns
+    (chi, alpha, overlap_sq).
     """
     if not 0 <= m <= params.M:
         raise ValueError(f"prefix depth {m} outside 0..{params.M}")
+    if m == 0 and alpha is None:
+        alpha = 1.0  # the dimer prefix does not depend on alpha
     chis = np.arange(0.0, bound + grid_step / 2, grid_step)
     alphas = np.array([alpha]) if alpha is not None else chis
 
     # The prefix below the alpha-scaled half-layer is fixed; cache it,
     # and diagonalize each grid ramp point once.
-    base = None
     if m >= 1:
-        base = _partial_circuit_state(spec, params, m - 1, 1.0)
-        base = apply_bond_layer(base, 2, params.angles[m - 1, 1], spec, mode="real")
+        for base in islice(_forward_pass(spec, params.angles[:m], "real"), 2 * m):
+            pass
         theta = _reduced_odd_angle(spec, params.angles[m - 1, 0])
 
     def prefix_state(al):
@@ -262,6 +263,15 @@ def maximize_overlap(
             targets[chi] = _ramp_ground_state(spec, chi)
         return float(abs(overlap(targets[chi], prefix_state(float(al)))) ** 2)
 
+    def refine(fun, centre):
+        res = minimize_scalar(
+            lambda x: -fun(x),
+            bounds=(max(0.0, centre - grid_step), min(bound, centre + grid_step)),
+            method="bounded",
+            options={"xatol": xtol},
+        )
+        return float(res.x), float(-res.fun)
+
     grid_targets = [_ramp_ground_state(spec, float(c)) for c in chis]
     f_best, chi_best, al_best = -1.0, 0.0, float(alphas[0])
     for al in alphas:
@@ -270,22 +280,16 @@ def maximize_overlap(
             f = float(abs(overlap(tgt, st)) ** 2)
             if f > f_best:
                 f_best, chi_best, al_best = f, float(chi), float(al)
+    # Bounded refinement never evaluates its endpoints, so a refined
+    # point replaces the current one only when it is strictly better.
     for _ in range(2):
-        res = minimize_scalar(
-            lambda c: -value(c, al_best),
-            bounds=(max(0.0, chi_best - grid_step), min(bound, chi_best + grid_step)),
-            method="bounded",
-            options={"xatol": xtol},
-        )
-        chi_best, f_best = float(res.x), float(-res.fun)
+        chi_new, f_new = refine(lambda c: value(c, al_best), chi_best)
+        if f_new > f_best:
+            chi_best, f_best = chi_new, f_new
         if alpha is None:
-            res = minimize_scalar(
-                lambda a_: -value(chi_best, a_),
-                bounds=(max(0.0, al_best - grid_step), min(bound, al_best + grid_step)),
-                method="bounded",
-                options={"xatol": xtol},
-            )
-            al_best, f_best = float(res.x), float(-res.fun)
+            al_new, f_new = refine(lambda a_: value(chi_best, a_), al_best)
+            if f_new > f_best:
+                al_best, f_best = al_new, f_new
     return chi_best, al_best, f_best
 
 

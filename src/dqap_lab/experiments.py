@@ -21,7 +21,7 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -49,20 +49,6 @@ from .optimizer import OptimizerConfig, optimize, optimize_imaginary, warm_start
 from .slater import SlaterState, overlap
 
 EPS_INF_COEFF = 2.0 / np.pi  # per-site energy of the infinite chain, in units of t
-
-KINDS = (
-    "energy-sweep",
-    "entanglement-sweep",
-    "mutual-info",
-    "orbital-evolution",
-    "params-trace",
-    "teff",
-    "imaginary-sweep",
-    "continuous-time",
-    "qab",
-    "schedule-overlap",
-    "spectrum-diagnostic",
-)
 
 _LADDER_KINDS_NEEDING_DEPTHS = {
     "energy-sweep",
@@ -177,20 +163,6 @@ class RunManifest:
     runs: list
     ok: bool
     aggregate: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "experiment": self.experiment,
-            "config": self.config,
-            "version": self.version,
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "wall_time_s": self.wall_time_s,
-            "outputs": self.outputs,
-            "runs": self.runs,
-            "ok": self.ok,
-            "aggregate": self.aggregate,
-        }
 
 
 def _gamma(boundary):
@@ -458,6 +430,8 @@ _TASK_BODIES = {
     "spectrum-diagnostic": _task_spectrum_diagnostic,
 }
 
+KINDS = tuple(_TASK_BODIES)
+
 _HEADERS = {
     "energy": ["L", "N", "gamma", "M", "E", "E_exact", "dE", "dEps", "iterations", "converged"],
     "entropy": ["L", "N", "gamma", "M", "LA", "S", "S_exact", "E", "dEps"],
@@ -622,7 +596,7 @@ def run_experiment(
         aggregate=aggregate,
     )
     with open(os.path.join(out, "manifest.json"), "w") as fh:
-        json.dump(manifest.to_dict(), fh, indent=2)
+        json.dump(asdict(manifest), fh, indent=2)
         fh.write("\n")
     return manifest
 

@@ -129,10 +129,35 @@ def two_body_expectation(psi, phi, x, y, yp, xp) -> complex:
     return complex(g[x, xp] * g[y, yp] - g[x, yp] * g[y, xp])
 
 
-def _rescale_columns(orb):
-    """Divide each column by its max abs entry; return the log-factor sum."""
-    f = np.abs(orb).max(axis=0)
-    orb /= f
+def _bond_block(spec, angle, w, mode):
+    """Entries (c, s) of the 2x2 blocks [[c, s], [s, c]] of one bond family.
+
+    c is a scalar; s has one row per bond, shape (n_bonds, 1).
+    """
+    th = angle * spec.t
+    if mode == "real":
+        return np.cos(th), 1j * np.sin(th) * w[:, None]
+    if mode == "imag":
+        return np.cosh(th), np.sinh(th) * w[:, None]
+    raise ValueError(f"mode must be 'real' or 'imag', got {mode!r}")
+
+
+def _rotate_rows(arr, a, b, c, s):
+    """Apply the blocks [[c, s], [s, c]] in place to row pairs (a, b) of arr (..., L, N)."""
+    ra, rb = arr[..., a, :], arr[..., b, :]
+    arr[..., a, :] = c * ra + s * rb
+    arr[..., b, :] = s * ra + c * rb
+
+
+def _rescale_columns(stack):
+    """Divide a (K, L, N) stack by the column maxima of stack[0]; return their log sum.
+
+    stack[0] holds the state's orbitals; any further slices (derivative
+    stacks) take the same per-column factors, so ratios between them and
+    the state are unchanged.
+    """
+    f = np.abs(stack[0]).max(axis=0)
+    stack /= f
     return float(np.log(f).sum())
 
 
@@ -159,21 +184,13 @@ def apply_bond_layer(
     if state.L != spec.L:
         raise DimensionMismatch(f"state has L={state.L}, spec has L={spec.L}")
     a, b, w = bond_pairs(spec, family)
-    th = angle * spec.t
+    c, s = _bond_block(spec, angle, w, mode)
     orb = state.orbitals.copy()
-    ra, rb = orb[a], orb[b]
+    _rotate_rows(orb, a, b, c, s)
     if mode == "real":
-        c, s = np.cos(th), 1j * np.sin(th) * w
-        orb[a] = c * ra + s[:, None] * rb
-        orb[b] = s[:, None] * ra + c * rb
         return SlaterState(orb, normalized=state.normalized, log_scale=state.log_scale)
-    if mode == "imag":
-        c, s = np.cosh(th), np.sinh(th) * w
-        orb[a] = c * ra + s[:, None] * rb
-        orb[b] = s[:, None] * ra + c * rb
-        dlog = _rescale_columns(orb)
-        return SlaterState(orb, normalized=False, log_scale=state.log_scale + dlog)
-    raise ValueError(f"mode must be 'real' or 'imag', got {mode!r}")
+    dlog = _rescale_columns(orb[None])
+    return SlaterState(orb, normalized=False, log_scale=state.log_scale + dlog)
 
 
 def energy_expectation(state: SlaterState, h: np.ndarray) -> float:

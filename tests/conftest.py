@@ -1,42 +1,38 @@
 """Session-wide fixtures.
 
-The optimized warm-start ladders are the expensive shared inputs: each
-one optimizes depth 1, then grows depth by depth with the mid-layer
-insertion rule.  They are built once per session and reused across the
-behavioural tests and the acceptance suite.  Stopping uses a tight
-energy tolerance so that saddle plateaus (where per-step progress can
-transiently dip below a loose threshold) are traversed rather than
-mistaken for convergence.
+The optimized warm-start ladder is the expensive shared input: it
+optimizes depth 1, then grows depth by depth with the mid-layer
+insertion rule.  It is built once per session and reused across the
+scheduling-overlap tests.  Stopping uses a tight energy tolerance so
+that saddle plateaus (where per-step progress can transiently dip below
+a loose threshold) are traversed rather than mistaken for convergence.
 """
 
-import numpy as np
 import pytest
 
 from dqap_lab import (
     LatticeSpec,
     OptimizerConfig,
     optimize,
-    optimize_imaginary,
     warm_start,
 )
 
 TIGHT = dict(energy_tol=1e-15, max_iters=60_000)
 
 
-def build_ladder(L, gamma, top, imaginary=False, **cfg_kwargs):
+def build_ladder(L, gamma, top):
     """Warm-start ladder of optimizations at depths 1..top.
 
     Returns {m: OptResult}; every rung is initialized from the previous
     one through the mid-layer insertion rule.
     """
     spec = LatticeSpec.half_filling(L, gamma=gamma)
-    cfg = OptimizerConfig(**(cfg_kwargs or TIGHT))
-    run = optimize_imaginary if imaginary else optimize
+    cfg = OptimizerConfig(**TIGHT)
     out = {}
     params = None
     for m in range(1, top + 1):
         init = warm_start(params) if params is not None else None
-        out[m] = run(spec, m, cfg, init=init)
+        out[m] = optimize(spec, m, cfg, init=init)
         params = out[m].params
     return out
 
@@ -44,40 +40,3 @@ def build_ladder(L, gamma, top, imaginary=False, **cfg_kwargs):
 @pytest.fixture(scope="session")
 def ladder16():
     return build_ladder(16, -1, 4)
-
-
-@pytest.fixture(scope="session")
-def ladder18_pbc():
-    return build_ladder(18, +1, 4)
-
-
-@pytest.fixture(scope="session")
-def ladder24():
-    return build_ladder(24, -1, 6)
-
-
-@pytest.fixture(scope="session")
-def ladder32():
-    return build_ladder(32, -1, 8)
-
-
-@pytest.fixture(scope="session")
-def ladder40():
-    return build_ladder(40, -1, 10)
-
-
-@pytest.fixture(scope="session")
-def ladder80():
-    return build_ladder(80, -1, 5)
-
-
-@pytest.fixture(scope="session")
-def ladder160():
-    # the asymptotic-exponent series; the default tolerance is plenty
-    # because only energy and entropy differences between depths enter
-    return build_ladder(160, -1, 21, energy_tol=1e-13, max_iters=60_000)
-
-
-@pytest.fixture(scope="session")
-def imag_ladder30():
-    return build_ladder(30, +1, 3, imaginary=True)

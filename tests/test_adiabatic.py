@@ -19,9 +19,12 @@ from dqap_lab import (
     evolve_linear_schedule,
     exact_ground_state,
     find_T_epsilon,
+    FockBasis,
     fock_evolve,
     initial_state,
+    intermediate_states,
     magnus_step,
+    many_body_matrix,
     maximize_overlap,
     overlap,
     qab_gap,
@@ -259,6 +262,43 @@ def test_full_prefix_matches_final_ramp_point(ladder16):
     spec = LatticeSpec.half_filling(16)
     f = scheduling_overlap(spec, ladder16[4].params, 4, 1.0)
     assert f > 1.0 - 1e-9
+
+
+def test_zero_prefix_optimum_is_the_dimer_point():
+    # the dimer prefix does not depend on alpha, and the best ramp point
+    # sits on the lower chi bound, which the refinement must not leave
+    spec = LatticeSpec.half_filling(16)
+    params = DqapParams(np.full((2, 2), 0.2))
+    chi, alpha, f = maximize_overlap(spec, params, 0)
+    assert chi == 0.0
+    assert alpha == 1.0
+    assert abs(f - 1.0) < 1e-12
+
+
+def test_partial_prefix_matches_fock_route():
+    spec = LatticeSpec.half_filling(8)
+    params = DqapParams(np.random.default_rng(5).uniform(0.1, 1.0, (3, 2)))
+    v1, v2 = build_v1(spec), build_v2(spec)
+    basis = FockBasis.build(spec.L, spec.N)
+    dimer = slater_to_fock(SlaterState(initial_state(spec)), basis)
+    layer1 = fock_evolve(fock_evolve(dimer, v2, 1j * params.angles[0, 1]),
+                         v1, 1j * params.angles[0, 0])
+    np.testing.assert_allclose(
+        slater_to_fock(intermediate_states(spec, params)[1], basis).amplitudes,
+        layer1.amplitudes, rtol=0.0, atol=1e-10,
+    )
+    alpha = 0.4
+    for chi in (0.3, 0.8):
+        ground = np.linalg.eigh(many_body_matrix(basis, v1 + chi * v2))[1][:, 0]
+        for m in (1, 2):
+            vec = dimer
+            for k in range(m):
+                scale = alpha if k == m - 1 else 1.0
+                vec = fock_evolve(vec, v2, 1j * params.angles[k, 1])
+                vec = fock_evolve(vec, v1, 1j * scale * params.angles[k, 0])
+            expected = abs(np.vdot(ground, vec.amplitudes)) ** 2
+            got = scheduling_overlap(spec, params, m, chi, alpha)
+            assert abs(got - expected) < 1e-10
 
 
 def test_free_alpha_never_loses_to_fixed(ladder16):
