@@ -47,7 +47,6 @@ from .optimizer import (
     OptimizerConfig,
     assemble_metric_and_force,
     linear_schedule_params,
-    natural_gradient_step,
     optimize,
     optimize_imaginary,
     warm_start,

@@ -118,7 +118,7 @@ class ExperimentConfig:
             raise ConfigError("'optimizer' must be an object")
         try:
             OptimizerConfig(**opt)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad optimizer settings: {exc}") from exc
         seed = raw.get("seed", 0)
         if not isinstance(seed, int):

@@ -11,8 +11,22 @@ With the metric on the left this flow is a discretized imaginary-time
 evolution projected onto the variational manifold, so the energy trace
 is non-increasing for small delta_beta.  That bound is first order; at
 finite delta_beta a shift along a soft metric mode can leave the linear
-regime, so the run loop halves any shift that would raise the energy.
-Well-conditioned steps are taken whole.
+regime, so the run loop halves any shift that would raise the energy
+(or give a non-finite one).  Well-conditioned steps are taken whole.
+
+Real-time circuits adapt delta_beta per run.  It starts at the
+configured value; a step taken whole multiplies it by 1.5, and a step
+that needed halvings sets it to its accepted fraction, never below the
+configured value.  A trust cap scales every proposed shift so that no
+angle moves by more than 0.1/t in one iteration, which keeps the grown
+step inside the region where the line search finds descent.  Without
+the floor, runs of halvings can shrink delta_beta until a random start
+stalls far above its minimum; without the cap, grown steps can throw a
+random start onto a plateau where it stalls too.
+
+Imaginary-time circuits keep the fixed configured step and no cap: their
+real-space states lose precision at large angles, which an aggressive
+step reaches.
 """
 
 from __future__ import annotations
@@ -34,11 +48,20 @@ from .slater import SlaterState, energy_expectation
 
 _LSTSQ_CUTOFF = 1e-12
 _MAX_HALVINGS = 60
+_TRUST_CAP = 0.1  # largest angle shift per iteration, in units of 1/t (real mode)
+_STEP_GROWTH = 1.5  # delta_beta factor after a step taken whole (real mode)
 
 
 @dataclass
 class OptimizerConfig:
     """Knobs for the natural-gradient loop.
+
+    delta_beta is the fixed step of imaginary-time runs, and the initial
+    and minimum step of real-time runs, which grow it after every step
+    taken whole under a trust cap of 0.1/t per angle (see the module
+    docstring).  A run stops when the relative energy change of one
+    iteration falls below energy_tol, when no halving of the proposed
+    shift lowers the energy, or after max_iters iterations.
 
     init_mode is one of 'linear-schedule', 'random', 'zeros+noise',
     'warm-start' (the last requires explicit initial parameters).
@@ -54,6 +77,16 @@ class OptimizerConfig:
     init_scale: float = 0.01
     seed: int | None = None
 
+    def __post_init__(self):
+        if not self.delta_beta > 0:
+            raise ValueError(f"delta_beta must be positive, got {self.delta_beta!r}")
+        if not self.energy_tol >= 0:
+            raise ValueError(f"energy_tol must be non-negative, got {self.energy_tol!r}")
+        if not self.ridge >= 0:
+            raise ValueError(f"ridge must be non-negative, got {self.ridge!r}")
+        if not self.max_iters >= 0:
+            raise ValueError(f"max_iters must be non-negative, got {self.max_iters!r}")
+
 
 @dataclass
 class NaturalGradientWorkspace:
@@ -66,11 +99,20 @@ class NaturalGradientWorkspace:
 
 @dataclass
 class OptResult:
+    """Outcome of a run.
+
+    stop_reason is 'energy_tol' (the energy change fell below the
+    tolerance), 'no_descent' (no halving of the proposed shift lowers
+    the energy, or there are no angles to move) or 'max_iters'.
+    converged is true for the first two.
+    """
+
     params: DqapParams
     energy: float
     trace: np.ndarray
     iterations: int
     converged: bool
+    stop_reason: str
 
 
 def assemble_metric_and_force(
@@ -113,10 +155,15 @@ def assemble_metric_and_force(
         return NaturalGradientWorkspace(term1 - term2, force, energy)
 
     gram = orb.conj().T @ orb
-    fmat = np.linalg.inv(gram)
-    fmat = 0.5 * (fmat + fmat.conj().T)
+    try:
+        fmat = np.linalg.inv(gram)
+        fmat = 0.5 * (fmat + fmat.conj().T)
+        fhalf = np.linalg.cholesky(fmat)
+    except np.linalg.LinAlgError as exc:
+        raise SingularOverlapError(
+            "inverse Gram matrix of the state is singular or not positive definite"
+        ) from exc
     energy = float(np.trace(fmat @ rhs).real)
-    fhalf = np.linalg.cholesky(fmat)
     # first term: stacks weighted by F on the right
     yflat = (derivs @ fhalf).reshape(kdim, -1)
     term1 = yflat.conj() @ yflat.T
@@ -130,7 +177,7 @@ def assemble_metric_and_force(
     return NaturalGradientWorkspace(term1 - term2, force, energy)
 
 
-def _solve_step(workspace: NaturalGradientWorkspace, config: OptimizerConfig):
+def _solve_step(workspace: NaturalGradientWorkspace, delta_beta: float, ridge: float):
     """Proposed angle shift: pseudo-solve of the regularized real system.
 
     The symmetrized metric is PSD up to rounding and factorized
@@ -142,7 +189,7 @@ def _solve_step(workspace: NaturalGradientWorkspace, config: OptimizerConfig):
     """
     a = (workspace.metric + workspace.metric.conj()).real
     a = 0.5 * (a + a.T)
-    b = -2.0 * config.delta_beta * workspace.force.real
+    b = -2.0 * delta_beta * workspace.force.real
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -152,19 +199,10 @@ def _solve_step(workspace: NaturalGradientWorkspace, config: OptimizerConfig):
         return np.zeros(len(b))
     keep = w > _LSTSQ_CUTOFF * top
     vk = v[:, keep]
-    dtheta = vk @ ((vk.T @ b) / (w[keep] + config.ridge))
+    dtheta = vk @ ((vk.T @ b) / (w[keep] + ridge))
     if not np.all(np.isfinite(dtheta)):
         raise LinearSolveError("natural-gradient system produced non-finite step")
     return dtheta
-
-
-def natural_gradient_step(
-    workspace: NaturalGradientWorkspace,
-    params: DqapParams,
-    config: OptimizerConfig,
-) -> DqapParams:
-    """One update: solve the regularized real system and shift the angles."""
-    return params.with_flat(params.flatten() + _solve_step(workspace, config))
 
 
 def linear_schedule_params(m_layers, spec=None, scale=0.01, cls=DqapParams):
@@ -198,15 +236,21 @@ def _run(spec, params, mode, config):
     if params.M == 0:
         state = SlaterState(initial_state(spec))
         ws = assemble_metric_and_force(state, np.zeros((0, spec.L, spec.N)), h)
-        return OptResult(params, ws.energy, np.array([ws.energy]), 0, True)
+        return OptResult(params, ws.energy, np.array([ws.energy]), 0, True, "no_descent")
     state, derivs = state_and_derivatives(spec, params, mode=mode)
     ws = assemble_metric_and_force(state, derivs, h)
     trace = [ws.energy]
-    converged = False
+    stop_reason = "max_iters"
     it = 0
-    build = build_imag_state if mode == "imag" else build_dqap_state
+    adaptive = mode == "real"
+    build = build_dqap_state if adaptive else build_imag_state
+    db = config.delta_beta
     while it < config.max_iters:
-        dtheta = _solve_step(ws, config)
+        dtheta = _solve_step(ws, db, config.ridge)
+        if adaptive:
+            largest = np.max(np.abs(dtheta)) * spec.t
+            if largest > _TRUST_CAP:
+                dtheta *= _TRUST_CAP / largest
         flat = params.flatten()
         accepted = None
         scale = 1.0
@@ -217,24 +261,27 @@ def _run(spec, params, mode, config):
             except SingularOverlapError:
                 scale *= 0.5
                 continue
-            if energy <= trace[-1]:
+            if np.isfinite(energy) and energy <= trace[-1]:
                 accepted = trial
                 break
             scale *= 0.5
         if accepted is None:
             # No scale of the proposed shift descends: the state sits at
             # the numerical floor of this basin.
-            converged = True
+            stop_reason = "no_descent"
             break
+        if adaptive:
+            db = db * _STEP_GROWTH if scale == 1.0 else max(config.delta_beta, db * scale)
         params = accepted
         it += 1
         state, derivs = state_and_derivatives(spec, params, mode=mode)
         ws = assemble_metric_and_force(state, derivs, h)
         trace.append(ws.energy)
         if abs(trace[-1] - trace[-2]) / (abs(trace[-1]) + 1.0) < config.energy_tol:
-            converged = True
+            stop_reason = "energy_tol"
             break
-    return OptResult(params, trace[-1], np.asarray(trace), it, converged)
+    converged = stop_reason != "max_iters"
+    return OptResult(params, trace[-1], np.asarray(trace), it, converged, stop_reason)
 
 
 def optimize(

@@ -63,3 +63,15 @@ def test_ladder_kind_without_depths_is_a_config_error(tmp_path):
     code, out = _run(tmp_path, "energy-sweep", {"sizes": [8]})
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("optimizer", [
+    {"delta_beta": -0.01},
+    {"energy_tol": -1.0},
+    {"ridge": -1e-10},
+    {"max_iters": -5},
+])
+def test_malformed_optimizer_settings_are_a_config_error(tmp_path, optimizer):
+    code, out = _run(tmp_path, "energy-sweep", {**_LADDER, "optimizer": optimizer})
+    assert code == 2
+    assert not out.exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dqap_lab import (
+    DqapError,
     DqapParams,
     ImagParams,
     LatticeSpec,
@@ -16,9 +17,9 @@ from dqap_lab import (
     energy_expectation,
     exact_ground_state,
     linear_schedule_params,
-    natural_gradient_step,
     optimize,
     optimize_imaginary,
+    optimizer,
     state_and_derivatives,
     warm_start,
 )
@@ -34,6 +35,12 @@ def workspace_at(spec, params, mode="real"):
 
 def random_point(rng, m, cls=DqapParams):
     return cls(rng.uniform(0.1, 1.0, size=(m, 2)))
+
+
+def natural_gradient_step(workspace, params, config):
+    """One unscaled update at the configured step: solve and shift the angles."""
+    dtheta = optimizer._solve_step(workspace, config.delta_beta, config.ridge)
+    return params.with_flat(params.flatten() + dtheta)
 
 
 # ---- metric and force ----
@@ -208,8 +215,19 @@ def test_m_zero_returns_dimer_without_iterating():
     spec = LatticeSpec.half_filling(12)
     res = optimize(spec, 0)
     assert res.iterations == 0 and res.converged
+    assert res.stop_reason == "no_descent"
     assert abs(res.energy - (-0.5 * spec.L)) < 1e-12
     assert res.params.M == 0
+
+
+def test_stop_reason_names_what_ended_the_run():
+    spec = LatticeSpec.half_filling(8)
+    done = optimize(spec, 2)
+    assert done.stop_reason == "energy_tol" and done.converged
+    for iters in (0, 3):
+        cut = optimize(spec, 2, OptimizerConfig(max_iters=iters))
+        assert cut.stop_reason == "max_iters" and not cut.converged
+        assert cut.iterations == iters
 
 
 def test_imaginary_run_improves_on_dimer():
@@ -219,6 +237,75 @@ def test_imaginary_run_improves_on_dimer():
     assert res.converged
     assert res.energy < -0.5 * spec.L
     assert np.all(np.diff(res.trace) <= 1e-12)
+
+
+def test_line_search_rejects_non_finite_energy(monkeypatch):
+    # the first trial energy reads -inf; it must not count as descent
+    spec = LatticeSpec.half_filling(8)
+    real_energy = optimizer.energy_expectation
+    calls = []
+
+    def energy_once_minus_inf(state, h):
+        calls.append(state)
+        return -np.inf if len(calls) == 1 else real_energy(state, h)
+
+    monkeypatch.setattr(optimizer, "energy_expectation", energy_once_minus_inf)
+    res = optimize(spec, 2, OptimizerConfig(max_iters=1))
+    assert res.iterations == 1
+    assert len(calls) >= 2
+    assert np.all(np.isfinite(res.trace))
+    assert res.trace[1] <= res.trace[0]
+
+
+def test_singular_imaginary_gram_raises_typed_error():
+    # at delta_beta = 0.1 the warm-started depth-2 rung reaches a state
+    # whose inverse Gram matrix is not positive definite in floating point
+    spec = LatticeSpec.half_filling(30, gamma=+1)
+    cfg = OptimizerConfig(delta_beta=0.1)
+    first = optimize_imaginary(spec, 1, cfg)
+    with pytest.raises(DqapError):
+        optimize_imaginary(spec, 2, cfg, init=warm_start(first.params))
+
+
+# ---- step control ----
+
+
+def test_first_step_respects_trust_cap():
+    # small random angles sit where the metric is nearly singular, so the
+    # uncapped first step moves an angle by about 0.33/t
+    spec = LatticeSpec.half_filling(8, t=2.0)
+    start = optimize(spec, 3, OptimizerConfig(init_mode="random", seed=0, max_iters=0))
+    one = optimize(spec, 3, OptimizerConfig(init_mode="random", seed=0, max_iters=1))
+    assert one.iterations == 1
+    shift = np.max(np.abs(one.params.angles - start.params.angles))
+    assert 0.0 < shift * spec.t <= 0.1 * (1.0 + 1e-12)
+
+
+def test_warm_start_ladder_reaches_quarter_depth_in_few_iterations():
+    spec = LatticeSpec.half_filling(40)
+    _, e_exact = exact_ground_state(spec)
+    cfg = OptimizerConfig(energy_tol=1e-15, max_iters=60000)
+    params, total = None, 0
+    for m in range(1, 11):
+        init = warm_start(params) if params is not None else None
+        res = optimize(spec, m, cfg, init=init)
+        assert res.stop_reason == "energy_tol"
+        params, total = res.params, total + res.iterations
+    assert res.energy - e_exact < 1e-10
+    assert total < 1000
+
+
+@pytest.mark.parametrize("field,value", [
+    ("delta_beta", 0.0),
+    ("delta_beta", -0.01),
+    ("delta_beta", float("nan")),
+    ("energy_tol", -1e-13),
+    ("ridge", -1e-10),
+    ("max_iters", -1),
+])
+def test_malformed_settings_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        OptimizerConfig(**{field: value})
 
 
 # ---- initialization ----
