@@ -1,10 +1,32 @@
 """Continuous-time interpolation runs and schedule diagnostics.
 
 The reference process ramps the even bond family in linearly on top of
-the odd family over a total time T.  Time stepping uses a commutator
-expansion of the ordered exponential over each slice; because both
-instantaneous generators are quadratic, each step is a single-particle
-matrix exponential acting on the orbitals.
+the odd family over a total time T, H(s) = V1 + s V2 with s = tau / T.
+Time stepping uses a commutator expansion of the ordered exponential
+over each slice.
+
+Both bond families, the boundary bond and the dimer state are invariant
+under translation by two sites, so the ramp never mixes cell momenta and
+runs as L/2 independent 2 x 2 Bloch blocks.  Cell j holds sites
+(2j, 2j+1); an orbital with amplitudes e^{iqj} (a, b) / sqrt(L/2) on
+them sees
+
+    H_q(s) = -t [[0, 1 + s e^{-iq}], [1 + s e^{iq}, 0]].
+
+The boundary bond carries the weight gamma, which twists the closure:
+e^{iq L/2} = gamma, so the cell momenta are q = (2 pi n + phi) / (L/2),
+n = 0..L/2-1, with phi = 0 for periodic and phi = pi for antiperiodic
+closure.  The dimer state puts one fermion in every block, in the
+spinor (1, 1)/sqrt 2, so a ramped state is an (L/2, 2) spinor array and
+a slice costs O(L).  Over slice m the first-order generator is
+dt H_q(s_mid).  The second-order commutator term
+(dt^2/6) [H_q(s_m), H_q(s_{m-1})] is diagonal in each block,
+
+    -(dt^2 / 3) t^2 sin q (s_{m-1} - s_m) sigma_z,
+
+because [sigma_x, cos q sigma_x + sin q sigma_y] = 2i sin q sigma_z.
+Either generator is n . sigma for a real 3-vector n per block, and
+exp(-i n . sigma) = cos|n| - i (sin|n| / |n|) n . sigma exactly.
 
 The closed-form optimal ramp keeps the adiabaticity rate uniform along
 the path.  Writing g for 2 pi / L, the ramp and instantaneous gap are
@@ -20,13 +42,14 @@ ramp solves  x'' = 2 (x - cos g) x'^2 / ((x - cos g)^2 + sin^2 g).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .ansatz import DqapParams, ImagParams, _forward_pass
-from .errors import NoConvergence, OpenShellError
+from .errors import DimensionMismatch, NoConvergence, OpenShellError
 from .lattice import LatticeSpec, build_v1, build_v2, exact_ground_state, initial_state
 from .slater import SlaterState, apply_bond_layer, overlap
 
@@ -52,45 +75,89 @@ class EvolutionPlan:
         return self.T / self.M
 
 
-def _ramp_hopping(spec, s):
-    return build_v1(spec) + s * build_v2(spec)
+@lru_cache(maxsize=16)
+def _cell_momenta(L, gamma):
+    """Cell momenta q of an L-site chain with closure gamma, with e^{-iq} and sin q."""
+    cells = L // 2
+    phi = 0.0 if gamma == +1 else np.pi
+    q = (2.0 * np.pi * np.arange(cells) + phi) / cells
+    grid = (q, np.exp(-1j * q), np.sin(q))
+    for arr in grid:
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return grid
 
 
-def magnus_step(state: SlaterState, spec: LatticeSpec, plan: EvolutionPlan, m: int):
-    """Advance one slice, from time (m-1) dt to m dt (m = 1..M).
+def magnus_step(spinors, spec: LatticeSpec, plan: EvolutionPlan, m: int):
+    """Advance an (L/2, 2) spinor array by one slice, from (m-1) dt to m dt (m = 1..M).
 
-    The first-order generator is -i dt/2 times the sum of the endpoint
-    hopping matrices; order 2 adds the commutator correction
-    dt^2/6 [H_next, H_prev].  Either generator is anti-Hermitian, so
-    the step is exactly unitary (exponentiated by eigendecomposition).
+    Row n holds the sublattice amplitudes of cell momentum q_n (module
+    docstring).  The first-order generator is dt H_q(s_mid); order 2 adds
+    the commutator term -(dt^2/3) t^2 sin q (s_{m-1} - s_m) sigma_z.
+    Each block is exponentiated in closed form, so the step is exactly
+    unitary and costs O(L).
     """
     if not 1 <= m <= plan.M:
         raise ValueError(f"slice index {m} outside 1..{plan.M}")
+    spinors = np.asarray(spinors)
+    if spinors.shape != (spec.L // 2, 2):
+        raise DimensionMismatch(
+            f"spinors must have shape {(spec.L // 2, 2)}, got {spinors.shape}"
+        )
+    _, emiq, sin_q = _cell_momenta(spec.L, spec.gamma)
     dt = plan.delta_tau
-    h_prev = _ramp_hopping(spec, (m - 1) * dt / plan.T)
-    h_next = _ramp_hopping(spec, m * dt / plan.T)
-    herm = 0.5 * dt * (h_next + h_prev)  # i times the anti-Hermitian generator
+    s_prev, s_next = (m - 1) * dt / plan.T, m * dt / plan.T
+    tdt = spec.t * dt
+    # Generator n . sigma = t dt [[w_z, w], [conj(w), -w_z]]; |w| >= 1 - s_mid > 0.
+    w = -1.0 - 0.5 * (s_prev + s_next) * emiq
     if plan.order == 2:
-        herm = herm + 1j * (dt**2 / 6.0) * (h_next @ h_prev - h_prev @ h_next)
-    w, u = np.linalg.eigh(herm)
-    step = (u * np.exp(-1j * w)) @ u.conj().T
-    return SlaterState(
-        step @ state.orbitals, normalized=state.normalized, log_scale=state.log_scale
-    )
+        w_z = (tdt / 3.0 * (s_next - s_prev)) * sin_q
+        r = np.sqrt(w.real**2 + w.imag**2 + w_z**2)
+    else:
+        r = np.abs(w)
+    c = np.cos(tdt * r)
+    k = np.sin(tdt * r) / r  # sin|n| / |n| times t dt
+    g = -1j * k * w
+    if plan.order == 2:
+        d = 1j * k * w_z
+        c_a, c_b = c - d, c + d
+    else:
+        c_a = c_b = c
+    a, b = spinors[:, 0], spinors[:, 1]
+    out = np.empty(spinors.shape, dtype=complex)
+    out[:, 0] = c_a * a + g * b
+    out[:, 1] = c_b * b - g.conj() * a
+    return out
+
+
+def _bloch_orbitals(spec, spinors):
+    """Real-space (L, L/2) orbitals, column n the Bloch wave of row n of `spinors`."""
+    q = _cell_momenta(spec.L, spec.gamma)[0]
+    cells = spec.L // 2
+    phase = np.exp(1j * np.outer(np.arange(cells), q)) / np.sqrt(cells)
+    orbitals = np.empty((spec.L, cells), dtype=complex)
+    orbitals[0::2] = phase * spinors[:, 0]
+    orbitals[1::2] = phase * spinors[:, 1]
+    return orbitals
 
 
 def evolve_linear_schedule(spec: LatticeSpec, plan: EvolutionPlan):
     """Run the full linear ramp from the dimer state.
 
+    Raises ValueError unless N = L/2, and OpenShellError when the final
+    ground state is not unique, both before any slice is stepped.
+
     Returns
     -------
-    (state, eps) : final SlaterState and the terminal distance
+    (state, eps) : final SlaterState, whose columns are the Bloch
+        orbitals of the ramped spinors, and the terminal distance
         sqrt(2 - 2 |<exact|state>|) to the exact ground state.
     """
-    state = SlaterState(initial_state(spec))
-    for m in range(1, plan.M + 1):
-        state = magnus_step(state, spec, plan, m)
+    initial_state(spec)  # rejects N != L/2
     exact, _ = exact_ground_state(spec)
+    spinors = np.full((spec.L // 2, 2), np.sqrt(0.5), dtype=complex)
+    for m in range(1, plan.M + 1):
+        spinors = magnus_step(spinors, spec, plan, m)
+    state = SlaterState(_bloch_orbitals(spec, spinors))
     ov = overlap(SlaterState(exact), state)
     return state, float(np.sqrt(max(2.0 - 2.0 * abs(ov), 0.0)))
 
@@ -103,11 +170,18 @@ def find_T_epsilon(
     t_start: float = 1.0,
     t_cap: float = 1e6,
 ) -> float:
-    """Smallest ramp time reaching the target terminal distance.
+    """A ramp time at which the terminal distance crosses below the target.
 
-    Brackets by doubling from t_start, then bisects to 1% relative
-    width.  The slice count tracks T so the step stays at most `dtau`.
-    Raises NoConvergence if the cap is hit before the target.
+    Doubles T from t_start until eps(T) <= target_eps, which brackets a
+    crossing in [T/2, T].  When t_start already meets the target, the
+    lower end is instead halved while eps stays below it (down to 1e-6).
+    Bisection then keeps eps <= target_eps at the upper end, stops at 1%
+    relative width and returns the upper end.  eps(T) oscillates in T,
+    so the result is one crossing of the target, not the smallest ramp
+    time reaching it: at L=8 apbc, target 0.05, dtau 0.01 it returns
+    11.3125, while eps(8.25) = 0.0495 and eps(10) = 0.0850.  The slice
+    count tracks T so the step stays at most `dtau`.  Raises
+    NoConvergence if the cap is hit before the target.
     """
 
     def eps_at(T):

@@ -3,7 +3,10 @@
 Momentum-space sums pin the chain energetics (the closure phase shifts
 the allowed modes by half a spacing), finite differences pin analytic
 derivatives, and random orthonormal frames feed the property tests.
-Nothing here calls back into dqap_lab, so agreement is meaningful.
+The continuous-time ramp has a dense real-space route (an eigh-based
+exponential per slice) and a 40-digit mpmath product of its 2 x 2
+momentum blocks.  Nothing here calls back into dqap_lab, so agreement
+is meaningful.
 """
 
 import numpy as np
@@ -49,3 +52,98 @@ def random_orthonormal(rng, L, N):
     """Haar-ish random L x N frame with orthonormal columns."""
     q, r = np.linalg.qr(rng.normal(size=(L, N)) + 1j * rng.normal(size=(L, N)))
     return q * np.sign(np.diagonal(r))
+
+
+def hopping_families(L, gamma, t=1.0):
+    """Dense hopping matrices (V1, V2): odd bonds (2j, 2j+1), even bonds (2j+1, 2j+2).
+
+    The boundary bond (L-1, 0) belongs to the even family with weight gamma.
+    """
+    v1 = np.zeros((L, L))
+    v2 = np.zeros((L, L))
+    for j in range(0, L, 2):
+        v1[j, j + 1] = v1[j + 1, j] = -t
+    for j in range(1, L - 1, 2):
+        v2[j, j + 1] = v2[j + 1, j] = -t
+    v2[L - 1, 0] = v2[0, L - 1] = -t * gamma
+    return v1, v2
+
+
+def dense_ramp_step(orbitals, v1, v2, T, M, m, order=1):
+    """Slice m of the linear ramp V1 + (tau/T) V2 on real-space orbitals.
+
+    Generator dt (H_prev + H_next) / 2, plus (order 2) the commutator
+    term i dt^2/6 [H_next, H_prev]; exponentiated by eigendecomposition.
+    """
+    dt = T / M
+    h_prev = v1 + (m - 1) * dt / T * v2
+    h_next = v1 + m * dt / T * v2
+    herm = 0.5 * dt * (h_next + h_prev)
+    if order == 2:
+        herm = herm + 1j * (dt**2 / 6.0) * (h_next @ h_prev - h_prev @ h_next)
+    w, u = np.linalg.eigh(herm)
+    return (u * np.exp(-1j * w)) @ (u.conj().T @ orbitals)
+
+
+def dense_ramp(L, gamma, T, M, order=1, t=1.0):
+    """Full ramp from the dimer state in real space: (eps, energy) at its end."""
+    v1, v2 = hopping_families(L, gamma, t)
+    orbitals = np.zeros((L, L // 2), dtype=complex)
+    for n in range(L // 2):
+        orbitals[2 * n, n] = orbitals[2 * n + 1, n] = np.sqrt(0.5)
+    for m in range(1, M + 1):
+        orbitals = dense_ramp_step(orbitals, v1, v2, T, M, m, order)
+    h = v1 + v2
+    exact = np.linalg.eigh(h)[1][:, : L // 2]
+    ov = abs(np.linalg.det(exact.conj().T @ orbitals))
+    energy = float(np.trace(orbitals.conj().T @ h @ orbitals).real)
+    return float(np.sqrt(max(2.0 - 2.0 * ov, 0.0))), energy
+
+
+def cell_momenta(L, boundary):
+    """Momenta q of the L/2 two-site cells; the closure twists them by pi/(L/2) for apbc."""
+    cells = L // 2
+    phi = {"pbc": 0.0, "apbc": np.pi}[boundary]
+    return (2.0 * np.pi * np.arange(cells) + phi) / cells
+
+
+def bloch_frame(L, boundary):
+    """Unitary L x L frame; column 2n + s is the Bloch wave of momentum q_n on sublattice s.
+
+    A real-space vector x has Bloch coefficients (F^+ x).reshape(L/2, 2).
+    """
+    q = cell_momenta(L, boundary)
+    cells = L // 2
+    frame = np.zeros((L, L), dtype=complex)
+    phase = np.exp(1j * np.outer(np.arange(cells), q)) / np.sqrt(cells)
+    frame[0::2, 0::2] = phase
+    frame[1::2, 1::2] = phase
+    return frame
+
+
+def mp_ramp_eps(L, boundary, T, M, t=1.0, dps=40):
+    """Order-1 ramp's terminal distance, as a product of 2 x 2 blocks in mpmath.
+
+    Each slice applies exp(-i dt H_q(s_mid)) to the dimer spinor of every
+    cell momentum, using H_q^2 = |h_q|^2 for the off-diagonal block.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        cells = L // 2
+        phi = mp.mpf(0) if boundary == "pbc" else mp.pi
+        dt = mp.mpf(T) / M
+        amp = mp.mpf(1)
+        for n in range(cells):
+            eiq = mp.expjpi((2 * n + phi / mp.pi) / cells)
+            a = b = mp.sqrt(mp.mpf(1) / 2)
+            for m in range(1, M + 1):
+                s = (m - mp.mpf(1) / 2) / M
+                h01 = -t * (1 + s * mp.conj(eiq))  # block entry <A|H_q|B>
+                r = abs(h01)
+                c, k = mp.cos(dt * r), mp.sin(dt * r) / r
+                a, b = c * a - 1j * k * h01 * b, -1j * k * mp.conj(h01) * a + c * b
+            # ground spinor of H_q(1): (1, e^{i arg(1 + e^{iq})}) / sqrt 2
+            z = 1 + eiq
+            amp *= abs(a + mp.conj(z / abs(z)) * b) / mp.sqrt(2)
+        return mp.sqrt(2 - 2 * amp)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from dqap_lab import (
+    DimensionMismatch,
     DqapParams,
     EvolutionPlan,
     ImagParams,
     LatticeSpec,
     NoConvergence,
+    OpenShellError,
     SlaterState,
     aggregate_times,
     build_dqap_state,
@@ -33,8 +35,17 @@ from dqap_lab import (
     scheduling_overlap,
     slater_to_fock,
 )
+from dqap_lab import adiabatic
 
-from .oracles import kspace_levels
+from .oracles import (
+    bloch_frame,
+    dense_ramp,
+    dense_ramp_step,
+    hopping_families,
+    kspace_levels,
+    mp_ramp_eps,
+    random_orthonormal,
+)
 
 
 # ---- stepping ----
@@ -50,29 +61,55 @@ def test_plan_validation():
     assert EvolutionPlan(T=2.0, M=8).delta_tau == 0.25
 
 
+def _dimer_spinors(spec):
+    return np.full((spec.L // 2, 2), np.sqrt(0.5), dtype=complex)
+
+
+def _spinor_orbitals(spec, spinors):
+    # column n: the Bloch wave of cell momentum q_n with sublattice amplitudes spinors[n]
+    frame = bloch_frame(spec.L, spec.boundary).reshape(spec.L, spec.L // 2, 2)
+    return np.einsum("lns,ns->ln", frame, spinors)
+
+
+def _step_real_space(orbitals, spec, plan, m):
+    # one slice applied to each real-space column through its Bloch coefficients
+    frame = bloch_frame(spec.L, spec.boundary)
+    cols = []
+    for x in orbitals.T:
+        coeffs = (frame.conj().T @ x).reshape(spec.L // 2, 2)
+        cols.append(frame @ magnus_step(coeffs, spec, plan, m).reshape(spec.L))
+    return np.stack(cols, axis=1)
+
+
 def test_step_index_range_checked():
     spec = LatticeSpec.half_filling(8)
-    st = SlaterState(initial_state(spec))
+    sp = _dimer_spinors(spec)
     plan = EvolutionPlan(T=1.0, M=4)
     with pytest.raises(ValueError):
-        magnus_step(st, spec, plan, 0)
+        magnus_step(sp, spec, plan, 0)
     with pytest.raises(ValueError):
-        magnus_step(st, spec, plan, 5)
+        magnus_step(sp, spec, plan, 5)
+
+
+def test_step_rejects_wrong_spinor_shape():
+    spec = LatticeSpec.half_filling(8)
+    with pytest.raises(DimensionMismatch):
+        magnus_step(np.ones((8, 2)), spec, EvolutionPlan(T=1.0, M=4), 1)
 
 
 def test_tiny_step_is_near_identity():
     spec = LatticeSpec.half_filling(8)
-    st = SlaterState(initial_state(spec))
-    out = magnus_step(st, spec, EvolutionPlan(T=1e-9, M=1), 1)
-    np.testing.assert_allclose(out.orbitals, st.orbitals, atol=1e-8)
+    sp = _dimer_spinors(spec)
+    out = magnus_step(sp, spec, EvolutionPlan(T=1e-9, M=1), 1)
+    np.testing.assert_allclose(out, sp, atol=1e-8)
 
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_step_preserves_gram(order):
     spec = LatticeSpec.half_filling(10, gamma=+1)
-    st = SlaterState(initial_state(spec))
-    out = magnus_step(st, spec, EvolutionPlan(T=0.8, M=2, order=order), 2)
-    gram = out.orbitals.conj().T @ out.orbitals
+    orbitals = random_orthonormal(np.random.default_rng(3), spec.L, spec.N)
+    out = _step_real_space(orbitals, spec, EvolutionPlan(T=0.8, M=2, order=order), 2)
+    gram = out.conj().T @ out
     np.testing.assert_allclose(gram, np.eye(5), atol=1e-12)
 
 
@@ -80,10 +117,10 @@ def test_orders_coincide_when_families_commute():
     # at L=2 both families act on the same bond, so the commutator
     # correction vanishes identically
     spec = LatticeSpec(L=2, N=1, gamma=+1)
-    st = SlaterState(initial_state(spec))
-    a = magnus_step(st, spec, EvolutionPlan(T=0.6, M=1, order=1), 1)
-    b = magnus_step(st, spec, EvolutionPlan(T=0.6, M=1, order=2), 1)
-    np.testing.assert_allclose(a.orbitals, b.orbitals, atol=1e-14)
+    sp = _dimer_spinors(spec)
+    a = magnus_step(sp, spec, EvolutionPlan(T=0.6, M=1, order=1), 1)
+    b = magnus_step(sp, spec, EvolutionPlan(T=0.6, M=1, order=2), 1)
+    np.testing.assert_allclose(a, b, atol=1e-14)
 
 
 def test_single_step_against_fine_grained_reference():
@@ -91,16 +128,68 @@ def test_single_step_against_fine_grained_reference():
     # exact instantaneous evolution in the occupation basis
     spec = LatticeSpec.half_filling(6, gamma=+1)
     dt = 0.02
-    st = SlaterState(initial_state(spec))
-    out = magnus_step(st, spec, EvolutionPlan(T=dt, M=1, order=1), 1)
+    out = magnus_step(_dimer_spinors(spec), spec, EvolutionPlan(T=dt, M=1, order=1), 1)
     vec = slater_to_fock(SlaterState(initial_state(spec).astype(complex)))
     v1, v2 = build_v1(spec), build_v2(spec)
     n_sub = 400
     for j in range(n_sub):
         s_mid = (j + 0.5) / n_sub
         vec = fock_evolve(vec, v1 + s_mid * v2, 1j * dt / n_sub)
-    ov = np.vdot(vec.amplitudes, slater_to_fock(out).amplitudes)
+    state = SlaterState(_spinor_orbitals(spec, out))
+    ov = np.vdot(vec.amplitudes, slater_to_fock(state).amplitudes)
     assert abs(ov) > 1.0 - 1e-8
+
+
+@pytest.mark.parametrize("L, gamma", [(2, +1), (8, -1), (10, +1), (30, +1), (32, -1)])
+@pytest.mark.parametrize("order", [1, 2])
+def test_step_matches_dense_real_space_slice(L, gamma, order):
+    spec = LatticeSpec.half_filling(L, gamma=gamma)
+    orbitals = random_orthonormal(np.random.default_rng(L), L, spec.N)
+    plan = EvolutionPlan(T=3.0, M=7, order=order)
+    v1, v2 = hopping_families(L, gamma)
+    for m in (1, 4, 7):
+        got = _step_real_space(orbitals, spec, plan, m)
+        ref = dense_ramp_step(orbitals, v1, v2, plan.T, plan.M, m, order)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("L, gamma", [(8, -1), (10, +1), (30, +1), (32, -1)])
+@pytest.mark.parametrize("order", [1, 2])
+def test_full_ramp_matches_dense_real_space_route(L, gamma, order):
+    # T = 10 keeps eps near 0.1 or above: the rounding of |overlap| enters
+    # eps divided by eps^2, and the dense route's rounding dominates there
+    spec = LatticeSpec.half_filling(L, gamma=gamma)
+    state, eps = evolve_linear_schedule(spec, EvolutionPlan(T=10.0, M=1000, order=order))
+    eps_ref, energy_ref = dense_ramp(L, gamma, 10.0, 1000, order)
+    assert abs(eps - eps_ref) < 1e-10 * eps_ref
+    assert abs(energy_expectation(state, build_hamiltonian(spec)) - energy_ref) < 1e-10
+
+
+def test_ramp_matches_forty_digit_block_product():
+    pytest.importorskip("mpmath")
+    spec = LatticeSpec.half_filling(32)
+    _, eps = evolve_linear_schedule(spec, EvolutionPlan(T=50.0, M=1000))
+    ref = float(mp_ramp_eps(32, "apbc", 50.0, 1000))
+    assert abs(eps - ref) < 1e-12 * ref
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [(LatticeSpec.half_filling(8, gamma=+1), OpenShellError), (LatticeSpec(L=8, N=3), ValueError)],
+    ids=["open-shell", "not-half-filled"],
+)
+def test_ramp_rejects_spec_before_stepping(spec, error, monkeypatch):
+    calls = []
+    step = adiabatic.magnus_step
+
+    def counting_step(*args):
+        calls.append(args[-1])
+        return step(*args)
+
+    monkeypatch.setattr(adiabatic, "magnus_step", counting_step)
+    with pytest.raises(error):
+        evolve_linear_schedule(spec, EvolutionPlan(T=1.0, M=10))
+    assert calls == []
 
 
 def test_full_ramp_returns_distance_to_ground_state():
@@ -138,6 +227,18 @@ def test_find_T_epsilon_reaches_target():
     t_star = find_T_epsilon(spec, 0.05, dtau=0.01)
     plan = EvolutionPlan(T=t_star, M=max(1, round(t_star / 0.01)))
     assert evolve_linear_schedule(spec, plan)[1] <= 0.05
+
+
+def test_find_T_epsilon_returns_a_crossing_not_the_smallest_time():
+    # eps(T) oscillates: a shorter ramp than the returned one already
+    # meets the target, with a miss in between
+    spec = LatticeSpec.half_filling(8)
+
+    def eps_at(t):
+        return evolve_linear_schedule(spec, EvolutionPlan(T=t, M=round(t / 0.01)))[1]
+
+    assert find_T_epsilon(spec, 0.05, dtau=0.01) == 11.3125
+    assert eps_at(8.25) <= 0.05 < eps_at(10.0)
 
 
 def test_find_T_epsilon_monotone_in_target():
