@@ -15,18 +15,20 @@ partial-layer prefixes of `adiabatic` run it on a truncated table.
 The derivative engine, `state_and_derivatives`, walks the same
 half-layer sequence once more, because it carries the derivative
 stacks along.  It shares the bond block with `apply_bond_layer`: the
-same 2x2 coefficients, the same in-place row update and the same
-column rescale act on the state and on the derivatives.  After each
-half-layer it transports the already-created derivative stacks with
-the state's rotation, then seeds the new derivative with the bond
-generator applied to the current prefix state.  Every seed therefore
+same 2x2 coefficients, the same in-place row update and the same QR
+step act on the state and on the derivatives.  After each half-layer
+it transports the already-created derivative stacks with the state's
+rotation, then seeds the new derivative with the bond generator
+applied to the current prefix state.  Every seed therefore
 ends in the final frame, at total cost O(M^2 L N) without any
 backward pass.
 
-In imaginary mode the per-column rescaling applied to the prefix state
-is applied to all live derivative stacks in the same step, which leaves
-the metric, force, and energy of the natural-gradient equations
-invariant (they only involve scale-cancelling ratios).
+In imaginary mode every half-layer ends with a QR step, G = QR: the
+prefix state becomes Q and all live derivative stacks are multiplied by
+R^-1 in the same step.  The natural-gradient metric, force and energy
+are invariant under G -> GX, dG -> dG X for any invertible X, so this
+changes no result; it keeps the state orthonormal, so the optimizer
+uses the same normalized formulas in both modes.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .lattice import LatticeSpec, bond_pairs, initial_state
 from .slater import (
     SlaterState,
     _bond_block,
-    _rescale_columns,
+    _orthonormalize,
     _rotate_rows,
     apply_bond_layer,
 )
@@ -140,8 +142,9 @@ def state_and_derivatives(spec: LatticeSpec, params: DqapParams, mode="real"):
     -------
     (state, derivs) : SlaterState and complex array (K, L, N).
         derivs[k] is the derivative of the final orbital matrix with
-        respect to flat parameter k, in the same column scaling as the
-        state (imaginary mode rescales both together).
+        respect to flat parameter k, in the same column basis as the
+        state (imaginary mode re-orthonormalizes both together, so the
+        state is normalized in both modes).
     """
     # stack[0] is the state's orbital matrix, stack[1 + k] the derivative
     # by flat parameter k.  The state and the live derivatives are rotated
@@ -160,8 +163,8 @@ def state_and_derivatives(spec: LatticeSpec, params: DqapParams, mode="real"):
             _rotate_rows(stack[1:k], a, b, c, s)
         stack[k] = factor * _apply_generator(stack[0], a, b, w, spec.t)
         if mode == "imag":
-            log_scale += _rescale_columns(stack[: k + 1])
-    state = SlaterState(stack[0], normalized=(mode == "real"), log_scale=log_scale)
+            log_scale += _orthonormalize(stack[: k + 1])
+    state = SlaterState(stack[0], log_scale=log_scale)
     return state, stack[1:]
 
 

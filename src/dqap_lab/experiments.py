@@ -21,7 +21,7 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -217,6 +217,11 @@ def _context(spec, m):
     return [spec.L, spec.N, spec.gamma, m]
 
 
+def _ladder_summary(spec, depths, results):
+    """Manifest summary of a ladder task: what ended each rung's optimization."""
+    return {"L": spec.L, "stop_reason": {str(m): results[m].stop_reason for m in depths}}
+
+
 # ---- per-kind task bodies ----
 
 
@@ -234,7 +239,7 @@ def _task_energy_sweep(task):
             + [r.energy, e_exact, r.energy - e_exact, r.energy / spec.L - eps_inf,
                r.iterations, int(r.converged)]
         )
-    return {"energy": rows}
+    return {"energy": rows, "summary": _ladder_summary(spec, depths, results)}
 
 
 def _task_entanglement_sweep(task):
@@ -334,16 +339,16 @@ def _task_imaginary_sweep(task):
     rows = []
     for m in depths:
         r = results[m]
-        state = build_imag_state(spec, r.params)
-        ov = overlap(exact_state, state)
-        norm_sq = overlap(state, state).real
-        dist = float(np.sqrt(max(1.0 - abs(ov) ** 2 / norm_sq, 0.0)))
+        # the orbitals are orthonormal, so without its scale factor the
+        # state has unit norm and the overlap cannot overflow
+        state = replace(build_imag_state(spec, r.params), log_scale=0.0)
+        dist = float(np.sqrt(max(1.0 - abs(overlap(exact_state, state)) ** 2, 0.0)))
         rows.append(
             _context(spec, m)
             + [r.energy, e_exact, r.energy - e_exact, dist,
                aggregate_times(r.params), r.iterations, int(r.converged)]
         )
-    return {"imag": rows}
+    return {"imag": rows, "summary": _ladder_summary(spec, depths, results)}
 
 
 def _task_continuous_time(task):

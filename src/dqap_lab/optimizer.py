@@ -3,30 +3,27 @@
 The update solves (S + S* + ridge) dtheta = -delta_beta (f + f*) where S
 is the overlap metric of the parameter derivatives and f the force
 vector.  Both are assembled from the stacked derivatives of the circuit
-state; for unnormalized imaginary-time states every trace carries the
-inverse Gram factor, which makes all quantities invariant under the
-column rescaling done inside the derivative engine.
+state, which the derivative engine returns with orthonormal orbitals in
+both modes (imaginary-time states are re-orthonormalized by a QR step
+after every half-layer, which leaves S and f unchanged).
 
 With the metric on the left this flow is a discretized imaginary-time
 evolution projected onto the variational manifold, so the energy trace
 is non-increasing for small delta_beta.  That bound is first order; at
 finite delta_beta a shift along a soft metric mode can leave the linear
 regime, so the run loop halves any shift that would raise the energy
-(or give a non-finite one).  Well-conditioned steps are taken whole.
+(or give a non-finite one, or a singular imaginary-time state).
+Well-conditioned steps are taken whole.
 
-Real-time circuits adapt delta_beta per run.  It starts at the
-configured value; a step taken whole multiplies it by 1.5, and a step
-that needed halvings sets it to its accepted fraction, never below the
-configured value.  A trust cap scales every proposed shift so that no
-angle moves by more than 0.1/t in one iteration, which keeps the grown
-step inside the region where the line search finds descent.  Without
-the floor, runs of halvings can shrink delta_beta until a random start
-stalls far above its minimum; without the cap, grown steps can throw a
-random start onto a plateau where it stalls too.
-
-Imaginary-time circuits keep the fixed configured step and no cap: their
-real-space states lose precision at large angles, which an aggressive
-step reaches.
+delta_beta adapts per run, in both modes.  It starts at the configured
+value; a step taken whole multiplies it by 1.5, and a step that needed
+halvings sets it to its accepted fraction, never below the configured
+value.  A trust cap scales every proposed shift so that no angle moves
+by more than 0.1/t in one iteration, which keeps the grown step inside
+the region where the line search finds descent.  Without the floor,
+runs of halvings can shrink delta_beta until a random start stalls far
+above its minimum; without the cap, grown steps can throw a random
+start onto a plateau where it stalls too.
 """
 
 from __future__ import annotations
@@ -48,18 +45,18 @@ from .slater import SlaterState, energy_expectation
 
 _LSTSQ_CUTOFF = 1e-12
 _MAX_HALVINGS = 60
-_TRUST_CAP = 0.1  # largest angle shift per iteration, in units of 1/t (real mode)
-_STEP_GROWTH = 1.5  # delta_beta factor after a step taken whole (real mode)
+_TRUST_CAP = 0.1  # largest angle shift per iteration, in units of 1/t
+_STEP_GROWTH = 1.5  # delta_beta factor after a step taken whole
 
 
 @dataclass
 class OptimizerConfig:
     """Knobs for the natural-gradient loop.
 
-    delta_beta is the fixed step of imaginary-time runs, and the initial
-    and minimum step of real-time runs, which grow it after every step
-    taken whole under a trust cap of 0.1/t per angle (see the module
-    docstring).  A run stops when the relative energy change of one
+    delta_beta is the initial and minimum step of a run, which grows it
+    after every step taken whole under a trust cap of 0.1/t per angle
+    (see the module docstring); real- and imaginary-time runs share
+    this rule.  A run stops when the relative energy change of one
     iteration falls below energy_tol, when no halving of the proposed
     shift lowers the energy, or after max_iters iterations.
 
@@ -118,62 +115,34 @@ class OptResult:
 def assemble_metric_and_force(
     state: SlaterState, derivs: np.ndarray, h: np.ndarray
 ) -> NaturalGradientWorkspace:
-    """Metric, force, and energy from a state and its derivative stacks.
+    """Metric, force, and energy from a normalized state and its derivative stacks.
 
-    For a normalized state (real-time circuits, Psi+ Psi = 1):
+    For a state with orthonormal orbitals Psi (Psi+ Psi = 1):
 
         S_kk' = tr[A_k+ A_k'] - tr[A_k+ Psi Psi+ A_k']
         f_k   = tr[A_k+ (h Psi - Psi (Psi+ h Psi))]
 
-    For an unnormalized state G the same expressions hold with every
-    inner trace weighted by F = (G+ G)^(-1); the F factors are folded in
-    through a Cholesky factor of F so both branches reduce to two Gram
-    products over stacked matrices.
+    Both reduce to Gram products over the stacked matrices.  Every state
+    the derivative engine returns is normalized; an unnormalized state
+    raises ValueError.
     """
+    if not state.normalized:
+        raise ValueError("assemble_metric_and_force needs a normalized state")
     orb = state.orbitals
     kdim = derivs.shape[0]
     hpsi = h @ orb
     rhs = orb.conj().T @ hpsi
+    energy = float(np.trace(rhs).real)
     if kdim == 0:
-        if state.normalized:
-            energy = float(np.trace(rhs).real)
-        else:
-            gram = orb.conj().T @ orb
-            energy = float(np.trace(np.linalg.solve(gram, rhs)).real)
         empty = np.zeros((0, 0), dtype=complex)
         return NaturalGradientWorkspace(empty, np.zeros(0, dtype=complex), energy)
-
-    if state.normalized:
-        energy = float(np.trace(rhs).real)
-        aflat = derivs.reshape(kdim, -1)
-        term1 = aflat.conj() @ aflat.T
-        proj = np.tensordot(derivs, orb.conj(), axes=([1], [0]))
-        pflat = proj.reshape(kdim, -1)
-        term2 = pflat.conj() @ pflat.T
-        x = hpsi - orb @ rhs
-        force = aflat.conj() @ x.ravel()
-        return NaturalGradientWorkspace(term1 - term2, force, energy)
-
-    gram = orb.conj().T @ orb
-    try:
-        fmat = np.linalg.inv(gram)
-        fmat = 0.5 * (fmat + fmat.conj().T)
-        fhalf = np.linalg.cholesky(fmat)
-    except np.linalg.LinAlgError as exc:
-        raise SingularOverlapError(
-            "inverse Gram matrix of the state is singular or not positive definite"
-        ) from exc
-    energy = float(np.trace(fmat @ rhs).real)
-    # first term: stacks weighted by F on the right
-    yflat = (derivs @ fhalf).reshape(kdim, -1)
-    term1 = yflat.conj() @ yflat.T
-    # second term: projections G+ dG sandwiched between Cholesky factors
-    z = np.tensordot(derivs, orb.conj(), axes=([1], [0]))  # z[k] = (G+ dG_k).T
-    q = fhalf.T @ z @ fhalf.conj()  # equals (fhalf+ (G+ dG_k) fhalf).T
-    qflat = q.reshape(kdim, -1)
-    term2 = qflat.conj() @ qflat.T
-    x = (hpsi - orb @ (fmat @ rhs)) @ fmat
-    force = derivs.reshape(kdim, -1).conj() @ x.ravel()
+    aflat = derivs.reshape(kdim, -1)
+    term1 = aflat.conj() @ aflat.T
+    proj = np.tensordot(derivs, orb.conj(), axes=([1], [0]))
+    pflat = proj.reshape(kdim, -1)
+    term2 = pflat.conj() @ pflat.T
+    x = hpsi - orb @ rhs
+    force = aflat.conj() @ x.ravel()
     return NaturalGradientWorkspace(term1 - term2, force, energy)
 
 
@@ -242,15 +211,13 @@ def _run(spec, params, mode, config):
     trace = [ws.energy]
     stop_reason = "max_iters"
     it = 0
-    adaptive = mode == "real"
-    build = build_dqap_state if adaptive else build_imag_state
+    build = build_dqap_state if mode == "real" else build_imag_state
     db = config.delta_beta
     while it < config.max_iters:
         dtheta = _solve_step(ws, db, config.ridge)
-        if adaptive:
-            largest = np.max(np.abs(dtheta)) * spec.t
-            if largest > _TRUST_CAP:
-                dtheta *= _TRUST_CAP / largest
+        largest = np.max(np.abs(dtheta)) * spec.t
+        if largest > _TRUST_CAP:
+            dtheta *= _TRUST_CAP / largest
         flat = params.flatten()
         accepted = None
         scale = 1.0
@@ -270,8 +237,7 @@ def _run(spec, params, mode, config):
             # the numerical floor of this basin.
             stop_reason = "no_descent"
             break
-        if adaptive:
-            db = db * _STEP_GROWTH if scale == 1.0 else max(config.delta_beta, db * scale)
+        db = db * _STEP_GROWTH if scale == 1.0 else max(config.delta_beta, db * scale)
         params = accepted
         it += 1
         state, derivs = state_and_derivatives(spec, params, mode=mode)

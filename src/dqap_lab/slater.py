@@ -6,11 +6,13 @@ layers act column-wise, so every circuit in this package stays inside
 this family and all expectation values reduce to determinants and
 linear solves.
 
-Imaginary-time layers destroy normalization.  Rather than renormalize
-(which would discard the overall weight), each column is rescaled by
-its largest entry magnitude after every imaginary layer and the sum of
-log factors is accumulated on the state; `overlap` folds the
-accumulator back in.
+Imaginary-time layers destroy normalization.  After every imaginary
+layer the orbitals are re-orthonormalized by a QR step, the standard
+stabilization of determinant quantum Monte Carlo (White et al., PRB 40,
+506 (1989)): G = QR keeps Q, with R's diagonal made positive so that
+det G = det Q * prod diag R, and log prod diag R is accumulated on the
+state.  The stored orbitals stay orthonormal however large the
+imaginary angles grow; `overlap` folds the accumulator back in.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import numpy as np
 from .errors import DimensionMismatch, SingularOverlapError
 from .lattice import LatticeSpec, bond_pairs
 
-# Relative determinant magnitude below which overlaps are treated as zero.
+# Relative magnitude below which an overlap determinant, or a diagonal entry
+# of R in the QR step, is treated as zero.
 _SINGULAR_TOL = 1e-14
 
 
@@ -31,10 +34,11 @@ class SlaterState:
     """Determinant state: orbitals (L, N), plus bookkeeping.
 
     `normalized` asserts orthonormal columns (true for every state built
-    from exact orbitals or real-time layers only).  `log_scale` is the
-    accumulated log of column rescalings pulled out of the orbitals by
-    imaginary-time layers; the stored matrix times exp(log_scale) is the
-    true (unnormalized) state.
+    by this package: exact orbitals, real-time layers, and imaginary-time
+    layers after their QR step).  `log_scale` is the accumulated log of
+    the determinant factors pulled out of the orbitals by imaginary-time
+    layers; the stored matrix times exp(log_scale) is the true
+    (unnormalized) state.
     """
 
     orbitals: np.ndarray
@@ -133,13 +137,22 @@ def _bond_block(spec, angle, w, mode):
     """Entries (c, s) of the 2x2 blocks [[c, s], [s, c]] of one bond family.
 
     c is a scalar; s has one row per bond, shape (n_bonds, 1).
+
+    Raises
+    ------
+    SingularOverlapError
+        If an imaginary-mode coefficient is not finite (cosh overflows).
     """
     th = angle * spec.t
     if mode == "real":
         return np.cos(th), 1j * np.sin(th) * w[:, None]
-    if mode == "imag":
-        return np.cosh(th), np.sinh(th) * w[:, None]
-    raise ValueError(f"mode must be 'real' or 'imag', got {mode!r}")
+    if mode != "imag":
+        raise ValueError(f"mode must be 'real' or 'imag', got {mode!r}")
+    with np.errstate(over="ignore"):
+        c = np.cosh(th)
+    if not np.isfinite(c):
+        raise SingularOverlapError(f"imaginary bond coefficient cosh({float(th):.6g}) overflows")
+    return c, np.sinh(th) * w[:, None]
 
 
 def _rotate_rows(arr, a, b, c, s):
@@ -149,16 +162,29 @@ def _rotate_rows(arr, a, b, c, s):
     arr[..., b, :] = s * ra + c * rb
 
 
-def _rescale_columns(stack):
-    """Divide a (K, L, N) stack by the column maxima of stack[0]; return their log sum.
+def _orthonormalize(stack):
+    """Replace stack[0] (L, N) by Q of G = QR in place; return log det R.
 
-    stack[0] holds the state's orbitals; any further slices (derivative
-    stacks) take the same per-column factors, so ratios between them and
-    the state are unchanged.
+    R's diagonal is made positive, so det G = det Q * exp(log det R) keeps
+    the determinant's phase.  Any further slices (derivative stacks) are
+    multiplied by R^-1 on the right, the same change of column basis.
+
+    Raises
+    ------
+    SingularOverlapError
+        If a diagonal entry of R is below 1e-14 of R's largest entry (or
+        R is not finite): the columns are linearly dependent to tolerance.
     """
-    f = np.abs(stack[0]).max(axis=0)
-    stack /= f
-    return float(np.log(f).sum())
+    q, r = np.linalg.qr(stack[0])
+    d = np.diagonal(r)
+    mag = np.abs(d)
+    if not mag.min() > _SINGULAR_TOL * np.abs(r).max():
+        raise SingularOverlapError("orbital columns are linearly dependent to tolerance")
+    phase = d / mag
+    stack[0] = q * phase
+    if len(stack) > 1:
+        stack[1:] = stack[1:] @ np.linalg.inv(r / phase[:, None])
+    return float(np.log(mag).sum())
 
 
 def apply_bond_layer(
@@ -178,8 +204,15 @@ def apply_bond_layer(
         imag:  [[cosh(angle*t), w*sinh(angle*t)], [w*sinh(angle*t), cosh(angle*t)]]
 
     where w = +1 in the bulk and w = gamma on the boundary bond.
-    Real mode preserves the `normalized` flag; imaginary mode clears it
-    and rescales columns into `log_scale`.
+    Real mode preserves the `normalized` flag; imaginary mode
+    re-orthonormalizes the columns (so the result is `normalized`) and
+    adds the log of the removed determinant factor to `log_scale`.
+
+    Raises
+    ------
+    SingularOverlapError
+        In imaginary mode, if a block coefficient overflows or the
+        evolved columns are linearly dependent to tolerance.
     """
     if state.L != spec.L:
         raise DimensionMismatch(f"state has L={state.L}, spec has L={spec.L}")
@@ -189,8 +222,8 @@ def apply_bond_layer(
     _rotate_rows(orb, a, b, c, s)
     if mode == "real":
         return SlaterState(orb, normalized=state.normalized, log_scale=state.log_scale)
-    dlog = _rescale_columns(orb[None])
-    return SlaterState(orb, normalized=False, log_scale=state.log_scale + dlog)
+    dlog = _orthonormalize(orb[None])
+    return SlaterState(orb, log_scale=state.log_scale + dlog)
 
 
 def energy_expectation(state: SlaterState, h: np.ndarray) -> float:

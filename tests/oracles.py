@@ -147,3 +147,33 @@ def mp_ramp_eps(L, boundary, T, M, t=1.0, dps=40):
             z = 1 + eiq
             amp *= abs(a + mp.conj(z / abs(z)) * b) / mp.sqrt(2)
         return mp.sqrt(2 - 2 * amp)
+
+
+def mp_imag_energy(L, boundary, table, t=1.0, dps=40):
+    """Energy of the imaginary circuit, as a product of normalized 2 x 2 blocks in mpmath.
+
+    `table` has the (M, 2) layout of the circuit tables: column 0 odd
+    family, column 1 even.  Each layer applies exp(-tau V) of the even
+    block V(q) = -t [[0, e^{-iq}], [e^{iq}, 0]], then of the odd block
+    V = -t sigma_x, to the dimer spinor (1, 1)/sqrt 2 of every cell
+    momentum q.  Since V^2 = t^2, exp(-tau V) = cosh(tau t) - sinh(tau t) V/t.
+    The spinor is renormalized after every block.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        cells = L // 2
+        phi = {"pbc": 0, "apbc": 1}[boundary]  # closure twist, in units of pi
+        energy = mp.mpf(0)
+        for n in range(cells):
+            eiq = mp.expjpi(mp.mpf(2 * n + phi) / cells)
+            a = b = mp.sqrt(mp.mpf(1) / 2)
+            for odd, even in table:
+                for tau, z in ((even, mp.conj(eiq)), (odd, 1)):
+                    c, s = mp.cosh(mp.mpf(tau) * t), mp.sinh(mp.mpf(tau) * t)
+                    a, b = c * a + s * z * b, s * mp.conj(z) * a + c * b
+                    norm = mp.sqrt(abs(a) ** 2 + abs(b) ** 2)
+                    a, b = a / norm, b / norm
+            h01 = -t * (1 + mp.conj(eiq))  # block entry <A|H_q|B>
+            energy += 2 * mp.re(mp.conj(a) * h01 * b)
+        return energy

@@ -7,6 +7,7 @@ from dqap_lab import (
     DqapParams,
     ImagParams,
     LatticeSpec,
+    SingularOverlapError,
     SlaterState,
     apply_bond_layer,
     build_dqap_state,
@@ -25,7 +26,7 @@ from dqap_lab import (
     state_and_derivatives,
 )
 
-from .oracles import random_orthonormal
+from .oracles import mp_imag_energy, random_orthonormal
 
 
 def random_params(rng, m, cls=DqapParams, scale=1.0):
@@ -135,6 +136,35 @@ def test_imag_odd_only_steps_keep_dimer():
     p = ImagParams([[0.6, 0.0], [0.9, 0.0]])
     st = build_imag_state(spec, p)
     assert abs(energy_expectation(st, h) - (-0.5 * spec.L)) < 1e-12
+
+
+@pytest.mark.parametrize("amplitude", [0.3, 1.0, 2.0])
+def test_imag_energy_matches_forty_digit_block_product(amplitude):
+    # L=160, M=5: at angles up to 2 a column-max rescale in place of the
+    # QR step was 4e-9 off in relative energy
+    spec = LatticeSpec.half_filling(160)
+    table = np.random.default_rng(0).uniform(0.0, amplitude, (5, 2))
+    e = energy_expectation(build_imag_state(spec, ImagParams(table)), build_hamiltonian(spec))
+    ref = float(mp_imag_energy(160, "apbc", table))
+    assert abs(e - ref) < 1e-12 * abs(ref)
+
+
+def test_imag_energy_of_optimized_l64_table_matches_block_product():
+    # an L=64 apbc M=4 imaginary optimum, rounded to three decimals
+    spec = LatticeSpec.half_filling(64)
+    table = [[2.149, 2.934], [1.251, 1.643], [0.633, 0.922], [0.122, 0.37]]
+    e = energy_expectation(build_imag_state(spec, ImagParams(table)), build_hamiltonian(spec))
+    ref = float(mp_imag_energy(64, "apbc", table))
+    assert abs(e - ref) < 1e-12 * abs(ref)
+
+
+def test_imag_coefficient_overflow_raises_typed_error():
+    # cosh(800) overflows; the state must not come back full of nan
+    spec = LatticeSpec.half_filling(16)
+    with pytest.raises(SingularOverlapError):
+        build_imag_state(spec, ImagParams([[0.5, 800.0]]))
+    with pytest.raises(SingularOverlapError):
+        state_and_derivatives(spec, ImagParams([[0.5, 800.0]]), mode="imag")
 
 
 def test_real_circuit_angle_periodicity():

@@ -59,6 +59,27 @@ def test_kind_writes_its_tables(tmp_path, kind):
         assert len(rows) > 1
 
 
+@pytest.mark.parametrize("kind", ["energy-sweep", "imaginary-sweep"])
+def test_sweep_manifest_records_stop_reason_per_rung(tmp_path, kind):
+    config, _ = CASES[kind]
+    code, out = _run(tmp_path, kind, config)
+    assert code == 0
+    (run,) = json.loads((out / "manifest.json").read_text())["runs"]
+    assert run["summary"]["stop_reason"] == {"1": "energy_tol", "2": "energy_tol"}
+
+
+def test_imaginary_distance_is_finite_for_large_scale_factors(tmp_path):
+    # unoptimized angles of 3/t: the state's scale factor exp(log_scale)
+    # is far beyond the float range, which once made the distance nan
+    config = {"sizes": [64], "boundary": "apbc", "depths": [4],
+              "optimizer": {"init_scale": 3.0, "max_iters": 0}}
+    code, out = _run(tmp_path, "imaginary-sweep", config)
+    assert code == 0
+    with open(out / "imag.csv", newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert 0.0 <= float(row["distance"]) <= 1.0
+
+
 def test_ladder_kind_without_depths_is_a_config_error(tmp_path):
     code, out = _run(tmp_path, "energy-sweep", {"sizes": [8]})
     assert code == 2

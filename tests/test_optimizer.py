@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dqap_lab import (
-    DqapError,
     DqapParams,
     ImagParams,
     LatticeSpec,
@@ -24,7 +23,7 @@ from dqap_lab import (
     warm_start,
 )
 
-from .oracles import central_difference
+from .oracles import central_difference, mp_imag_energy
 
 
 def workspace_at(spec, params, mode="real"):
@@ -257,14 +256,42 @@ def test_line_search_rejects_non_finite_energy(monkeypatch):
     assert res.trace[1] <= res.trace[0]
 
 
-def test_singular_imaginary_gram_raises_typed_error():
-    # at delta_beta = 0.1 the warm-started depth-2 rung reaches a state
-    # whose inverse Gram matrix is not positive definite in floating point
+def test_large_step_imaginary_rung_matches_block_product():
+    # at delta_beta = 0.1 the warm-started L=30 pbc depth-2 rung used to
+    # reach a state whose inverse Gram matrix was not positive definite
     spec = LatticeSpec.half_filling(30, gamma=+1)
     cfg = OptimizerConfig(delta_beta=0.1)
     first = optimize_imaginary(spec, 1, cfg)
-    with pytest.raises(DqapError):
-        optimize_imaginary(spec, 2, cfg, init=warm_start(first.params))
+    res = optimize_imaginary(spec, 2, cfg, init=warm_start(first.params))
+    assert res.stop_reason == "energy_tol"
+    assert abs(res.energy - float(mp_imag_energy(30, "pbc", res.params.angles))) < 1e-12
+
+
+def test_imaginary_ladder_l64_is_monotone_and_exact():
+    # before the QR step the M=3 and M=4 rungs stopped on no_descent,
+    # and M=4 ended above M=3
+    spec = LatticeSpec.half_filling(64)
+    _, e_exact = exact_ground_state(spec)
+    params, energies = None, []
+    for m in range(1, 5):
+        init = warm_start(params) if params is not None else None
+        res = optimize_imaginary(spec, m, init=init)
+        assert res.stop_reason == "energy_tol"
+        assert abs(res.energy - float(mp_imag_energy(64, "apbc", res.params.angles))) < (
+            1e-12 * abs(res.energy)
+        )
+        params = res.params
+        energies.append(res.energy)
+    assert np.all(np.diff(energies) < 0)
+    assert energies[-1] - e_exact < 1e-8
+
+
+def test_assembly_rejects_unnormalized_state():
+    spec = LatticeSpec.half_filling(8)
+    state, derivs = state_and_derivatives(spec, ImagParams([[0.3, 0.4]]), mode="imag")
+    scaled = SlaterState(2.0 * state.orbitals, normalized=False)
+    with pytest.raises(ValueError):
+        assemble_metric_and_force(scaled, derivs, build_hamiltonian(spec))
 
 
 # ---- step control ----

@@ -206,7 +206,9 @@ def test_imag_bond_layer_matches_fock(family):
     tau = 0.41
     v = build_v1(spec) if family == 1 else build_v2(spec)
     out = apply_bond_layer(st, family, tau, spec, mode="imag")
-    assert not out.normalized
+    assert out.normalized
+    gram = out.orbitals.conj().T @ out.orbitals
+    np.testing.assert_allclose(gram, np.eye(N), atol=1e-12)
     target = fock_evolve(slater_to_fock(st), v, tau)
     got = slater_to_fock(out)
     np.testing.assert_allclose(got.amplitudes, target.amplitudes, atol=1e-10)
@@ -223,6 +225,15 @@ def test_imag_layer_log_scale_recovers_norm():
     assert np.max(np.abs(out.orbitals)) <= 1.0 + 1e-12
     target = fock_evolve(slater_to_fock(st), build_v1(spec), 1.7)
     assert abs(overlap(out, out).real - target.norm_sq) < 1e-8 * target.norm_sq
+
+
+def test_imag_layer_rejects_dependent_columns():
+    # two equal columns leave R of the QR step with a vanishing diagonal entry
+    spec = LatticeSpec.half_filling(8)
+    orb = initial_state(spec).astype(complex)
+    orb[:, 1] = orb[:, 0]
+    with pytest.raises(SingularOverlapError):
+        apply_bond_layer(SlaterState(orb), 1, 0.3, spec, mode="imag")
 
 
 # ---- energies ----
