@@ -31,6 +31,162 @@ CASES = {
 }
 
 
+# table -> (header, rows) written by the CASES configs at seed 0.  Integer
+# cells must match exactly; float cells to 1e-9 relative, with an
+# absolute floor of 1e-12 for cells that are rounding noise (dE at the
+# exact depth, mutual information outside the light cone).
+GOLDEN = {
+    "energy": (
+        ["L", "N", "gamma", "M", "E", "E_exact", "dE", "dEps", "iterations", "converged"],
+        [
+            [8, 4, -1, 1, -4.82842712475, -5.22625185951, 0.397824734759, 0.0330663817743, 19, 1],
+            [8, 4, -1, 2, -5.22625185951, -5.22625185951,
+             1.24344978758e-14, -0.0166617100706, 22, 1],
+        ],
+    ),
+    "entropy": (
+        ["L", "N", "gamma", "M", "LA", "S", "S_exact", "E", "dEps"],
+        [
+            [12, 6, -1, 1, 6, 0.646918585269, 1.17547582153, -7.24264068712, 0.0330663817743],
+            [12, 6, -1, 2, 6, 0.946903203939, 1.17547582153, -7.46410161514, 0.0146113044394],
+        ],
+    ),
+    "exponents": (
+        ["L", "N", "gamma", "M", "exp_entropy", "exp_energy"],
+        [
+            [12, 6, -1, 1, 1.29835896509, 0.58914010401],
+        ],
+    ),
+    "minfo": (
+        ["L", "N", "gamma", "M", "x", "xp", "dist", "mi"],
+        [
+            [8, 4, -1, 1, 1, 4, 3, 0.127743795095],
+            [8, 4, -1, 1, 2, 4, 2, 0.0],
+            [8, 4, -1, 1, 3, 4, 1, 0.862498613844],
+            [8, 4, -1, 1, 5, 4, 1, 0.127743795095],
+            [8, 4, -1, 1, 6, 4, 2, 0.0],
+            [8, 4, -1, 1, 7, 4, 3, 0.0],
+            [8, 4, -1, 1, 8, 4, 4, 0.0215239178525],
+            [8, 4, -1, 2, 1, 4, 3, 0.0741441554715],
+            [8, 4, -1, 2, 2, 4, 2, 6.66133814775e-16],
+            [8, 4, -1, 2, 3, 4, 1, 0.46394836482],
+            [8, 4, -1, 2, 5, 4, 1, 0.463948498994],
+            [8, 4, -1, 2, 6, 4, 2, 6.66133814775e-16],
+            [8, 4, -1, 2, 7, 4, 3, 0.0741441696404],
+            [8, 4, -1, 2, 8, 4, 4, 2.22044604925e-16],
+        ],
+    ),
+    "orbitals": (
+        ["L", "N", "gamma", "M", "layer", "orbital", "extent"],
+        [
+            [8, 4, -1, 1, 0, 1, 2],
+            [8, 4, -1, 1, 0, 2, 2],
+            [8, 4, -1, 1, 0, 3, 2],
+            [8, 4, -1, 1, 0, 4, 2],
+            [8, 4, -1, 1, 1, 1, 6],
+            [8, 4, -1, 1, 1, 2, 6],
+            [8, 4, -1, 1, 1, 3, 6],
+            [8, 4, -1, 1, 1, 4, 6],
+            [8, 4, -1, 2, 0, 1, 2],
+            [8, 4, -1, 2, 0, 2, 2],
+            [8, 4, -1, 2, 0, 3, 2],
+            [8, 4, -1, 2, 0, 4, 2],
+            [8, 4, -1, 2, 1, 1, 6],
+            [8, 4, -1, 2, 1, 2, 6],
+            [8, 4, -1, 2, 1, 3, 6],
+            [8, 4, -1, 2, 1, 4, 6],
+            [8, 4, -1, 2, 2, 1, 8],
+            [8, 4, -1, 2, 2, 2, 8],
+            [8, 4, -1, 2, 2, 3, 8],
+            [8, 4, -1, 2, 2, 4, 8],
+        ],
+    ),
+    "params": (
+        ["L", "N", "gamma", "M", "layer", "angle_odd", "angle_even"],
+        [
+            [8, 4, -1, 1, 1, 0.785398163444, 0.392699003293],
+            [8, 4, -1, 2, 1, 1.22978367879, 0.485678532683],
+            [8, 4, -1, 2, 2, 0.710552949283, 0.757153606422],
+        ],
+    ),
+    "teff": (
+        ["L", "N", "gamma", "M", "t_eff"],
+        [
+            [8, 4, -1, 2, 3.18316876718],
+        ],
+    ),
+    "imag": (
+        ["L", "N", "gamma", "M", "E", "E_exact", "dE", "distance", "beta_bar", "iterations",
+         "converged"],
+        [
+            [10, 5, 1, 1, -6.472135955, -6.472135955,
+             4.48530101949e-13, 3.72529029846e-07, 0.721818536138, 27, 1],
+            [10, 5, 1, 2, -6.472135955, -6.472135955,
+             2.93098878501e-14, 1.24672059198e-07, 1.23084896612, 21, 1],
+        ],
+    ),
+    "conttime": (
+        ["L", "N", "gamma", "M", "T", "eps"],
+        [
+            [8, 4, -1, 10, 1.0, 0.738137459792],
+            [8, 4, -1, 20, 2.0, 0.546136930671],
+        ],
+    ),
+    "teps": (
+        ["L", "N", "gamma", "M", "target_eps", "T_eps"],
+        [
+            [8, 4, -1, 37, 0.2, 3.6875],
+        ],
+    ),
+    "qab": (
+        ["L", "N", "gamma", "M", "s", "chi", "gap"],
+        [
+            [8, 4, -1, 0, 0.0, 0.0, 2.0],
+            [8, 4, -1, 0, 0.1, 0.149668742435, 1.80081888823],
+            [8, 4, -1, 0, 0.2, 0.273791188376, 1.65862883488],
+            [8, 4, -1, 0, 0.3, 0.381126090085, 1.55725837416],
+            [8, 4, -1, 0, 0.4, 0.477353860639, 1.48699213784],
+            [8, 4, -1, 0, 0.5, 0.566454497351, 1.44191964401],
+            [8, 4, -1, 0, 0.6, 0.6514562706, 1.41858659141],
+            [8, 4, -1, 0, 0.7, 0.734889082285, 1.41530471101],
+            [8, 4, -1, 0, 0.8, 0.819101492974, 1.43184191232],
+            [8, 4, -1, 0, 0.9, 0.906531518585, 1.46938112944],
+            [8, 4, -1, 0, 1.0, 1.0, 1.53073372946],
+        ],
+    ),
+    "schedule": (
+        ["L", "N", "gamma", "M", "m", "chi_free", "alpha_free", "overlap_free", "chi_fixed_alpha",
+         "overlap_fixed_alpha"],
+        [
+            [8, 4, -1, 2, 1, 0.663452965544,
+             0.69199418909, 0.903588877951, 0.570777833513, 0.774685687801],
+            [8, 4, -1, 2, 2, 1.0, 1.00000004318, 1.0, 1.0, 1.0],
+        ],
+    ),
+    "specdiag": (
+        ["L", "N", "gamma", "M", "LA", "rank", "n_zero", "n_one", "pairwise_degenerate",
+         "bond_preserving"],
+        [
+            [8, 4, -1, 1, 4, 4, 0, 0, 1, 1],
+            [8, 4, -1, 2, 4, 4, 0, 0, 0, 1],
+        ],
+    ),
+    "spectrum": (
+        ["L", "N", "gamma", "M", "LA", "idx", "level"],
+        [
+            [8, 4, -1, 1, 4, 1, 0.038060218742],
+            [8, 4, -1, 1, 4, 2, 0.038060218742],
+            [8, 4, -1, 1, 4, 3, 0.961939781258],
+            [8, 4, -1, 1, 4, 4, 0.961939781258],
+            [8, 4, -1, 2, 4, 1, 0.00427756856184],
+            [8, 4, -1, 2, 4, 2, 0.195619312601],
+            [8, 4, -1, 2, 4, 3, 0.804380687399],
+            [8, 4, -1, 2, 4, 4, 0.995722431438],
+        ],
+    ),
+}
+
+
 def _run(tmp_path, kind, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"experiment": kind, **config}))
@@ -55,8 +211,15 @@ def test_kind_writes_its_tables(tmp_path, kind):
     for name in tables:
         with open(out / f"{name}.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == _HEADERS[name]
-        assert len(rows) > 1
+        header, expected = GOLDEN[name]
+        assert rows[0] == header == _HEADERS[name]
+        assert len(rows) - 1 == len(expected)
+        for row, want in zip(rows[1:], expected):
+            for cell, value in zip(row, want, strict=True):
+                if isinstance(value, int):
+                    assert cell == str(value), (name, row)
+                else:
+                    assert float(cell) == pytest.approx(value, rel=1e-9, abs=1e-12), (name, row)
 
 
 @pytest.mark.parametrize("kind", ["energy-sweep", "imaginary-sweep"])
