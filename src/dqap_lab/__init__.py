@@ -30,11 +30,9 @@ from .slater import (
     energy_expectation,
     overlap,
     transition_density,
-    two_body_expectation,
 )
 from .ansatz import (
     DqapParams,
-    ImagParams,
     build_dqap_state,
     build_imag_state,
     intermediate_states,

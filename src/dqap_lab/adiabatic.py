@@ -48,7 +48,7 @@ from itertools import islice
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .ansatz import DqapParams, ImagParams, _forward_pass
+from .ansatz import DqapParams, _forward_pass
 from .errors import DimensionMismatch, NoConvergence, OpenShellError
 from .lattice import LatticeSpec, build_v1, build_v2, exact_ground_state, initial_state
 from .slater import SlaterState, apply_bond_layer, overlap
@@ -367,12 +367,15 @@ def maximize_overlap(
     return chi_best, al_best, f_best
 
 
-def aggregate_times(params: DqapParams) -> float:
+def aggregate_times(params: DqapParams, mode: str = "real") -> float:
     """Total schedule weight of an optimized table.
 
-    Real-time tables aggregate to the plain angle sum (an effective
-    total evolution time); imaginary tables to half the step sum (an
-    effective inverse-temperature weight).
+    A table optimized in real mode aggregates to the plain angle sum (an
+    effective total evolution time); one optimized in imaginary mode
+    (`mode="imag"`) to half the step sum (an effective
+    inverse-temperature weight).
     """
+    if mode not in ("real", "imag"):
+        raise ValueError(f"mode must be 'real' or 'imag', got {mode!r}")
     total = float(params.angles.sum())
-    return 0.5 * total if isinstance(params, ImagParams) else total
+    return 0.5 * total if mode == "imag" else total

@@ -6,6 +6,10 @@ K = 2M parameters; the flat ordering follows application order,
 
     k = 0, 1, 2, 3, ...  ->  even(1), odd(1), even(2), odd(2), ...
 
+One table type, `DqapParams`, serves both modes: the same angles are
+real-time angles or imaginary-time steps depending on which build
+function (or which `mode` argument) the caller picks.
+
 States come from one forward pass, `_forward_pass`: it yields the
 dimer state and then the state after each half-layer, each half-layer
 applied by `slater.apply_bond_layer`.  The two circuit builders keep
@@ -56,7 +60,11 @@ def _as_table(values, name):
 
 @dataclass
 class DqapParams:
-    """Real-time layer angles, shape (M, 2): column 0 odd family, column 1 even."""
+    """Layer angles, shape (M, 2): column 0 odd family, column 1 even.
+
+    The table carries no mode: `build_dqap_state` reads it as real-time
+    angles, `build_imag_state` as imaginary-time steps.
+    """
 
     angles: np.ndarray
 
@@ -77,12 +85,7 @@ class DqapParams:
         return cls(flat.reshape(-1, 2)[:, ::-1])
 
     def with_flat(self, flat) -> "DqapParams":
-        return type(self).from_flat(flat)
-
-
-@dataclass
-class ImagParams(DqapParams):
-    """Imaginary-time step table, same layout and flat ordering as DqapParams."""
+        return DqapParams.from_flat(flat)
 
 
 def _half_layers(table):
@@ -115,7 +118,7 @@ def build_dqap_state(spec: LatticeSpec, params: DqapParams) -> SlaterState:
     return state
 
 
-def build_imag_state(spec: LatticeSpec, params: ImagParams) -> SlaterState:
+def build_imag_state(spec: LatticeSpec, params: DqapParams) -> SlaterState:
     """Apply the M-layer imaginary-time circuit to the dimer state."""
     for state in _forward_pass(spec, params.angles, "imag"):
         pass

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .ansatz import DqapParams, ImagParams, build_dqap_state, build_imag_state
+from .ansatz import DqapParams, build_dqap_state, build_imag_state
 from .entanglement import Subsystem, entanglement_entropy
 from .errors import ConfigError, DqapError
 from .experiments import KINDS, ExperimentConfig, run_experiment
@@ -58,13 +58,9 @@ def _cmd_oracle(args):
     gamma = +1 if args.boundary == "pbc" else -1
     spec = LatticeSpec.half_filling(args.L, gamma=gamma, t=args.t)
     rng = np.random.default_rng(args.seed)
-    table = rng.uniform(0.0, 0.3, (args.layers, 2))
-    if args.mode == "real":
-        params = DqapParams(table)
-        state = build_dqap_state(spec, params)
-    else:
-        params = ImagParams(table)
-        state = build_imag_state(spec, params)
+    params = DqapParams(rng.uniform(0.0, 0.3, (args.layers, 2)))
+    build = build_dqap_state if args.mode == "real" else build_imag_state
+    state = build(spec, params)
     basis = FockBasis.build(spec.L, spec.N)
     vec = slater_to_fock(state, basis)
     h = build_hamiltonian(spec)

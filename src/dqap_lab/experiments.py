@@ -7,6 +7,25 @@ is deterministic for a fixed config and seed, writes one CSV per name,
 and records a manifest.json describing the invocation next to the
 tables.
 
+Everything `run_task` and `run_experiment` know about a kind is one
+`Kind` record in `KINDS`:
+
+- `body(spec, depths, results, options)` returns {table: rows}, plus
+  an optional "summary" dict for the manifest;
+- `tables` maps each CSV name the body may write to its header;
+- `ladder` is "real" or "imag" for kinds that first optimize a
+  warm-start ladder over the depths in that mode, else None;
+- `needs_depths` rejects a config without explicit 'depths';
+- `options` lists the kind-specific config keys; any other key that
+  is not a top-level one is a config error;
+- `fit`, if set, is (table, column, aggregate key): given three or
+  more rows of positive values, `run_experiment` fits column ~ L^p
+  and records p in the manifest's aggregate.
+
+`run_task` builds the chain, resolves the depths and runs the ladder,
+so a body only turns its results into rows.  A ladder task's summary
+records what ended each rung's optimization.
+
 Every CSV row starts with the full (L, N, gamma, M) context.  Site and
 layer indices in files are 1-based; M = 0 marks rows with no circuit
 attached (e.g. ramp tabulations).  Floats are written in scientific
@@ -18,8 +37,10 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 import time
 import traceback
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -50,14 +71,9 @@ from .slater import SlaterState, overlap
 
 EPS_INF_COEFF = 2.0 / np.pi  # per-site energy of the infinite chain, in units of t
 
-_LADDER_KINDS_NEEDING_DEPTHS = {
-    "energy-sweep",
-    "entanglement-sweep",
-    "mutual-info",
-    "params-trace",
-    "imaginary-sweep",
-    "spectrum-diagnostic",
-}
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass
@@ -66,8 +82,8 @@ class ExperimentConfig:
 
     `depths` is a list of circuit depths, or "quarter" for the
     exact-recovery depth (L/4 antiperiodic, (L-2)/4 periodic), or None
-    where the kind has a natural default.  Kind-specific settings live
-    in `options`.
+    where the kind has a natural default.  `options` holds the
+    kind-specific keys its `Kind` record declares.
     """
 
     kind: str
@@ -93,13 +109,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"config says experiment={cfg_kind!r} but {kind!r} was requested"
             )
-        if cfg_kind not in KINDS:
+        if not isinstance(cfg_kind, str) or cfg_kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {cfg_kind!r}")
         sizes = raw.get("sizes")
         if not isinstance(sizes, list) or not sizes:
             raise ConfigError("'sizes' must be a non-empty list of even chain lengths")
         for L in sizes:
-            if not isinstance(L, int) or L < 2 or L % 2:
+            if not _is_int(L) or L < 2 or L % 2:
                 raise ConfigError(f"invalid chain length {L!r}")
         boundary = raw.get("boundary", "apbc")
         if boundary not in ("apbc", "pbc"):
@@ -109,9 +125,9 @@ class ExperimentConfig:
             if not isinstance(depths, list) or not depths:
                 raise ConfigError("'depths' must be a non-empty list or 'quarter'")
             for m in depths:
-                if not isinstance(m, int) or m < 0:
+                if not _is_int(m) or m < 0:
                     raise ConfigError(f"invalid depth {m!r}")
-        if depths is None and cfg_kind in _LADDER_KINDS_NEEDING_DEPTHS:
+        if depths is None and KINDS[cfg_kind].needs_depths:
             raise ConfigError(f"experiment {cfg_kind!r} needs explicit 'depths'")
         opt = raw.get("optimizer", {})
         if not isinstance(opt, dict):
@@ -121,21 +137,28 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad optimizer settings: {exc}") from exc
         seed = raw.get("seed", 0)
-        if not isinstance(seed, int):
+        if not _is_int(seed):
             raise ConfigError(f"seed must be an integer, got {seed!r}")
-        t = float(raw.get("t", 1.0))
-        if t <= 0:
-            raise ConfigError(f"t must be positive, got {t}")
+        t = raw.get("t", 1.0)
+        real = isinstance(t, (int, float)) and not isinstance(t, bool)
+        if not (real and 0 < t <= sys.float_info.max):  # also rejects NaN
+            raise ConfigError(f"t must be a finite positive number, got {t!r}")
+        out = raw.get("out")
+        if out is not None and not isinstance(out, str):
+            raise ConfigError(f"out must be a directory path, got {out!r}")
         options = {k: v for k, v in raw.items() if k not in cls._TOP_KEYS}
+        unknown = sorted(set(options) - set(KINDS[cfg_kind].options))
+        if unknown:
+            raise ConfigError(f"unknown config key(s) for {cfg_kind!r}: {', '.join(unknown)}")
         return cls(
             kind=cfg_kind,
             sizes=list(sizes),
             boundary=boundary,
             depths=depths,
-            t=t,
+            t=float(t),
             seed=seed,
             optimizer=dict(opt),
-            out=raw.get("out"),
+            out=out,
             options=options,
         )
 
@@ -180,23 +203,15 @@ def _resolve_depths(task):
     return sorted(set(depths))
 
 
-def _spec(task):
-    return LatticeSpec.half_filling(
-        task["L"], gamma=_gamma(task["boundary"]), t=task["t"]
-    )
-
-
-def _opt_config(task):
-    return OptimizerConfig(**task["optimizer"])
-
-
-def _ladder(spec, depths, cfg, imaginary=False):
+def _ladder(spec, depths, cfg, mode):
     """Optimize at each depth, warm-starting every rung from the last.
 
-    Depth 0 is allowed and returns the bare dimer result.  Returns
-    {depth: OptResult} for the requested depths.
+    `mode` is "real" or "imag".  Depth 0 is allowed and returns the bare
+    dimer result.  Returns {depth: OptResult} for the requested depths.
     """
-    run = optimize_imaginary if imaginary else optimize
+    # looked up at call time, so that rebinding the module's names (as a
+    # tracer does) reaches every ladder
+    run = optimize if mode == "real" else optimize_imaginary
     out = {}
     top = max(depths)
     params = None
@@ -213,22 +228,17 @@ def _ladder(spec, depths, cfg, imaginary=False):
     return out
 
 
+_CONTEXT = ["L", "N", "gamma", "M"]
+
+
 def _context(spec, m):
     return [spec.L, spec.N, spec.gamma, m]
 
 
-def _ladder_summary(spec, depths, results):
-    """Manifest summary of a ladder task: what ended each rung's optimization."""
-    return {"L": spec.L, "stop_reason": {str(m): results[m].stop_reason for m in depths}}
+# ---- per-kind task bodies: body(spec, depths, results, options) ----
 
 
-# ---- per-kind task bodies ----
-
-
-def _task_energy_sweep(task):
-    spec = _spec(task)
-    depths = _resolve_depths(task)
-    results = _ladder(spec, depths, _opt_config(task))
+def _task_energy_sweep(spec, depths, results, options):
     e_exact = exact_ground_state(spec)[1]
     eps_inf = -EPS_INF_COEFF * spec.t
     rows = []
@@ -239,15 +249,11 @@ def _task_energy_sweep(task):
             + [r.energy, e_exact, r.energy - e_exact, r.energy / spec.L - eps_inf,
                r.iterations, int(r.converged)]
         )
-    return {"energy": rows, "summary": _ladder_summary(spec, depths, results)}
+    return {"energy": rows}
 
 
-def _task_entanglement_sweep(task):
-    spec = _spec(task)
-    depths = _resolve_depths(task)
-    cfg = _opt_config(task)
-    results = _ladder(spec, depths, cfg)
-    la = int(task["options"].get("subsystem_size", spec.L // 2))
+def _task_entanglement_sweep(spec, depths, results, options):
+    la = int(options.get("subsystem_size", spec.L // 2))
     cut = Subsystem.contiguous(0, la, spec.L)
     exact_orb, e_exact = exact_ground_state(spec)
     s_exact = entanglement_entropy(SlaterState(exact_orb), cut)
@@ -272,10 +278,7 @@ def _task_entanglement_sweep(task):
     return out
 
 
-def _task_mutual_info(task):
-    spec = _spec(task)
-    depths = _resolve_depths(task)
-    results = _ladder(spec, depths, _opt_config(task))
+def _task_mutual_info(spec, depths, results, options):
     xp0 = spec.L // 2 - 1  # site L/2 in 1-based labels
     rows = []
     for m in depths:
@@ -292,10 +295,7 @@ def _task_mutual_info(task):
     return {"minfo": rows}
 
 
-def _task_orbital_evolution(task):
-    spec = _spec(task)
-    depths = _resolve_depths(task)
-    results = _ladder(spec, depths, _opt_config(task))
+def _task_orbital_evolution(spec, depths, results, options):
     rows = []
     for m in depths:
         for layer, state in enumerate(intermediate_states(spec, results[m].params)):
@@ -306,10 +306,7 @@ def _task_orbital_evolution(task):
     return {"orbitals": rows}
 
 
-def _task_params_trace(task):
-    spec = _spec(task)
-    depths = _resolve_depths(task)
-    results = _ladder(spec, depths, _opt_config(task))
+def _task_params_trace(spec, depths, results, options):
     rows = []
     for m in depths:
         tab = results[m].params.angles
@@ -319,21 +316,13 @@ def _task_params_trace(task):
     return {"params": rows}
 
 
-def _task_teff(task):
-    spec = _spec(task)
-    depth = _resolve_depths(task)[-1]
-    results = _ladder(spec, [depth], _opt_config(task))
+def _task_teff(spec, depths, results, options):
+    depth = depths[-1]
     t_eff = aggregate_times(results[depth].params)
-    return {
-        "teff": [_context(spec, depth) + [t_eff]],
-        "summary": {"L": spec.L, "t_eff": t_eff},
-    }
+    return {"teff": [_context(spec, depth) + [t_eff]], "summary": {"t_eff": t_eff}}
 
 
-def _task_imaginary_sweep(task):
-    spec = _spec(task)
-    depths = _resolve_depths(task)
-    results = _ladder(spec, depths, _opt_config(task), imaginary=True)
+def _task_imaginary_sweep(spec, depths, results, options):
     exact_orb, e_exact = exact_ground_state(spec)
     exact_state = SlaterState(exact_orb)
     rows = []
@@ -346,25 +335,23 @@ def _task_imaginary_sweep(task):
         rows.append(
             _context(spec, m)
             + [r.energy, e_exact, r.energy - e_exact, dist,
-               aggregate_times(r.params), r.iterations, int(r.converged)]
+               aggregate_times(r.params, mode="imag"), r.iterations, int(r.converged)]
         )
-    return {"imag": rows, "summary": _ladder_summary(spec, depths, results)}
+    return {"imag": rows}
 
 
-def _task_continuous_time(task):
-    spec = _spec(task)
-    opts = task["options"]
-    dtau = float(opts.get("dtau", 0.01))
-    order = int(opts.get("order", 1))
+def _task_continuous_time(spec, depths, results, options):
+    dtau = float(options.get("dtau", 0.01))
+    order = int(options.get("order", 1))
     rows, teps_rows = [], []
     summary = {"L": spec.L}
-    for t_total in opts.get("T_grid", []):
+    for t_total in options.get("T_grid", []):
         m = max(1, round(t_total / dtau))
         plan = EvolutionPlan(T=float(t_total), M=m, order=order)
         _, eps = evolve_linear_schedule(spec, plan)
         rows.append(_context(spec, m) + [float(t_total), eps])
-    if "target_eps" in opts:
-        target = float(opts["target_eps"])
+    if "target_eps" in options:
+        target = float(options["target_eps"])
         t_eps = find_T_epsilon(spec, target, dtau=dtau, order=order)
         teps_rows.append(
             _context(spec, max(1, round(t_eps / dtau))) + [target, t_eps]
@@ -376,9 +363,8 @@ def _task_continuous_time(task):
     return out
 
 
-def _task_qab(task):
-    spec = _spec(task)
-    n = int(task["options"].get("samples", 1001))
+def _task_qab(spec, depths, results, options):
+    n = int(options.get("samples", 1001))
     rows = [
         _context(spec, 0) + [smp.s, smp.chi, smp.gap]
         for smp in qab_samples(spec.L, n, spec.t)
@@ -386,10 +372,8 @@ def _task_qab(task):
     return {"qab": rows}
 
 
-def _task_schedule_overlap(task):
-    spec = _spec(task)
-    depth = _resolve_depths(task)[-1]
-    results = _ladder(spec, [depth], _opt_config(task))
+def _task_schedule_overlap(spec, depths, results, options):
+    depth = depths[-1]
     params = results[depth].params
     rows = []
     for m in range(1, depth + 1):
@@ -399,11 +383,8 @@ def _task_schedule_overlap(task):
     return {"schedule": rows}
 
 
-def _task_spectrum_diagnostic(task):
-    spec = _spec(task)
-    depths = _resolve_depths(task)
-    results = _ladder(spec, depths, _opt_config(task))
-    la = int(task["options"].get("subsystem_size", spec.L // 2))
+def _task_spectrum_diagnostic(spec, depths, results, options):
+    la = int(options.get("subsystem_size", spec.L // 2))
     cut = Subsystem.contiguous(0, la, spec.L)
     spec_rows, diag_rows = [], []
     for m in depths:
@@ -421,46 +402,114 @@ def _task_spectrum_diagnostic(task):
     return {"spectrum": spec_rows, "specdiag": diag_rows}
 
 
-_TASK_BODIES = {
-    "energy-sweep": _task_energy_sweep,
-    "entanglement-sweep": _task_entanglement_sweep,
-    "mutual-info": _task_mutual_info,
-    "orbital-evolution": _task_orbital_evolution,
-    "params-trace": _task_params_trace,
-    "teff": _task_teff,
-    "imaginary-sweep": _task_imaginary_sweep,
-    "continuous-time": _task_continuous_time,
-    "qab": _task_qab,
-    "schedule-overlap": _task_schedule_overlap,
-    "spectrum-diagnostic": _task_spectrum_diagnostic,
-}
+@dataclass(frozen=True)
+class Kind:
+    """What the runner knows about one experiment kind (see the module docstring)."""
 
-KINDS = tuple(_TASK_BODIES)
+    body: Callable
+    tables: dict
+    ladder: str | None = None
+    needs_depths: bool = False
+    options: tuple = ()
+    fit: tuple | None = None
 
-_HEADERS = {
-    "energy": ["L", "N", "gamma", "M", "E", "E_exact", "dE", "dEps", "iterations", "converged"],
-    "entropy": ["L", "N", "gamma", "M", "LA", "S", "S_exact", "E", "dEps"],
-    "exponents": ["L", "N", "gamma", "M", "exp_entropy", "exp_energy"],
-    "minfo": ["L", "N", "gamma", "M", "x", "xp", "dist", "mi"],
-    "orbitals": ["L", "N", "gamma", "M", "layer", "orbital", "extent"],
-    "params": ["L", "N", "gamma", "M", "layer", "angle_odd", "angle_even"],
-    "teff": ["L", "N", "gamma", "M", "t_eff"],
-    "imag": ["L", "N", "gamma", "M", "E", "E_exact", "dE", "distance", "beta_bar",
-             "iterations", "converged"],
-    "conttime": ["L", "N", "gamma", "M", "T", "eps"],
-    "teps": ["L", "N", "gamma", "M", "target_eps", "T_eps"],
-    "qab": ["L", "N", "gamma", "M", "s", "chi", "gap"],
-    "schedule": ["L", "N", "gamma", "M", "m", "chi_free", "alpha_free", "overlap_free",
-                 "chi_fixed_alpha", "overlap_fixed_alpha"],
-    "spectrum": ["L", "N", "gamma", "M", "LA", "idx", "level"],
-    "specdiag": ["L", "N", "gamma", "M", "LA", "rank", "n_zero", "n_one",
-                 "pairwise_degenerate", "bond_preserving"],
+
+KINDS = {
+    "energy-sweep": Kind(
+        _task_energy_sweep,
+        {"energy": _CONTEXT + ["E", "E_exact", "dE", "dEps", "iterations", "converged"]},
+        ladder="real",
+        needs_depths=True,
+    ),
+    "entanglement-sweep": Kind(
+        _task_entanglement_sweep,
+        {"entropy": _CONTEXT + ["LA", "S", "S_exact", "E", "dEps"],
+         "exponents": _CONTEXT + ["exp_entropy", "exp_energy"]},
+        ladder="real",
+        needs_depths=True,
+        options=("subsystem_size",),
+    ),
+    "mutual-info": Kind(
+        _task_mutual_info,
+        {"minfo": _CONTEXT + ["x", "xp", "dist", "mi"]},
+        ladder="real",
+        needs_depths=True,
+    ),
+    "orbital-evolution": Kind(
+        _task_orbital_evolution,
+        {"orbitals": _CONTEXT + ["layer", "orbital", "extent"]},
+        ladder="real",
+    ),
+    "params-trace": Kind(
+        _task_params_trace,
+        {"params": _CONTEXT + ["layer", "angle_odd", "angle_even"]},
+        ladder="real",
+        needs_depths=True,
+    ),
+    "teff": Kind(
+        _task_teff,
+        {"teff": _CONTEXT + ["t_eff"]},
+        ladder="real",
+        fit=("teff", "t_eff", "t_eff_vs_L"),
+    ),
+    "imaginary-sweep": Kind(
+        _task_imaginary_sweep,
+        {"imag": _CONTEXT + ["E", "E_exact", "dE", "distance", "beta_bar",
+                             "iterations", "converged"]},
+        ladder="imag",
+        needs_depths=True,
+    ),
+    "continuous-time": Kind(
+        _task_continuous_time,
+        {"conttime": _CONTEXT + ["T", "eps"],
+         "teps": _CONTEXT + ["target_eps", "T_eps"]},
+        options=("T_grid", "dtau", "order", "target_eps"),
+        fit=("teps", "T_eps", "T_eps_vs_L"),
+    ),
+    "qab": Kind(
+        _task_qab,
+        {"qab": _CONTEXT + ["s", "chi", "gap"]},
+        options=("samples",),
+    ),
+    "schedule-overlap": Kind(
+        _task_schedule_overlap,
+        {"schedule": _CONTEXT + ["m", "chi_free", "alpha_free", "overlap_free",
+                                 "chi_fixed_alpha", "overlap_fixed_alpha"]},
+        ladder="real",
+    ),
+    "spectrum-diagnostic": Kind(
+        _task_spectrum_diagnostic,
+        {"spectrum": _CONTEXT + ["LA", "idx", "level"],
+         "specdiag": _CONTEXT + ["LA", "rank", "n_zero", "n_one",
+                                 "pairwise_degenerate", "bond_preserving"]},
+        ladder="real",
+        needs_depths=True,
+        options=("subsystem_size",),
+    ),
 }
 
 
 def run_task(task: dict) -> dict:
-    """Execute one task; top-level so it can cross a process boundary."""
-    return _TASK_BODIES[task["kind"]](task)
+    """Execute one task; top-level so it can cross a process boundary.
+
+    Builds the chain, runs the kind's ladder over the resolved depths and
+    hands both to the kind's body.  A ladder task's summary records what
+    ended each rung's optimization, plus any keys the body adds.
+    """
+    kind = KINDS[task["kind"]]
+    spec = LatticeSpec.half_filling(task["L"], gamma=_gamma(task["boundary"]), t=task["t"])
+    depths = _resolve_depths(task)
+    results = {}
+    if kind.ladder is not None:
+        results = _ladder(spec, depths, OptimizerConfig(**task["optimizer"]), kind.ladder)
+    out = kind.body(spec, depths, results, task["options"])
+    if kind.ladder is not None:
+        out["summary"] = {
+            "L": spec.L,
+            "stop_reason": {str(m): results[m].stop_reason for m in depths},
+            **out.get("summary", {}),
+        }
+    return out
 
 
 def _build_tasks(config: ExperimentConfig):
@@ -524,6 +573,7 @@ def run_experiment(
     the manifest without aborting sibling tasks.  Returns the manifest
     (ok = True only if every task succeeded).
     """
+    kind = KINDS[config.kind]
     jobs = resolve_jobs(jobs)
     out = out_dir or config.out or os.path.join("runs", config.kind)
     os.makedirs(out, exist_ok=True)
@@ -561,23 +611,19 @@ def run_experiment(
     outputs = []
     for name, rows in tables.items():
         path = os.path.join(out, f"{name}.csv")
-        _write_csv(path, _HEADERS[name], rows)
+        _write_csv(path, kind.tables[name], rows)
         outputs.append(path)
 
     aggregate = {}
-    try:
-        if config.kind == "teff" and len(tables.get("teff", [])) >= 3:
-            ls = [r[0] for r in tables["teff"]]
-            vals = [r[4] for r in tables["teff"]]
-            slope, err = fit_power_law(ls, vals)
-            aggregate["t_eff_vs_L"] = {"exponent": slope, "stderr": err}
-        if config.kind == "continuous-time" and len(tables.get("teps", [])) >= 3:
-            ls = [r[0] for r in tables["teps"]]
-            vals = [r[5] for r in tables["teps"]]
-            slope, err = fit_power_law(ls, vals)
-            aggregate["T_eps_vs_L"] = {"exponent": slope, "stderr": err}
-    except ValueError:
-        pass  # fits are best-effort summaries; rows stay authoritative
+    if kind.fit is not None:
+        table, column, key = kind.fit
+        rows = tables.get(table, [])
+        col = kind.tables[table].index(column)
+        try:
+            slope, err = fit_power_law([r[0] for r in rows], [r[col] for r in rows])
+            aggregate[key] = {"exponent": slope, "stderr": err}
+        except ValueError:
+            pass  # under three rows or non-positive data; rows stay authoritative
 
     manifest = RunManifest(
         experiment=config.kind,

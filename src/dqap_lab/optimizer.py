@@ -7,6 +7,9 @@ state, which the derivative engine returns with orthonormal orbitals in
 both modes (imaginary-time states are re-orthonormalized by a QR step
 after every half-layer, which leaves S and f unchanged).
 
+Both modes optimize the same table type, `DqapParams`; the mode is
+named by the caller, through `optimize` (real) or `optimize_imaginary`.
+
 With the metric on the left this flow is a discretized imaginary-time
 evolution projected onto the variational manifold, so the energy trace
 is non-increasing for small delta_beta.  That bound is first order; at
@@ -32,13 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import (
-    DqapParams,
-    ImagParams,
-    build_dqap_state,
-    build_imag_state,
-    state_and_derivatives,
-)
+from .ansatz import DqapParams, build_dqap_state, build_imag_state, state_and_derivatives
 from .errors import LinearSolveError, SingularOverlapError
 from .lattice import LatticeSpec, build_hamiltonian, initial_state
 from .slater import SlaterState, energy_expectation
@@ -174,7 +171,7 @@ def _solve_step(workspace: NaturalGradientWorkspace, delta_beta: float, ridge: f
     return dtheta
 
 
-def linear_schedule_params(m_layers, spec=None, scale=0.01, cls=DqapParams):
+def linear_schedule_params(m_layers, spec=None, scale=0.01):
     """Angles of the discretized interpolation: odd family constant,
     even family ramping linearly to the full step over the M layers."""
     t = spec.t if spec is not None else 1.0
@@ -182,21 +179,21 @@ def linear_schedule_params(m_layers, spec=None, scale=0.01, cls=DqapParams):
     table = np.empty((m_layers, 2))
     table[:, 0] = dtau
     table[:, 1] = dtau * np.arange(1, m_layers + 1) / max(m_layers, 1)
-    return cls(table)
+    return DqapParams(table)
 
 
-def _initial_params(spec, m_layers, config, init, cls):
+def _initial_params(spec, m_layers, config, init):
     if init is not None:
-        return cls(np.asarray(init.angles, dtype=float).copy())
+        return DqapParams(np.asarray(init.angles, dtype=float).copy())
     if config.init_mode == "warm-start":
         raise ValueError("init_mode 'warm-start' needs explicit initial parameters")
     if config.init_mode == "linear-schedule":
-        return linear_schedule_params(m_layers, spec, config.init_scale, cls)
+        return linear_schedule_params(m_layers, spec, config.init_scale)
     rng = np.random.default_rng(config.seed)
     if config.init_mode == "random":
-        return cls(rng.uniform(0.0, config.init_scale / spec.t, (m_layers, 2)))
+        return DqapParams(rng.uniform(0.0, config.init_scale / spec.t, (m_layers, 2)))
     if config.init_mode == "zeros+noise":
-        return cls(rng.uniform(0.0, 1e-2 * config.init_scale / spec.t, (m_layers, 2)))
+        return DqapParams(rng.uniform(0.0, 1e-2 * config.init_scale / spec.t, (m_layers, 2)))
     raise ValueError(f"unknown init_mode {config.init_mode!r}")
 
 
@@ -258,7 +255,7 @@ def optimize(
 ) -> OptResult:
     """Minimize the hopping energy over an M-layer real-time circuit."""
     config = config or OptimizerConfig()
-    params = _initial_params(spec, m_layers, config, init, DqapParams)
+    params = _initial_params(spec, m_layers, config, init)
     return _run(spec, params, "real", config)
 
 
@@ -266,11 +263,11 @@ def optimize_imaginary(
     spec: LatticeSpec,
     m_layers: int,
     config: OptimizerConfig | None = None,
-    init: ImagParams | None = None,
+    init: DqapParams | None = None,
 ) -> OptResult:
     """Minimize the hopping energy over an M-layer imaginary-time circuit."""
     config = config or OptimizerConfig()
-    params = _initial_params(spec, m_layers, config, init, ImagParams)
+    params = _initial_params(spec, m_layers, config, init)
     return _run(spec, params, "imag", config)
 
 
@@ -290,4 +287,4 @@ def warm_start(params: DqapParams) -> DqapParams:
     else:
         j = m // 2
         new = np.insert(table, j, 0.5 * (table[j - 1] + table[j]), axis=0)
-    return type(params)(new)
+    return DqapParams(new)

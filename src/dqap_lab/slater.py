@@ -122,17 +122,6 @@ def transition_density(psi: SlaterState, phi: SlaterState) -> np.ndarray:
     return phi.orbitals @ x
 
 
-def two_body_expectation(psi, phi, x, y, yp, xp) -> complex:
-    """Normalized <psi| c+_x c+_y c_yp c_xp |phi> by the two-term Wick sum.
-
-    Indices are 0-based sites.  Built from the transition matrix G with
-    G[x, xp] = <c+_x c_xp>:  G[x,xp] G[y,yp] - G[x,yp] G[y,xp].
-    """
-    p = transition_density(psi, phi)
-    g = p.T  # g[x, xp] = <c+_x c_xp>
-    return complex(g[x, xp] * g[y, yp] - g[x, yp] * g[y, xp])
-
-
 def _bond_block(spec, angle, w, mode):
     """Entries (c, s) of the 2x2 blocks [[c, s], [s, c]] of one bond family.
 

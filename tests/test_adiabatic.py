@@ -7,7 +7,6 @@ from dqap_lab import (
     DimensionMismatch,
     DqapParams,
     EvolutionPlan,
-    ImagParams,
     LatticeSpec,
     NoConvergence,
     OpenShellError,
@@ -461,4 +460,6 @@ def test_partial_layer_ignores_pi_shift_of_odd_angles(ladder16):
 def test_aggregate_times_real_vs_imaginary():
     table = [[1.0, 2.0], [3.0, 4.0]]
     assert aggregate_times(DqapParams(table)) == 10.0
-    assert aggregate_times(ImagParams(table)) == 5.0
+    assert aggregate_times(DqapParams(table), mode="imag") == 5.0
+    with pytest.raises(ValueError):
+        aggregate_times(DqapParams(table), mode="imaginary")

@@ -5,7 +5,6 @@ import pytest
 
 from dqap_lab import (
     DqapParams,
-    ImagParams,
     LatticeSpec,
     SingularOverlapError,
     SlaterState,
@@ -29,8 +28,8 @@ from dqap_lab import (
 from .oracles import mp_imag_energy, random_orthonormal
 
 
-def random_params(rng, m, cls=DqapParams, scale=1.0):
-    return cls(scale * rng.uniform(0.1, 1.0, size=(m, 2)))
+def random_params(rng, m, scale=1.0):
+    return DqapParams(scale * rng.uniform(0.1, 1.0, size=(m, 2)))
 
 
 # ---- parameter tables ----
@@ -51,9 +50,9 @@ def test_flat_ordering_follows_application_order():
 
 
 def test_with_flat_preserves_subtype():
-    p = ImagParams([[0.1, 0.2]])
+    p = DqapParams([[0.1, 0.2]])
     q = p.with_flat([0.5, 0.6])
-    assert isinstance(q, ImagParams)
+    assert type(q) is DqapParams
     np.testing.assert_allclose(q.angles, [[0.6, 0.5]])
 
 
@@ -116,7 +115,7 @@ def test_imag_circuit_energy_matches_fock():
     spec = LatticeSpec.half_filling(6, gamma=+1)
     h = build_hamiltonian(spec)
     rng = np.random.default_rng(3)
-    p = random_params(rng, 2, cls=ImagParams)
+    p = random_params(rng, 2)
     st = build_imag_state(spec, p)
     vec = slater_to_fock(SlaterState(initial_state(spec).astype(complex)))
     v1, v2 = build_v1(spec), build_v2(spec)
@@ -133,7 +132,7 @@ def test_imag_odd_only_steps_keep_dimer():
     # imaginary steps change nothing physical
     spec = LatticeSpec.half_filling(8)
     h = build_hamiltonian(spec)
-    p = ImagParams([[0.6, 0.0], [0.9, 0.0]])
+    p = DqapParams([[0.6, 0.0], [0.9, 0.0]])
     st = build_imag_state(spec, p)
     assert abs(energy_expectation(st, h) - (-0.5 * spec.L)) < 1e-12
 
@@ -144,7 +143,7 @@ def test_imag_energy_matches_forty_digit_block_product(amplitude):
     # QR step was 4e-9 off in relative energy
     spec = LatticeSpec.half_filling(160)
     table = np.random.default_rng(0).uniform(0.0, amplitude, (5, 2))
-    e = energy_expectation(build_imag_state(spec, ImagParams(table)), build_hamiltonian(spec))
+    e = energy_expectation(build_imag_state(spec, DqapParams(table)), build_hamiltonian(spec))
     ref = float(mp_imag_energy(160, "apbc", table))
     assert abs(e - ref) < 1e-12 * abs(ref)
 
@@ -153,7 +152,7 @@ def test_imag_energy_of_optimized_l64_table_matches_block_product():
     # an L=64 apbc M=4 imaginary optimum, rounded to three decimals
     spec = LatticeSpec.half_filling(64)
     table = [[2.149, 2.934], [1.251, 1.643], [0.633, 0.922], [0.122, 0.37]]
-    e = energy_expectation(build_imag_state(spec, ImagParams(table)), build_hamiltonian(spec))
+    e = energy_expectation(build_imag_state(spec, DqapParams(table)), build_hamiltonian(spec))
     ref = float(mp_imag_energy(64, "apbc", table))
     assert abs(e - ref) < 1e-12 * abs(ref)
 
@@ -162,9 +161,9 @@ def test_imag_coefficient_overflow_raises_typed_error():
     # cosh(800) overflows; the state must not come back full of nan
     spec = LatticeSpec.half_filling(16)
     with pytest.raises(SingularOverlapError):
-        build_imag_state(spec, ImagParams([[0.5, 800.0]]))
+        build_imag_state(spec, DqapParams([[0.5, 800.0]]))
     with pytest.raises(SingularOverlapError):
-        state_and_derivatives(spec, ImagParams([[0.5, 800.0]]), mode="imag")
+        state_and_derivatives(spec, DqapParams([[0.5, 800.0]]), mode="imag")
 
 
 def test_real_circuit_angle_periodicity():
@@ -215,7 +214,7 @@ def test_imag_derivatives_match_fd_of_normalized_overlap():
     spec = LatticeSpec.half_filling(6)
     rng = np.random.default_rng(6)
     ref = random_orthonormal(rng, 6, 3)
-    p = random_params(rng, 2, cls=ImagParams, scale=0.5)
+    p = random_params(rng, 2, scale=0.5)
 
     def value(flat):
         st = build_imag_state(spec, p.with_flat(flat))

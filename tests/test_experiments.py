@@ -6,7 +6,7 @@ import json
 import pytest
 
 from dqap_lab.cli import main
-from dqap_lab.experiments import _HEADERS, KINDS
+from dqap_lab.experiments import KINDS
 
 _LADDER = {"sizes": [8], "boundary": "apbc", "depths": [1, 2]}
 
@@ -212,7 +212,7 @@ def test_kind_writes_its_tables(tmp_path, kind):
         with open(out / f"{name}.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         header, expected = GOLDEN[name]
-        assert rows[0] == header == _HEADERS[name]
+        assert rows[0] == header == KINDS[kind].tables[name]
         assert len(rows) - 1 == len(expected)
         for row, want in zip(rows[1:], expected):
             for cell, value in zip(row, want, strict=True):
@@ -222,7 +222,7 @@ def test_kind_writes_its_tables(tmp_path, kind):
                     assert float(cell) == pytest.approx(value, rel=1e-9, abs=1e-12), (name, row)
 
 
-@pytest.mark.parametrize("kind", ["energy-sweep", "imaginary-sweep"])
+@pytest.mark.parametrize("kind", [k for k, v in KINDS.items() if v.ladder is not None])
 def test_sweep_manifest_records_stop_reason_per_rung(tmp_path, kind):
     config, _ = CASES[kind]
     code, out = _run(tmp_path, kind, config)
@@ -245,6 +245,23 @@ def test_imaginary_distance_is_finite_for_large_scale_factors(tmp_path):
 
 def test_ladder_kind_without_depths_is_a_config_error(tmp_path):
     code, out = _run(tmp_path, "energy-sweep", {"sizes": [8]})
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", [
+    {"typo_key": 3},
+    {"samples": 11},  # an option of another kind
+    {"t": "abc"},
+    {"t": float("nan")},
+    {"t": float("inf")},
+    {"depths": [True]},
+    {"seed": False},
+    {"out": 5},
+], ids=["typo-key", "foreign-option", "t-string", "t-nan", "t-inf", "bool-depth", "bool-seed",
+        "out-number"])
+def test_malformed_config_is_a_config_error(tmp_path, override):
+    code, out = _run(tmp_path, "energy-sweep", {**_LADDER, **override})
     assert code == 2
     assert not out.exists()
 

@@ -5,7 +5,6 @@ import pytest
 
 from dqap_lab import (
     DqapParams,
-    ImagParams,
     LatticeSpec,
     OptimizerConfig,
     SlaterState,
@@ -32,8 +31,8 @@ def workspace_at(spec, params, mode="real"):
     return assemble_metric_and_force(state, derivs, h)
 
 
-def random_point(rng, m, cls=DqapParams):
-    return cls(rng.uniform(0.1, 1.0, size=(m, 2)))
+def random_point(rng, m):
+    return DqapParams(rng.uniform(0.1, 1.0, size=(m, 2)))
 
 
 def natural_gradient_step(workspace, params, config):
@@ -45,12 +44,12 @@ def natural_gradient_step(workspace, params, config):
 # ---- metric and force ----
 
 
-@pytest.mark.parametrize("mode,cls", [("real", DqapParams), ("imag", ImagParams)])
-def test_metric_hermitian_and_psd(mode, cls):
+@pytest.mark.parametrize("mode", ["real", "imag"])
+def test_metric_hermitian_and_psd(mode):
     spec = LatticeSpec.half_filling(8)
     rng = np.random.default_rng(0)
     for _ in range(25):
-        ws = workspace_at(spec, random_point(rng, 2, cls), mode)
+        ws = workspace_at(spec, random_point(rng, 2), mode)
         s = ws.metric
         np.testing.assert_allclose(s, s.conj().T, atol=1e-10)
         sym = (s + s.conj()).real
@@ -95,15 +94,15 @@ def test_force_vanishes_at_exact_ground_state():
     assert np.max(np.abs(ws.force)) < 1e-8
 
 
-@pytest.mark.parametrize("mode,cls,builder", [
-    ("real", DqapParams, build_dqap_state),
-    ("imag", ImagParams, build_imag_state),
+@pytest.mark.parametrize("mode,builder", [
+    ("real", build_dqap_state),
+    ("imag", build_imag_state),
 ])
-def test_energy_gradient_matches_finite_differences(mode, cls, builder):
+def test_energy_gradient_matches_finite_differences(mode, builder):
     spec = LatticeSpec.half_filling(8)
     h = build_hamiltonian(spec)
     rng = np.random.default_rng(3)
-    params = random_point(rng, 2, cls)
+    params = random_point(rng, 2)
     ws = workspace_at(spec, params, mode)
     grad = 2.0 * ws.force.real
 
@@ -118,11 +117,8 @@ def test_workspace_energy_matches_expectation():
     spec = LatticeSpec.half_filling(8)
     h = build_hamiltonian(spec)
     rng = np.random.default_rng(4)
-    for mode, cls, builder in (
-        ("real", DqapParams, build_dqap_state),
-        ("imag", ImagParams, build_imag_state),
-    ):
-        params = random_point(rng, 2, cls)
+    for mode, builder in (("real", build_dqap_state), ("imag", build_imag_state)):
+        params = random_point(rng, 2)
         ws = workspace_at(spec, params, mode)
         assert abs(ws.energy - energy_expectation(builder(spec, params), h)) < 1e-10
 
@@ -232,7 +228,6 @@ def test_stop_reason_names_what_ended_the_run():
 def test_imaginary_run_improves_on_dimer():
     spec = LatticeSpec.half_filling(8)
     res = optimize_imaginary(spec, 1)
-    assert isinstance(res.params, ImagParams)
     assert res.converged
     assert res.energy < -0.5 * spec.L
     assert np.all(np.diff(res.trace) <= 1e-12)
@@ -288,7 +283,7 @@ def test_imaginary_ladder_l64_is_monotone_and_exact():
 
 def test_assembly_rejects_unnormalized_state():
     spec = LatticeSpec.half_filling(8)
-    state, derivs = state_and_derivatives(spec, ImagParams([[0.3, 0.4]]), mode="imag")
+    state, derivs = state_and_derivatives(spec, DqapParams([[0.3, 0.4]]), mode="imag")
     scaled = SlaterState(2.0 * state.orbitals, normalized=False)
     with pytest.raises(ValueError):
         assemble_metric_and_force(scaled, derivs, build_hamiltonian(spec))
@@ -380,8 +375,7 @@ def test_warm_start_all_equal_layers():
 
 
 def test_warm_start_single_layer_duplicates():
-    grown = warm_start(ImagParams([[0.3, 0.9]]))
-    assert isinstance(grown, ImagParams)
+    grown = warm_start(DqapParams([[0.3, 0.9]]))
     np.testing.assert_allclose(grown.angles, [[0.3, 0.9], [0.3, 0.9]])
 
 

@@ -21,7 +21,6 @@ from dqap_lab import (
     overlap,
     slater_to_fock,
     transition_density,
-    two_body_expectation,
 )
 
 from .oracles import kspace_ground_energy, random_orthonormal
@@ -118,42 +117,6 @@ def test_transition_density_singular_overlap_raises():
     b = SlaterState(np.array([[0.0], [1.0], [0.0], [0.0]], dtype=complex))
     with pytest.raises(SingularOverlapError):
         transition_density(a, b)
-
-
-# ---- two-body expectations ----
-
-
-def test_two_body_pauli_exclusion_zero():
-    rng = np.random.default_rng(5)
-    a, b = random_state(rng, 6, 3), random_state(rng, 6, 3)
-    assert abs(two_body_expectation(a, b, 2, 2, 1, 0)) < 1e-12
-    assert abs(two_body_expectation(a, b, 1, 0, 3, 3)) < 1e-12
-
-
-def test_two_body_dimer_density_correlation():
-    spec = LatticeSpec.half_filling(8)
-    st = SlaterState(initial_state(spec).astype(complex))
-    # <n_0 n_2> factorizes across dimers: (1/2)(1/2)
-    assert abs(two_body_expectation(st, st, 0, 2, 2, 0) - 0.25) < 1e-12
-
-
-@pytest.mark.parametrize("L,N", [(4, 2), (6, 3)])
-def test_two_body_matches_fock(L, N):
-    rng = np.random.default_rng(20 + L)
-    a, b = random_state(rng, L, N), random_state(rng, L, N)
-    basis = FockBasis.build(L, N)
-    va, vb = slater_to_fock(a, basis), slater_to_fock(b, basis)
-    ov = np.vdot(va.amplitudes, vb.amplitudes)
-    idx = [(0, 1, 2, 3), (0, 2, 1, 3), (3, 1, 0, 2), (1, 0, 3, 2)]
-    for x, y, yp, xp in idx:
-        # c+_x c+_y c_yp c_xp = (c+_x c_xp)(c+_y c_yp) - delta_{y,xp} c+_x c_yp
-        m = many_body_matrix(basis, elementary(L, x, xp)) @ many_body_matrix(
-            basis, elementary(L, y, yp)
-        )
-        if y == xp:
-            m = m - many_body_matrix(basis, elementary(L, x, yp))
-        target = np.vdot(va.amplitudes, m @ vb.amplitudes) / ov
-        assert abs(two_body_expectation(a, b, x, y, yp, xp) - target) < 1e-10
 
 
 # ---- bond layers ----
