@@ -50,7 +50,6 @@ from .optimizer import (
     warm_start,
 )
 from .entanglement import (
-    CorrelationSpectrum,
     SpectrumDiagnostic,
     Subsystem,
     boundary_rank_diagnostic,

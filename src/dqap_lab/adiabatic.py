@@ -261,14 +261,20 @@ def _reduced_odd_angle(spec, angle):
     return angle - period * np.ceil(angle / period - 0.5)
 
 
-def _partial_circuit_state(spec, params, m, alpha):
-    """Circuit state after m layers with the last odd-family angle scaled by alpha."""
-    table = params.angles[:m].copy()
-    if m >= 1:
-        table[-1, 0] = alpha * _reduced_odd_angle(spec, table[-1, 0])
-    for state in _forward_pass(spec, table, "real"):
+def _prefix(spec, params, m):
+    """The m-layer circuit prefix as a function alpha -> state.
+
+    Layers 1..m-1 and the even half of layer m are applied once; each
+    call applies layer m's odd half-layer with its reduced angle scaled
+    by alpha.  At m = 0 every alpha gives the dimer state.
+    """
+    if m == 0:
+        dimer = SlaterState(initial_state(spec))
+        return lambda alpha: dimer
+    for base in islice(_forward_pass(spec, params.angles[:m], "real"), 2 * m):
         pass
-    return state
+    theta = _reduced_odd_angle(spec, params.angles[m - 1, 0])
+    return lambda alpha: apply_bond_layer(base, 1, alpha * theta, spec, mode="real")
 
 
 def scheduling_overlap(
@@ -286,8 +292,7 @@ def scheduling_overlap(
     if not 0 <= m <= params.M:
         raise ValueError(f"prefix depth {m} outside 0..{params.M}")
     target = _ramp_ground_state(spec, chi)
-    state = _partial_circuit_state(spec, params, m, alpha)
-    return float(abs(overlap(target, state)) ** 2)
+    return float(abs(overlap(target, _prefix(spec, params, m)(alpha))) ** 2)
 
 
 def maximize_overlap(
@@ -317,18 +322,9 @@ def maximize_overlap(
     chis = np.arange(0.0, bound + grid_step / 2, grid_step)
     alphas = np.array([alpha]) if alpha is not None else chis
 
-    # The prefix below the alpha-scaled half-layer is fixed; cache it,
-    # and diagonalize each grid ramp point once.
-    if m >= 1:
-        for base in islice(_forward_pass(spec, params.angles[:m], "real"), 2 * m):
-            pass
-        theta = _reduced_odd_angle(spec, params.angles[m - 1, 0])
-
-    def prefix_state(al):
-        if m == 0:
-            return SlaterState(initial_state(spec))
-        return apply_bond_layer(base, 1, al * theta, spec, mode="real")
-
+    # The prefix below the alpha-scaled half-layer is built once, and
+    # each grid ramp point is diagonalized once.
+    prefix_state = _prefix(spec, params, m)
     targets = {}
 
     def value(chi, al):

@@ -55,14 +55,6 @@ class Subsystem:
 
 
 @dataclass(frozen=True)
-class CorrelationSpectrum:
-    """Eigenvalues (ascending) of the subsystem correlation block."""
-
-    subsystem: Subsystem
-    levels: np.ndarray
-
-
-@dataclass(frozen=True)
 class SpectrumDiagnostic:
     """Projector-deviation summary of a correlation block."""
 
@@ -83,9 +75,9 @@ def one_particle_dm(state: SlaterState, subsystem: Subsystem) -> np.ndarray:
     return p[np.ix_(sites, sites)].T
 
 
-def correlation_spectrum(state: SlaterState, subsystem: Subsystem) -> CorrelationSpectrum:
-    levels = np.linalg.eigvalsh(one_particle_dm(state, subsystem))
-    return CorrelationSpectrum(subsystem=subsystem, levels=levels)
+def correlation_spectrum(state: SlaterState, subsystem: Subsystem) -> np.ndarray:
+    """Eigenvalues (ascending) of the subsystem correlation block."""
+    return np.linalg.eigvalsh(one_particle_dm(state, subsystem))
 
 
 def entropy_from_levels(levels) -> float:
@@ -116,7 +108,7 @@ def entropy_mode_form(levels) -> float:
 
 def entanglement_entropy(state: SlaterState, subsystem: Subsystem) -> float:
     """Von Neumann entropy of the reduced state on the subsystem."""
-    return entropy_from_levels(correlation_spectrum(state, subsystem).levels)
+    return entropy_from_levels(correlation_spectrum(state, subsystem))
 
 
 def mutual_information(state: SlaterState, x: int, xp: int) -> float:

@@ -16,8 +16,9 @@ Everything `run_task` and `run_experiment` know about a kind is one
 - `ladder` is "real" or "imag" for kinds that first optimize a
   warm-start ladder over the depths in that mode, else None;
 - `needs_depths` rejects a config without explicit 'depths';
-- `options` lists the kind-specific config keys; any other key that
-  is not a top-level one is a config error;
+- `options` maps each kind-specific config key to (what a valid value
+  is, check(value, sizes)); a key that is neither declared nor
+  top-level, or a value its check rejects, is a config error;
 - `fit`, if set, is (table, column, aggregate key): given three or
   more rows of positive values, `run_experiment` fits column ~ L^p
   and records p in the manifest's aggregate.
@@ -59,7 +60,6 @@ from .ansatz import build_dqap_state, build_imag_state, intermediate_states, orb
 from .entanglement import (
     Subsystem,
     boundary_rank_diagnostic,
-    correlation_spectrum,
     entanglement_entropy,
     mutual_information,
     scaling_exponents,
@@ -74,6 +74,25 @@ EPS_INF_COEFF = 2.0 / np.pi  # per-site energy of the infinite chain, in units o
 
 def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite_positive(v):
+    real = isinstance(v, (int, float)) and not isinstance(v, bool)
+    return real and 0 < v <= sys.float_info.max  # also rejects NaN
+
+
+# Value rules of the declared kind options: (what a valid value is, check(value, sizes)).
+_POSITIVE_INT = ("a positive integer", lambda v, sizes: _is_int(v) and v > 0)
+_FINITE_POSITIVE = ("a finite positive number", lambda v, sizes: _is_finite_positive(v))
+_SUBSYSTEM_SIZE = (
+    "a positive integer no larger than the smallest chain length",
+    lambda v, sizes: _is_int(v) and 0 < v <= min(sizes),
+)
+_ORDER = ("1 or 2", lambda v, sizes: _is_int(v) and v in (1, 2))
+_T_GRID = (
+    "a list of finite positive numbers",
+    lambda v, sizes: isinstance(v, list) and all(map(_is_finite_positive, v)),
+)
 
 
 @dataclass
@@ -136,20 +155,28 @@ class ExperimentConfig:
             OptimizerConfig(**opt)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad optimizer settings: {exc}") from exc
+        if opt.get("init_mode") == "warm-start":
+            raise ConfigError(
+                "init_mode 'warm-start' needs an initial table, which a ladder's first rung lacks"
+            )
         seed = raw.get("seed", 0)
         if not _is_int(seed):
             raise ConfigError(f"seed must be an integer, got {seed!r}")
         t = raw.get("t", 1.0)
-        real = isinstance(t, (int, float)) and not isinstance(t, bool)
-        if not (real and 0 < t <= sys.float_info.max):  # also rejects NaN
+        if not _is_finite_positive(t):
             raise ConfigError(f"t must be a finite positive number, got {t!r}")
         out = raw.get("out")
         if out is not None and not isinstance(out, str):
             raise ConfigError(f"out must be a directory path, got {out!r}")
         options = {k: v for k, v in raw.items() if k not in cls._TOP_KEYS}
-        unknown = sorted(set(options) - set(KINDS[cfg_kind].options))
+        declared = KINDS[cfg_kind].options
+        unknown = sorted(set(options) - set(declared))
         if unknown:
             raise ConfigError(f"unknown config key(s) for {cfg_kind!r}: {', '.join(unknown)}")
+        for key, value in options.items():
+            what, check = declared[key]
+            if not check(value, sizes):
+                raise ConfigError(f"{key} must be {what}, got {value!r}")
         return cls(
             kind=cfg_kind,
             sizes=list(sizes),
@@ -388,12 +415,10 @@ def _task_spectrum_diagnostic(spec, depths, results, options):
     cut = Subsystem.contiguous(0, la, spec.L)
     spec_rows, diag_rows = [], []
     for m in depths:
-        state = build_dqap_state(spec, results[m].params)
-        cs = correlation_spectrum(state, cut)
+        diag = boundary_rank_diagnostic(build_dqap_state(spec, results[m].params), cut)
         spec_rows.extend(
-            _context(spec, m) + [la, i + 1, float(v)] for i, v in enumerate(cs.levels)
+            _context(spec, m) + [la, i + 1, float(v)] for i, v in enumerate(diag.levels)
         )
-        diag = boundary_rank_diagnostic(state, cut)
         diag_rows.append(
             _context(spec, m)
             + [la, diag.rank, diag.n_zero, diag.n_one,
@@ -410,7 +435,7 @@ class Kind:
     tables: dict
     ladder: str | None = None
     needs_depths: bool = False
-    options: tuple = ()
+    options: dict = field(default_factory=dict)
     fit: tuple | None = None
 
 
@@ -427,7 +452,7 @@ KINDS = {
          "exponents": _CONTEXT + ["exp_entropy", "exp_energy"]},
         ladder="real",
         needs_depths=True,
-        options=("subsystem_size",),
+        options={"subsystem_size": _SUBSYSTEM_SIZE},
     ),
     "mutual-info": Kind(
         _task_mutual_info,
@@ -463,13 +488,14 @@ KINDS = {
         _task_continuous_time,
         {"conttime": _CONTEXT + ["T", "eps"],
          "teps": _CONTEXT + ["target_eps", "T_eps"]},
-        options=("T_grid", "dtau", "order", "target_eps"),
+        options={"T_grid": _T_GRID, "dtau": _FINITE_POSITIVE, "order": _ORDER,
+                 "target_eps": _FINITE_POSITIVE},
         fit=("teps", "T_eps", "T_eps_vs_L"),
     ),
     "qab": Kind(
         _task_qab,
         {"qab": _CONTEXT + ["s", "chi", "gap"]},
-        options=("samples",),
+        options={"samples": _POSITIVE_INT},
     ),
     "schedule-overlap": Kind(
         _task_schedule_overlap,
@@ -484,7 +510,7 @@ KINDS = {
                                  "pairwise_degenerate", "bond_preserving"]},
         ladder="real",
         needs_depths=True,
-        options=("subsystem_size",),
+        options={"subsystem_size": _SUBSYSTEM_SIZE},
     ),
 }
 
@@ -551,30 +577,17 @@ def _write_csv(path, header, rows):
             writer.writerow([_format_cell(v) for v in row])
 
 
-def resolve_jobs(jobs: int | None) -> int:
-    """Explicit value, else the DQAP_JOBS environment override, else 1."""
-    if jobs is not None:
-        return max(1, jobs)
-    env = os.environ.get("DQAP_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"DQAP_JOBS must be an integer, got {env!r}") from exc
-    return 1
-
-
 def run_experiment(
     config: ExperimentConfig, jobs: int | None = None, out_dir: str | None = None
 ) -> RunManifest:
     """Run all tasks of an experiment and write CSVs plus manifest.json.
 
-    Tasks run on a process pool when jobs > 1; failures are recorded in
-    the manifest without aborting sibling tasks.  Returns the manifest
-    (ok = True only if every task succeeded).
+    Tasks run on a process pool when jobs > 1 (default 1); failures are
+    recorded in the manifest without aborting sibling tasks.  Returns the
+    manifest (ok = True only if every task succeeded).
     """
     kind = KINDS[config.kind]
-    jobs = resolve_jobs(jobs)
+    jobs = max(1, jobs or 1)
     out = out_dir or config.out or os.path.join("runs", config.kind)
     os.makedirs(out, exist_ok=True)
     tasks = _build_tasks(config)

@@ -37,13 +37,14 @@ import numpy as np
 
 from .ansatz import DqapParams, build_dqap_state, build_imag_state, state_and_derivatives
 from .errors import LinearSolveError, SingularOverlapError
-from .lattice import LatticeSpec, build_hamiltonian, initial_state
+from .lattice import LatticeSpec, build_hamiltonian
 from .slater import SlaterState, energy_expectation
 
 _LSTSQ_CUTOFF = 1e-12
 _MAX_HALVINGS = 60
 _TRUST_CAP = 0.1  # largest angle shift per iteration, in units of 1/t
 _STEP_GROWTH = 1.5  # delta_beta factor after a step taken whole
+_INIT_MODES = ("linear-schedule", "random", "zeros+noise", "warm-start")
 
 
 @dataclass
@@ -58,7 +59,8 @@ class OptimizerConfig:
     shift lowers the energy, or after max_iters iterations.
 
     init_mode is one of 'linear-schedule', 'random', 'zeros+noise',
-    'warm-start' (the last requires explicit initial parameters).
+    'warm-start' (the last requires explicit initial parameters); any
+    other value raises ValueError here.
     init_scale is the base step of the linear schedule and the upper
     bound of the random draw, in units of 1/t.
     """
@@ -80,6 +82,8 @@ class OptimizerConfig:
             raise ValueError(f"ridge must be non-negative, got {self.ridge!r}")
         if not self.max_iters >= 0:
             raise ValueError(f"max_iters must be non-negative, got {self.max_iters!r}")
+        if self.init_mode not in _INIT_MODES:
+            raise ValueError(f"unknown init_mode {self.init_mode!r}")
 
 
 @dataclass
@@ -112,31 +116,26 @@ class OptResult:
 def assemble_metric_and_force(
     state: SlaterState, derivs: np.ndarray, h: np.ndarray
 ) -> NaturalGradientWorkspace:
-    """Metric, force, and energy from a normalized state and its derivative stacks.
+    """Metric, force, and energy from a state and its derivative stacks (K, L, N).
 
-    For a state with orthonormal orbitals Psi (Psi+ Psi = 1):
+    The state's orbitals Psi are orthonormal (Psi+ Psi = 1), as for every
+    state the package builds, so
 
         S_kk' = tr[A_k+ A_k'] - tr[A_k+ Psi Psi+ A_k']
         f_k   = tr[A_k+ (h Psi - Psi (Psi+ h Psi))]
 
-    Both reduce to Gram products over the stacked matrices.  Every state
-    the derivative engine returns is normalized; an unnormalized state
-    raises ValueError.
+    Both reduce to Gram products over the stacked matrices.  K = 0 gives
+    an empty metric and force next to the energy.
     """
-    if not state.normalized:
-        raise ValueError("assemble_metric_and_force needs a normalized state")
     orb = state.orbitals
     kdim = derivs.shape[0]
     hpsi = h @ orb
     rhs = orb.conj().T @ hpsi
     energy = float(np.trace(rhs).real)
-    if kdim == 0:
-        empty = np.zeros((0, 0), dtype=complex)
-        return NaturalGradientWorkspace(empty, np.zeros(0, dtype=complex), energy)
-    aflat = derivs.reshape(kdim, -1)
+    aflat = derivs.reshape(kdim, orb.size)
     term1 = aflat.conj() @ aflat.T
     proj = np.tensordot(derivs, orb.conj(), axes=([1], [0]))
-    pflat = proj.reshape(kdim, -1)
+    pflat = proj.reshape(kdim, state.N**2)
     term2 = pflat.conj() @ pflat.T
     x = hpsi - orb @ rhs
     force = aflat.conj() @ x.ravel()
@@ -192,20 +191,17 @@ def _initial_params(spec, m_layers, config, init):
     rng = np.random.default_rng(config.seed)
     if config.init_mode == "random":
         return DqapParams(rng.uniform(0.0, config.init_scale / spec.t, (m_layers, 2)))
-    if config.init_mode == "zeros+noise":
-        return DqapParams(rng.uniform(0.0, 1e-2 * config.init_scale / spec.t, (m_layers, 2)))
-    raise ValueError(f"unknown init_mode {config.init_mode!r}")
+    # zeros+noise
+    return DqapParams(rng.uniform(0.0, 1e-2 * config.init_scale / spec.t, (m_layers, 2)))
 
 
 def _run(spec, params, mode, config):
     h = build_hamiltonian(spec)
-    if params.M == 0:
-        state = SlaterState(initial_state(spec))
-        ws = assemble_metric_and_force(state, np.zeros((0, spec.L, spec.N)), h)
-        return OptResult(params, ws.energy, np.array([ws.energy]), 0, True, "no_descent")
     state, derivs = state_and_derivatives(spec, params, mode=mode)
     ws = assemble_metric_and_force(state, derivs, h)
     trace = [ws.energy]
+    if params.M == 0:
+        return OptResult(params, ws.energy, np.asarray(trace), 0, True, "no_descent")
     stop_reason = "max_iters"
     it = 0
     build = build_dqap_state if mode == "real" else build_imag_state

@@ -6,18 +6,22 @@ layers act column-wise, so every circuit in this package stays inside
 this family and all expectation values reduce to determinants and
 linear solves.
 
-Imaginary-time layers destroy normalization.  After every imaginary
-layer the orbitals are re-orthonormalized by a QR step, the standard
+Every state the package builds has orthonormal orbitals, Psi+ Psi = 1:
+exact orbitals come from `eigh`, real-time layers are unitary, and
+imaginary-time layers are followed by a QR step, the standard
 stabilization of determinant quantum Monte Carlo (White et al., PRB 40,
-506 (1989)): G = QR keeps Q, with R's diagonal made positive so that
+506 (1989)).  G = QR keeps Q, with R's diagonal made positive so that
 det G = det Q * prod diag R, and log prod diag R is accumulated on the
 state.  The stored orbitals stay orthonormal however large the
-imaginary angles grow; `overlap` folds the accumulator back in.
+imaginary angles grow; the norm lives only in `log_scale`, which
+`overlap` folds back in.  Expectation values therefore need no Gram
+solve.  The invariant is not checked at run time (that would cost
+O(L N^2) per half-layer); the tests pin it for every builder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,18 +35,15 @@ _SINGULAR_TOL = 1e-14
 
 @dataclass
 class SlaterState:
-    """Determinant state: orbitals (L, N), plus bookkeeping.
+    """Determinant state: orthonormal orbitals (L, N) and a log scale.
 
-    `normalized` asserts orthonormal columns (true for every state built
-    by this package: exact orbitals, real-time layers, and imaginary-time
-    layers after their QR step).  `log_scale` is the accumulated log of
-    the determinant factors pulled out of the orbitals by imaginary-time
-    layers; the stored matrix times exp(log_scale) is the true
-    (unnormalized) state.
+    The columns of `orbitals` are orthonormal (module docstring).
+    `log_scale` is the accumulated log of the determinant factors pulled
+    out of the orbitals by imaginary-time layers; the stored matrix times
+    exp(log_scale) is the true (unnormalized) state.
     """
 
     orbitals: np.ndarray
-    normalized: bool = True
     log_scale: float = 0.0
 
     def __post_init__(self):
@@ -61,9 +62,6 @@ class SlaterState:
     @property
     def N(self) -> int:
         return self.orbitals.shape[1]
-
-    def copy(self) -> "SlaterState":
-        return replace(self, orbitals=self.orbitals.copy())
 
 
 def _check_compatible(psi: SlaterState, phi: SlaterState):
@@ -193,9 +191,8 @@ def apply_bond_layer(
         imag:  [[cosh(angle*t), w*sinh(angle*t)], [w*sinh(angle*t), cosh(angle*t)]]
 
     where w = +1 in the bulk and w = gamma on the boundary bond.
-    Real mode preserves the `normalized` flag; imaginary mode
-    re-orthonormalizes the columns (so the result is `normalized`) and
-    adds the log of the removed determinant factor to `log_scale`.
+    Real mode is unitary; imaginary mode re-orthonormalizes the columns
+    and adds the log of the removed determinant factor to `log_scale`.
 
     Raises
     ------
@@ -210,21 +207,14 @@ def apply_bond_layer(
     orb = state.orbitals.copy()
     _rotate_rows(orb, a, b, c, s)
     if mode == "real":
-        return SlaterState(orb, normalized=state.normalized, log_scale=state.log_scale)
+        return SlaterState(orb, log_scale=state.log_scale)
     dlog = _orthonormalize(orb[None])
     return SlaterState(orb, log_scale=state.log_scale + dlog)
 
 
 def energy_expectation(state: SlaterState, h: np.ndarray) -> float:
-    """Normalized quadratic expectation Re tr[(Psi+ Psi)^(-1) Psi+ h Psi]."""
+    """Normalized quadratic expectation Re tr[Psi+ h Psi] (orthonormal Psi)."""
     if h.shape != (state.L, state.L):
         raise DimensionMismatch(f"h has shape {h.shape}, state has L={state.L}")
     rhs = state.orbitals.conj().T @ (h @ state.orbitals)
-    if state.normalized:
-        return float(np.trace(rhs).real)
-    gram = _overlap_matrix(state, state)
-    try:
-        val = np.trace(np.linalg.solve(gram, rhs))
-    except np.linalg.LinAlgError as exc:
-        raise SingularOverlapError("state Gram matrix is singular") from exc
-    return float(val.real)
+    return float(np.trace(rhs).real)

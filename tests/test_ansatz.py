@@ -63,7 +63,7 @@ def test_zero_angles_give_dimer_state():
     spec = LatticeSpec.half_filling(8)
     st = build_dqap_state(spec, DqapParams(np.zeros((3, 2))))
     np.testing.assert_allclose(st.orbitals, initial_state(spec), atol=1e-15)
-    assert st.normalized and st.log_scale == 0.0
+    assert st.log_scale == 0.0
 
 
 def test_zero_layer_table_is_allowed():

@@ -128,7 +128,7 @@ def test_subadditivity(data):
 
 def test_mode_form_agrees_with_direct_entropy():
     st_ = circuit_state(10, 2, seed=2)
-    levels = correlation_spectrum(st_, Subsystem.half_chain(10)).levels
+    levels = correlation_spectrum(st_, Subsystem.half_chain(10))
     assert abs(entropy_from_levels(levels) - entropy_mode_form(levels)) < 1e-8
 
 
@@ -143,7 +143,7 @@ def test_entropy_rejects_level_excursions():
 
 def test_particle_hole_symmetric_spectrum_at_half_filling():
     st_ = circuit_state(12, 2, seed=3)
-    levels = correlation_spectrum(st_, Subsystem.half_chain(12)).levels
+    levels = correlation_spectrum(st_, Subsystem.half_chain(12))
     np.testing.assert_allclose(levels, np.sort(1.0 - levels), atol=1e-8)
 
 

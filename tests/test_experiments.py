@@ -271,8 +271,48 @@ def test_malformed_config_is_a_config_error(tmp_path, override):
     {"energy_tol": -1.0},
     {"ridge": -1e-10},
     {"max_iters": -5},
+    {"init_mode": "bogus"},
+    {"init_mode": "warm-start"},  # a ladder's first rung has no table to start from
 ])
 def test_malformed_optimizer_settings_are_a_config_error(tmp_path, optimizer):
     code, out = _run(tmp_path, "energy-sweep", {**_LADDER, "optimizer": optimizer})
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,override", [
+    ("qab", {"samples": "abc"}),
+    ("qab", {"samples": 0}),
+    ("qab", {"samples": 11.0}),
+    ("qab", {"samples": True}),
+    ("entanglement-sweep", {"subsystem_size": 0}),
+    ("spectrum-diagnostic", {"subsystem_size": 9}),  # longer than the L=8 chain
+    ("continuous-time", {"dtau": -0.1}),
+    ("continuous-time", {"dtau": "0.1"}),
+    ("continuous-time", {"target_eps": float("nan")}),
+    ("continuous-time", {"order": 3}),
+    ("continuous-time", {"order": 1.0}),
+    ("continuous-time", {"T_grid": [1, -2]}),
+    ("continuous-time", {"T_grid": 2}),
+], ids=["samples-string", "samples-zero", "samples-float", "samples-bool", "subsystem-zero",
+        "subsystem-too-long", "dtau-negative", "dtau-string", "target-eps-nan", "order-3",
+        "order-float", "T-grid-negative", "T-grid-scalar"])
+def test_malformed_option_value_is_a_config_error(tmp_path, kind, override):
+    code, out = _run(tmp_path, kind, {**CASES[kind][0], **override})
+    assert code == 2
+    assert not out.exists()
+
+
+def test_process_pool_writes_what_a_single_process_writes(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiment": "energy-sweep", **_LADDER, "sizes": [8, 12]}))
+    outs = {}
+    for jobs in (1, 2):
+        out = outs[jobs] = tmp_path / f"jobs{jobs}"
+        assert main(["energy-sweep", "--config", str(path), "--jobs", str(jobs),
+                     "--out", str(out)]) == 0
+    manifests = {j: json.loads((out / "manifest.json").read_text()) for j, out in outs.items()}
+    assert manifests[2]["jobs"] == 2
+    assert manifests[2]["runs"] == manifests[1]["runs"]
+    assert [p.name for p in sorted(outs[1].glob("*.csv"))] == ["energy.csv"]
+    assert (outs[2] / "energy.csv").read_bytes() == (outs[1] / "energy.csv").read_bytes()

@@ -88,7 +88,7 @@ def test_log_scale_multiplies_amplitudes():
     rng = np.random.default_rng(2)
     orb = random_orthonormal(rng, 6, 3)
     a = slater_to_fock(SlaterState(orb))
-    b = slater_to_fock(SlaterState(orb, normalized=False, log_scale=1.3))
+    b = slater_to_fock(SlaterState(orb, log_scale=1.3))
     np.testing.assert_allclose(b.amplitudes, np.exp(1.3) * a.amplitudes, atol=1e-12)
 
 

@@ -281,14 +281,6 @@ def test_imaginary_ladder_l64_is_monotone_and_exact():
     assert energies[-1] - e_exact < 1e-8
 
 
-def test_assembly_rejects_unnormalized_state():
-    spec = LatticeSpec.half_filling(8)
-    state, derivs = state_and_derivatives(spec, DqapParams([[0.3, 0.4]]), mode="imag")
-    scaled = SlaterState(2.0 * state.orbitals, normalized=False)
-    with pytest.raises(ValueError):
-        assemble_metric_and_force(scaled, derivs, build_hamiltonian(spec))
-
-
 # ---- step control ----
 
 
@@ -358,7 +350,7 @@ def test_random_init_bounded_and_reproducible():
 
 def test_unknown_init_mode_rejected():
     with pytest.raises(ValueError):
-        optimize(LatticeSpec.half_filling(8), 2, OptimizerConfig(init_mode="bogus"))
+        OptimizerConfig(init_mode="bogus")
 
 
 # ---- warm start ----

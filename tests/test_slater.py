@@ -5,21 +5,28 @@ import pytest
 
 from dqap_lab import (
     DimensionMismatch,
+    DqapParams,
+    EvolutionPlan,
     FockBasis,
     LatticeSpec,
     SingularOverlapError,
     SlaterState,
     apply_bond_layer,
+    build_dqap_state,
     build_hamiltonian,
+    build_imag_state,
     build_v1,
     build_v2,
     energy_expectation,
+    evolve_linear_schedule,
     exact_ground_state,
     fock_evolve,
     initial_state,
+    intermediate_states,
     many_body_matrix,
     overlap,
     slater_to_fock,
+    state_and_derivatives,
     transition_density,
 )
 
@@ -138,7 +145,6 @@ def test_real_bond_layer_preserves_orthonormality():
     out = apply_bond_layer(st, 2, 0.37, spec)
     gram = out.orbitals.conj().T @ out.orbitals
     np.testing.assert_allclose(gram, np.eye(5), atol=1e-12)
-    assert out.normalized
 
 
 @pytest.mark.parametrize("family,gamma", [(1, -1), (2, -1), (2, +1)])
@@ -169,7 +175,6 @@ def test_imag_bond_layer_matches_fock(family):
     tau = 0.41
     v = build_v1(spec) if family == 1 else build_v2(spec)
     out = apply_bond_layer(st, family, tau, spec, mode="imag")
-    assert out.normalized
     gram = out.orbitals.conj().T @ out.orbitals
     np.testing.assert_allclose(gram, np.eye(N), atol=1e-12)
     target = fock_evolve(slater_to_fock(st), v, tau)
@@ -210,15 +215,6 @@ def test_energy_expectation_at_exact_ground_state():
     assert abs(e - kspace_ground_energy(16, 8, "apbc")) < 1e-10
 
 
-def test_energy_expectation_unnormalized_branch_agrees():
-    spec = LatticeSpec.half_filling(8)
-    h = build_hamiltonian(spec)
-    rng = np.random.default_rng(12)
-    st = random_state(rng, 8, 4)
-    scaled = SlaterState(0.3 * st.orbitals, normalized=False, log_scale=-0.7)
-    assert abs(energy_expectation(st, h) - energy_expectation(scaled, h)) < 1e-10
-
-
 def test_energy_is_variational_bound():
     # N = 5 is odd, so only periodic closure gives a closed shell
     spec = LatticeSpec.half_filling(10, gamma=+1)
@@ -242,3 +238,31 @@ def test_translation_by_two_sites_preserves_energy():
     np.testing.assert_allclose(
         np.roll(out.orbitals, 2, axis=0), out_rolled.orbitals, atol=1e-12
     )
+
+
+# ---- the orthonormal-orbital invariant ----
+
+_SPEC = LatticeSpec.half_filling(12, t=1.5)
+_ANGLES = DqapParams(np.random.default_rng(15).uniform(0.0, 1.5, (3, 2)))
+_STEEP = DqapParams(np.full((3, 2), 3.0 / _SPEC.t))  # log_scale about 88
+
+# builder name -> the states it returns for _SPEC
+_BUILDERS = {
+    "build_dqap_state": lambda: [build_dqap_state(_SPEC, _ANGLES)],
+    "build_imag_state": lambda: [build_imag_state(_SPEC, _STEEP)],
+    "state_and_derivatives-real": lambda: [state_and_derivatives(_SPEC, _ANGLES)[0]],
+    "state_and_derivatives-imag": lambda: [state_and_derivatives(_SPEC, _STEEP, mode="imag")[0]],
+    "intermediate_states": lambda: intermediate_states(_SPEC, _ANGLES),
+    "evolve_linear_schedule": lambda: [
+        evolve_linear_schedule(_SPEC, EvolutionPlan(T=4.0, M=40))[0]
+    ],
+    "exact_ground_state": lambda: [SlaterState(exact_ground_state(_SPEC)[0])],
+}
+
+
+@pytest.mark.parametrize("builder", _BUILDERS)
+def test_every_builder_returns_orthonormal_orbitals(builder):
+    # expectation values and the metric assembly read Psi+ Psi = 1 without checking it
+    for state in _BUILDERS[builder]():
+        gram = state.orbitals.conj().T @ state.orbitals
+        np.testing.assert_allclose(gram, np.eye(_SPEC.N), rtol=0, atol=1e-12)
