@@ -54,6 +54,9 @@ from .lattice import LatticeSpec, build_v1, build_v2, exact_ground_state, initia
 from .slater import SlaterState, apply_bond_layer, overlap
 
 _GAP_TOL = 1e-10
+_T_START = 1.0  # first ramp time tried by find_T_epsilon
+# maximize_overlap's grid step, upper end of chi and alpha, and refinement tolerance
+_GRID_STEP, _GRID_BOUND, _REFINE_XTOL = 0.01, 1.5, 1e-4
 
 
 @dataclass(frozen=True)
@@ -167,13 +170,12 @@ def find_T_epsilon(
     target_eps: float,
     dtau: float = 0.01,
     order: int = 1,
-    t_start: float = 1.0,
     t_cap: float = 1e6,
 ) -> float:
     """A ramp time at which the terminal distance crosses below the target.
 
-    Doubles T from t_start until eps(T) <= target_eps, which brackets a
-    crossing in [T/2, T].  When t_start already meets the target, the
+    Doubles T from 1 until eps(T) <= target_eps, which brackets a
+    crossing in [T/2, T].  When T = 1 already meets the target, the
     lower end is instead halved while eps stays below it (down to 1e-6).
     Bisection then keeps eps <= target_eps at the upper end, stops at 1%
     relative width and returns the upper end.  eps(T) oscillates in T,
@@ -188,7 +190,7 @@ def find_T_epsilon(
         plan = EvolutionPlan(T=T, M=max(1, round(T / dtau)), order=order)
         return evolve_linear_schedule(spec, plan)[1]
 
-    t_hi = t_start
+    t_hi = _T_START
     while eps_at(t_hi) > target_eps:
         t_hi *= 2.0
         if t_hi > t_cap:
@@ -196,7 +198,7 @@ def find_T_epsilon(
                 f"no T <= {t_cap} reaches eps <= {target_eps} for L={spec.L}"
             )
     t_lo = t_hi / 2.0
-    if t_hi == t_start:
+    if t_hi == _T_START:
         while t_lo > 1e-6 and eps_at(t_lo) <= target_eps:
             t_lo /= 2.0
     while (t_hi - t_lo) / t_hi > 0.01:
@@ -300,14 +302,11 @@ def maximize_overlap(
     params: DqapParams,
     m: int,
     alpha: float | None = None,
-    grid_step: float = 0.01,
-    bound: float = 1.5,
-    xtol: float = 1e-4,
 ):
     """Best (chi, alpha) for the m-layer prefix by grid scan plus refinement.
 
-    Scans chi (and alpha unless fixed) over [0, bound] with the given
-    step, then runs a bounded scalar refinement around the best cell,
+    Scans chi (and alpha unless fixed) over [0, 1.5] in steps of 0.01,
+    then runs a bounded scalar refinement (xtol 1e-4) around the best cell,
     one axis at a time.  As in `scheduling_overlap`, alpha scales the
     last odd-family angle after its reduction to angle*t in
     (-pi/2, pi/2], so tables whose odd angles differ by multiples of
@@ -319,7 +318,7 @@ def maximize_overlap(
         raise ValueError(f"prefix depth {m} outside 0..{params.M}")
     if m == 0 and alpha is None:
         alpha = 1.0  # the dimer prefix does not depend on alpha
-    chis = np.arange(0.0, bound + grid_step / 2, grid_step)
+    chis = np.arange(0.0, _GRID_BOUND + _GRID_STEP / 2, _GRID_STEP)
     alphas = np.array([alpha]) if alpha is not None else chis
 
     # The prefix below the alpha-scaled half-layer is built once, and
@@ -336,9 +335,9 @@ def maximize_overlap(
     def refine(fun, centre):
         res = minimize_scalar(
             lambda x: -fun(x),
-            bounds=(max(0.0, centre - grid_step), min(bound, centre + grid_step)),
+            bounds=(max(0.0, centre - _GRID_STEP), min(_GRID_BOUND, centre + _GRID_STEP)),
             method="bounded",
-            options={"xatol": xtol},
+            options={"xatol": _REFINE_XTOL},
         )
         return float(res.x), float(-res.fun)
 

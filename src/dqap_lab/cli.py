@@ -55,8 +55,13 @@ def _cmd_experiment(args):
 
 
 def _cmd_oracle(args):
+    if args.layers < 0 or not 0 < args.t < np.inf:
+        raise ConfigError(f"need --layers >= 0 and finite --t > 0, got {args.layers}, {args.t}")
     gamma = +1 if args.boundary == "pbc" else -1
-    spec = LatticeSpec.half_filling(args.L, gamma=gamma, t=args.t)
+    try:
+        spec = LatticeSpec.half_filling(args.L, gamma=gamma, t=args.t)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rng = np.random.default_rng(args.seed)
     params = DqapParams(rng.uniform(0.0, 0.3, (args.layers, 2)))
     build = build_dqap_state if args.mode == "real" else build_imag_state
@@ -85,11 +90,11 @@ def _cmd_oracle(args):
           f"layers={args.layers} mode={args.mode} seed={args.seed}")
     worst = 0.0
     for name, a, b in checks:
-        diff = abs(a - b)
-        worst = max(worst, diff)
-        flag = "ok" if diff < _ORACLE_TOL else "MISMATCH"
-        print(f"  {name:22s} det={a: .12e}  enum={b: .12e}  |diff|={diff:.2e}  {flag}")
-    print(f"worst |diff| = {worst:.2e} ({'PASS' if worst < _ORACLE_TOL else 'FAIL'})")
+        err = abs(a - b) / max(1.0, abs(b))  # relative above 1: imaginary norms grow fast
+        worst = max(worst, err)
+        flag = "ok" if err < _ORACLE_TOL else "MISMATCH"
+        print(f"  {name:22s} det={a: .12e}  enum={b: .12e}  err={err:.2e}  {flag}")
+    print(f"worst err = {worst:.2e} ({'PASS' if worst < _ORACLE_TOL else 'FAIL'})")
     return 0 if worst < _ORACLE_TOL else 1
 
 

@@ -155,10 +155,6 @@ class ExperimentConfig:
             OptimizerConfig(**opt)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad optimizer settings: {exc}") from exc
-        if opt.get("init_mode") == "warm-start":
-            raise ConfigError(
-                "init_mode 'warm-start' needs an initial table, which a ladder's first rung lacks"
-            )
         seed = raw.get("seed", 0)
         if not _is_int(seed):
             raise ConfigError(f"seed must be an integer, got {seed!r}")

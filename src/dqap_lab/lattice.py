@@ -21,6 +21,7 @@ cases are handled uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,6 +59,7 @@ class LatticeSpec:
         return "pbc" if self.gamma == +1 else "apbc"
 
 
+@lru_cache(maxsize=16)
 def bond_pairs(spec: LatticeSpec, family: int):
     """Site-index pairs and weights of one checkerboard bond family.
 
@@ -72,7 +74,8 @@ def bond_pairs(spec: LatticeSpec, family: int):
     Returns
     -------
     (a, b, w) : int arrays of left/right sites and float weight array.
-        Each pair contributes -t * w * (c+_a c_b + c+_b c_a).
+        Each pair contributes -t * w * (c+_a c_b + c+_b c_a).  The
+        arrays are cached per (spec, family) and read-only.
     """
     L = spec.L
     if family == 1:
@@ -88,6 +91,8 @@ def bond_pairs(spec: LatticeSpec, family: int):
         w[-1] = spec.gamma
     else:
         raise ValueError(f"family must be 1 or 2, got {family}")
+    for arr in (a, b, w):
+        arr.flags.writeable = False  # shared by every caller through the cache
     return a, b, w
 
 

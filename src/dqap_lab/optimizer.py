@@ -31,7 +31,9 @@ start onto a plateau where it stalls too.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -44,7 +46,12 @@ _LSTSQ_CUTOFF = 1e-12
 _MAX_HALVINGS = 60
 _TRUST_CAP = 0.1  # largest angle shift per iteration, in units of 1/t
 _STEP_GROWTH = 1.5  # delta_beta factor after a step taken whole
-_INIT_MODES = ("linear-schedule", "random", "zeros+noise", "warm-start")
+_INIT_MODES = ("linear-schedule", "random")
+
+
+def _number(v, kind=Real):
+    """True for a value of the numeric kind that is not a bool."""
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 @dataclass
@@ -58,11 +65,11 @@ class OptimizerConfig:
     iteration falls below energy_tol, when no halving of the proposed
     shift lowers the energy, or after max_iters iterations.
 
-    init_mode is one of 'linear-schedule', 'random', 'zeros+noise',
-    'warm-start' (the last requires explicit initial parameters); any
-    other value raises ValueError here.
-    init_scale is the base step of the linear schedule and the upper
-    bound of the random draw, in units of 1/t.
+    init_mode is 'linear-schedule' or 'random' (a uniform draw seeded
+    by seed); init_scale is the base step of the linear schedule and the
+    upper bound of the random draw, in units of 1/t.  An explicit table
+    passed to `optimize` replaces either.  A value of the wrong type or
+    out of range (bools included) raises ValueError here.
     """
 
     max_iters: int = 200_000
@@ -74,14 +81,19 @@ class OptimizerConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if not self.delta_beta > 0:
-            raise ValueError(f"delta_beta must be positive, got {self.delta_beta!r}")
-        if not self.energy_tol >= 0:
-            raise ValueError(f"energy_tol must be non-negative, got {self.energy_tol!r}")
-        if not self.ridge >= 0:
-            raise ValueError(f"ridge must be non-negative, got {self.ridge!r}")
-        if not self.max_iters >= 0:
-            raise ValueError(f"max_iters must be non-negative, got {self.max_iters!r}")
+        big = sys.float_info.max  # the comparisons below also reject NaN
+        checks = [
+            ("delta_beta", "a finite positive real", lambda v: _number(v) and 0 < v <= big),
+            ("init_scale", "a finite positive real", lambda v: _number(v) and 0 < v <= big),
+            ("energy_tol", "a finite non-negative real", lambda v: _number(v) and 0 <= v <= big),
+            ("ridge", "a finite non-negative real", lambda v: _number(v) and 0 <= v <= big),
+            ("max_iters", "a non-negative int", lambda v: _number(v, Integral) and v >= 0),
+            ("seed", "an int or None", lambda v: v is None or _number(v, Integral)),
+        ]
+        for name, what, ok in checks:
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if self.init_mode not in _INIT_MODES:
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
 
@@ -184,15 +196,10 @@ def linear_schedule_params(m_layers, spec=None, scale=0.01):
 def _initial_params(spec, m_layers, config, init):
     if init is not None:
         return DqapParams(np.asarray(init.angles, dtype=float).copy())
-    if config.init_mode == "warm-start":
-        raise ValueError("init_mode 'warm-start' needs explicit initial parameters")
     if config.init_mode == "linear-schedule":
         return linear_schedule_params(m_layers, spec, config.init_scale)
     rng = np.random.default_rng(config.seed)
-    if config.init_mode == "random":
-        return DqapParams(rng.uniform(0.0, config.init_scale / spec.t, (m_layers, 2)))
-    # zeros+noise
-    return DqapParams(rng.uniform(0.0, 1e-2 * config.init_scale / spec.t, (m_layers, 2)))
+    return DqapParams(rng.uniform(0.0, config.init_scale / spec.t, (m_layers, 2)))
 
 
 def _run(spec, params, mode, config):
@@ -215,7 +222,7 @@ def _run(spec, params, mode, config):
         accepted = None
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
-            trial = params.with_flat(flat + scale * dtheta)
+            trial = DqapParams.from_flat(flat + scale * dtheta)
             try:
                 energy = energy_expectation(build(spec, trial), h)
             except SingularOverlapError:

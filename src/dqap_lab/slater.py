@@ -149,11 +149,19 @@ def _rotate_rows(arr, a, b, c, s):
     arr[..., b, :] = s * ra + c * rb
 
 
-def _orthonormalize(stack):
-    """Replace stack[0] (L, N) by Q of G = QR in place; return log det R.
+def _apply_generator(orb, a, b, w, t):
+    """Bond-family generator -t*w*(c+_a c_b + h.c.) acting on orbitals."""
+    out = np.zeros_like(orb)
+    out[a] = -t * w[:, None] * orb[b]
+    out[b] = -t * w[:, None] * orb[a]
+    return out
+
+
+def _orthonormalize(orb, tangents=None):
+    """Replace orb (L, N) by Q of G = QR in place; return log det R.
 
     R's diagonal is made positive, so det G = det Q * exp(log det R) keeps
-    the determinant's phase.  Any further slices (derivative stacks) are
+    the determinant's phase.  Any `tangents` slices (k, L, N) are
     multiplied by R^-1 on the right, the same change of column basis.
 
     Raises
@@ -162,15 +170,15 @@ def _orthonormalize(stack):
         If a diagonal entry of R is below 1e-14 of R's largest entry (or
         R is not finite): the columns are linearly dependent to tolerance.
     """
-    q, r = np.linalg.qr(stack[0])
+    q, r = np.linalg.qr(orb)
     d = np.diagonal(r)
     mag = np.abs(d)
     if not mag.min() > _SINGULAR_TOL * np.abs(r).max():
         raise SingularOverlapError("orbital columns are linearly dependent to tolerance")
     phase = d / mag
-    stack[0] = q * phase
-    if len(stack) > 1:
-        stack[1:] = stack[1:] @ np.linalg.inv(r / phase[:, None])
+    orb[:] = q * phase
+    if tangents is not None:
+        tangents[:] = tangents @ np.linalg.inv(r / phase[:, None])
     return float(np.log(mag).sum())
 
 
@@ -180,6 +188,8 @@ def apply_bond_layer(
     angle: float,
     spec: LatticeSpec,
     mode: str = "real",
+    *,
+    tangents: np.ndarray | None = None,
 ) -> SlaterState:
     """Apply exp(-i*angle*V_family) (real) or exp(-angle*V_family) (imag).
 
@@ -194,6 +204,15 @@ def apply_bond_layer(
     Real mode is unitary; imaginary mode re-orthonormalizes the columns
     and adds the log of the removed determinant factor to `log_scale`.
 
+    `tangents`, if given, is a complex (k+1, L, N) array updated in
+    place.  Slices 0..k-1 hold derivatives of the input orbitals; they
+    are transported by the same 2x2 blocks (and in imaginary mode by the
+    same R^-1 of the QR step), so they become derivatives of the result.
+    Slice k is overwritten with the derivative of the result by `angle`:
+    the generator -i*V_family (real) or -V_family (imag) applied to the
+    rotated orbitals, before the QR step.  Every slice ends in the
+    result's column basis.
+
     Raises
     ------
     SingularOverlapError
@@ -206,9 +225,14 @@ def apply_bond_layer(
     c, s = _bond_block(spec, angle, w, mode)
     orb = state.orbitals.copy()
     _rotate_rows(orb, a, b, c, s)
+    if tangents is not None:
+        k = len(tangents) - 1
+        if k:
+            _rotate_rows(tangents[:k], a, b, c, s)
+        tangents[k] = (-1j if mode == "real" else -1.0) * _apply_generator(orb, a, b, w, spec.t)
     if mode == "real":
         return SlaterState(orb, log_scale=state.log_scale)
-    dlog = _orthonormalize(orb[None])
+    dlog = _orthonormalize(orb, tangents)
     return SlaterState(orb, log_scale=state.log_scale + dlog)
 
 

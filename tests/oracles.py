@@ -5,11 +5,14 @@ the allowed modes by half a spacing), finite differences pin analytic
 derivatives, and random orthonormal frames feed the property tests.
 The continuous-time ramp has a dense real-space route (an eigh-based
 exponential per slice) and a 40-digit mpmath product of its 2 x 2
-momentum blocks.  Nothing here calls back into dqap_lab, so agreement
+momentum blocks.  The layered circuit and its angle derivatives have a
+dense route too: `scipy.linalg.expm` half-layers with forward-mode
+derivatives and no re-orthonormalization.  Nothing here calls back into dqap_lab, so agreement
 is meaningful.
 """
 
 import numpy as np
+from scipy.linalg import expm
 
 
 def kspace_modes(L, boundary):
@@ -69,6 +72,62 @@ def hopping_families(L, gamma, t=1.0):
     return v1, v2
 
 
+def dimer_orbitals(L):
+    """(L, L/2) orbitals of the dimer product state: column n on sites 2n, 2n+1."""
+    orbitals = np.zeros((L, L // 2), dtype=complex)
+    for n in range(L // 2):
+        orbitals[2 * n, n] = orbitals[2 * n + 1, n] = np.sqrt(0.5)
+    return orbitals
+
+
+def dense_circuit(L, gamma, table, mode, t=1.0):
+    """Layered circuit on the dimer state and its angle derivatives, by dense exponentials.
+
+    `table` has the (M, 2) layout of the circuit tables: column 0 odd
+    family, column 1 even.  Flat angle k = 0, 1, 2, ... is even(1),
+    odd(1), even(2), ...; half-layer k applies U_k = expm(-i theta_k V)
+    (mode 'real') or expm(-theta_k V) (mode 'imag') with V the dense
+    family matrix.  Forward mode: U_k carries every derivative made so
+    far, and the new one is -i V (or -V) applied to the new state.
+
+    Returns (G, dG): the (L, L/2) orbitals and the (2M, L, L/2)
+    derivatives, never re-orthonormalized.
+    """
+    v1, v2 = hopping_families(L, gamma, t)
+    factor = -1j if mode == "real" else -1.0
+    g = dimer_orbitals(L)
+    derivs = []
+    for k, theta in enumerate(np.asarray(table, dtype=float)[:, ::-1].ravel()):
+        v = v2 if k % 2 == 0 else v1
+        u = expm(factor * theta * v)
+        g = u @ g
+        derivs = [u @ d for d in derivs] + [factor * (v @ g)]
+    return g, np.array(derivs).reshape(-1, L, L // 2)
+
+
+def gauge_invariant_metric_and_force(g, dg, h):
+    """Metric S and force f of orbitals G with derivatives dG, for any column basis.
+
+    With the Gram matrix n = G+ G,
+
+        S_kk' = tr[dG_k+ dG_k' n^-1] - tr[dG_k+ G n^-1 G+ dG_k' n^-1]
+        f_k   = tr[dG_k+ (h G - G n^-1 G+ h G) n^-1]
+
+    which equal the orthonormal-frame formulas for G -> G X, dG -> dG X
+    with X X+ = n^-1.
+    """
+    ninv = np.linalg.inv(g.conj().T @ g)
+    proj = g @ ninv @ g.conj().T
+    right = np.array([d @ ninv for d in dg])  # dG_k n^-1
+    metric = np.einsum("kia,lia->kl", dg.conj(), right) - np.einsum(
+        "kia,ij,lja->kl", dg.conj(), proj, right
+    )
+    hg = h @ g
+    resid = (hg - proj @ hg) @ ninv
+    force = np.einsum("kia,ia->k", dg.conj(), resid)
+    return metric, force
+
+
 def dense_ramp_step(orbitals, v1, v2, T, M, m, order=1):
     """Slice m of the linear ramp V1 + (tau/T) V2 on real-space orbitals.
 
@@ -88,9 +147,7 @@ def dense_ramp_step(orbitals, v1, v2, T, M, m, order=1):
 def dense_ramp(L, gamma, T, M, order=1, t=1.0):
     """Full ramp from the dimer state in real space: (eps, energy) at its end."""
     v1, v2 = hopping_families(L, gamma, t)
-    orbitals = np.zeros((L, L // 2), dtype=complex)
-    for n in range(L // 2):
-        orbitals[2 * n, n] = orbitals[2 * n + 1, n] = np.sqrt(0.5)
+    orbitals = dimer_orbitals(L)
     for m in range(1, M + 1):
         orbitals = dense_ramp_step(orbitals, v1, v2, T, M, m, order)
     h = v1 + v2

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from dqap_lab import (
     DqapParams,
@@ -9,6 +10,7 @@ from dqap_lab import (
     SingularOverlapError,
     SlaterState,
     apply_bond_layer,
+    assemble_metric_and_force,
     build_dqap_state,
     build_imag_state,
     build_v1,
@@ -25,7 +27,13 @@ from dqap_lab import (
     state_and_derivatives,
 )
 
-from .oracles import mp_imag_energy, random_orthonormal
+from .oracles import (
+    dense_circuit,
+    gauge_invariant_metric_and_force,
+    hopping_families,
+    mp_imag_energy,
+    random_orthonormal,
+)
 
 
 def random_params(rng, m, scale=1.0):
@@ -47,13 +55,6 @@ def test_flat_ordering_follows_application_order():
     np.testing.assert_allclose(p.flatten(), [0.2, 0.1, 0.4, 0.3])
     q = DqapParams.from_flat([0.2, 0.1, 0.4, 0.3])
     np.testing.assert_allclose(q.angles, p.angles)
-
-
-def test_with_flat_preserves_subtype():
-    p = DqapParams([[0.1, 0.2]])
-    q = p.with_flat([0.5, 0.6])
-    assert type(q) is DqapParams
-    np.testing.assert_allclose(q.angles, [[0.6, 0.5]])
 
 
 # ---- state builders ----
@@ -193,8 +194,8 @@ def test_real_derivatives_match_finite_differences():
         up[k] += h
         dn[k] -= h
         fd = (
-            build_dqap_state(spec, p.with_flat(up)).orbitals
-            - build_dqap_state(spec, p.with_flat(dn)).orbitals
+            build_dqap_state(spec, DqapParams.from_flat(up)).orbitals
+            - build_dqap_state(spec, DqapParams.from_flat(dn)).orbitals
         ) / (2 * h)
         np.testing.assert_allclose(derivs[k], fd, atol=1e-8)
 
@@ -217,7 +218,7 @@ def test_imag_derivatives_match_fd_of_normalized_overlap():
     p = random_params(rng, 2, scale=0.5)
 
     def value(flat):
-        st = build_imag_state(spec, p.with_flat(flat))
+        st = build_imag_state(spec, DqapParams.from_flat(flat))
         num = overlap(SlaterState(ref), st)
         den = overlap(st, st).real
         return float(np.log(abs(num) ** 2 / den))
@@ -239,6 +240,61 @@ def test_imag_derivatives_match_fd_of_normalized_overlap():
         dn[k] -= h
         fd = (value(up) - value(dn)) / (2 * h)
         assert abs(grad[k] - fd) < 1e-7
+
+
+# (L, gamma, M) of the dense-route comparisons
+_DENSE_CASES = [(8, -1, 2), (10, +1, 3), (16, -1, 4), (30, +1, 3)]
+
+
+@pytest.mark.parametrize("L,gamma,m", _DENSE_CASES)
+def test_real_derivatives_match_dense_route(L, gamma, m):
+    spec = LatticeSpec.half_filling(L, gamma=gamma)
+    p = random_params(np.random.default_rng(L), m)
+    st, derivs = state_and_derivatives(spec, p, mode="real")
+    g, dg = dense_circuit(L, gamma, p.angles, "real")
+    np.testing.assert_allclose(st.orbitals, g, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(derivs, dg, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["real", "imag"])
+@pytest.mark.parametrize("L,gamma,m", _DENSE_CASES)
+def test_metric_and_force_match_dense_route(L, gamma, m, mode):
+    # the dense route never re-orthonormalizes, so it is compared
+    # through the column-basis invariant formulas
+    spec = LatticeSpec.half_filling(L, gamma=gamma)
+    p = random_params(np.random.default_rng(L), m)
+    h = build_hamiltonian(spec)
+    ws = assemble_metric_and_force(*state_and_derivatives(spec, p, mode=mode), h)
+    metric, force = gauge_invariant_metric_and_force(*dense_circuit(L, gamma, p.angles, mode), h)
+    for got, ref in ((ws.metric, metric), (ws.force, force)):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("mode", ["real", "imag"])
+@pytest.mark.parametrize("family", [1, 2])
+def test_bond_layer_tangents_contract(mode, family):
+    # slices 0..k-1 are carried by the layer's blocks, slice k is the
+    # derivative by the layer's angle; all end in the result's column basis
+    spec = LatticeSpec.half_filling(8)
+    rng = np.random.default_rng(9)
+    psi = random_orthonormal(rng, 8, 4)
+    old = rng.normal(size=(2, 8, 4)) + 1j * rng.normal(size=(2, 8, 4))
+    tangents = np.empty((3, 8, 4), dtype=complex)
+    tangents[:2] = old
+    angle, h = 0.37, 1e-6
+    out = apply_bond_layer(SlaterState(psi), family, angle, spec, mode=mode, tangents=tangents)
+
+    v = hopping_families(8, spec.gamma)[family - 1]
+    factor = -1j if mode == "real" else -1.0
+
+    def layer(theta):
+        return expm(factor * theta * v) @ psi
+
+    basis = np.linalg.inv(out.orbitals.conj().T @ layer(angle))  # result = layer(angle) @ basis
+    transported = expm(factor * angle * v) @ old @ basis
+    np.testing.assert_allclose(tangents[:2], transported, rtol=0, atol=1e-13)
+    fd = (layer(angle + h) - layer(angle - h)) / (2 * h) @ basis
+    np.testing.assert_allclose(tangents[2], fd, rtol=0, atol=1e-9)
 
 
 # ---- support growth ----

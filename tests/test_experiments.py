@@ -272,7 +272,17 @@ def test_malformed_config_is_a_config_error(tmp_path, override):
     {"ridge": -1e-10},
     {"max_iters": -5},
     {"init_mode": "bogus"},
-    {"init_mode": "warm-start"},  # a ladder's first rung has no table to start from
+    {"init_mode": "warm-start"},  # not a mode: a starting table is passed explicitly
+    {"delta_beta": 1e999},
+    {"init_scale": "abc"},
+    {"init_scale": 0},
+    {"energy_tol": float("nan")},
+    {"ridge": "0"},
+    {"max_iters": 1e999},
+    {"max_iters": 2.5},
+    {"seed": "x"},
+    {"seed": 1.5},
+    {"seed": True},
 ])
 def test_malformed_optimizer_settings_are_a_config_error(tmp_path, optimizer):
     code, out = _run(tmp_path, "energy-sweep", {**_LADDER, "optimizer": optimizer})
@@ -316,3 +326,25 @@ def test_process_pool_writes_what_a_single_process_writes(tmp_path):
     assert manifests[2]["runs"] == manifests[1]["runs"]
     assert [p.name for p in sorted(outs[1].glob("*.csv"))] == ["energy.csv"]
     assert (outs[2] / "energy.csv").read_bytes() == (outs[1] / "energy.csv").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["real", "imag"])
+@pytest.mark.parametrize("L,boundary,layers", [(10, "pbc", 3), (12, "apbc", 3), (12, "apbc", 6)])
+def test_oracle_subcommand_passes(capsys, mode, L, boundary, layers):
+    # at 6 imaginary layers the squared norm is about 1e6, and is compared relatively
+    code = main(["oracle", "--L", str(L), "--boundary", boundary, "--layers", str(layers),
+                 "--mode", mode])
+    assert code == 0
+    assert "(PASS)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--L", "13"],
+    ["--L", "0"],
+    ["--layers", "-1"],
+    ["--t", "0"],
+    ["--t", "nan"],
+], ids=["L-odd", "L-zero", "layers-negative", "t-zero", "t-nan"])
+def test_oracle_bad_arguments_are_a_config_error(capsys, argv):
+    assert main(["oracle", *argv]) == 2
+    assert "config error" in capsys.readouterr().err

@@ -56,6 +56,16 @@ def test_bond_pairs_explicit_L8():
     assert w[-1] == -1.0
 
 
+def test_bond_pairs_are_read_only():
+    # the arrays are cached and shared by every caller
+    spec = LatticeSpec.half_filling(8)
+    for family in (1, 2):
+        for arr in bond_pairs(spec, family):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 def test_bond_pairs_rejects_unknown_family():
     with pytest.raises(ValueError):
         bond_pairs(LatticeSpec.half_filling(8), 3)

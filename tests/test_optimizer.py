@@ -38,7 +38,7 @@ def random_point(rng, m):
 def natural_gradient_step(workspace, params, config):
     """One unscaled update at the configured step: solve and shift the angles."""
     dtheta = optimizer._solve_step(workspace, config.delta_beta, config.ridge)
-    return params.with_flat(params.flatten() + dtheta)
+    return DqapParams.from_flat(params.flatten() + dtheta)
 
 
 # ---- metric and force ----
@@ -73,8 +73,8 @@ def test_metric_diagonal_is_fidelity_curvature():
         dn = flat.copy()
         up[k] += delta
         dn[k] -= delta
-        o_up = abs(overlap(base, build_dqap_state(spec, params.with_flat(up))))
-        o_dn = abs(overlap(base, build_dqap_state(spec, params.with_flat(dn))))
+        o_up = abs(overlap(base, build_dqap_state(spec, DqapParams.from_flat(up))))
+        o_dn = abs(overlap(base, build_dqap_state(spec, DqapParams.from_flat(dn))))
         return ((2 - 2 * o_up) + (2 - 2 * o_dn)) / (2 * delta**2)
 
     for k in range(flat.size):
@@ -107,7 +107,7 @@ def test_energy_gradient_matches_finite_differences(mode, builder):
     grad = 2.0 * ws.force.real
 
     def energy(flat):
-        return energy_expectation(builder(spec, params.with_flat(flat)), h)
+        return energy_expectation(builder(spec, DqapParams.from_flat(flat)), h)
 
     fd = central_difference(energy, params.flatten(), h=1e-6)
     np.testing.assert_allclose(grad, fd, atol=1e-7)
@@ -313,9 +313,24 @@ def test_warm_start_ladder_reaches_quarter_depth_in_few_iterations():
     ("delta_beta", 0.0),
     ("delta_beta", -0.01),
     ("delta_beta", float("nan")),
+    ("delta_beta", float("inf")),
+    ("delta_beta", True),
+    ("init_scale", "abc"),
+    ("init_scale", 0.0),
+    ("init_scale", float("nan")),
     ("energy_tol", -1e-13),
+    ("energy_tol", float("inf")),
+    ("energy_tol", "1e-13"),
     ("ridge", -1e-10),
+    ("ridge", float("nan")),
+    ("ridge", False),
     ("max_iters", -1),
+    ("max_iters", 1e999),
+    ("max_iters", 10.0),
+    ("max_iters", True),
+    ("seed", "x"),
+    ("seed", 1.5),
+    ("seed", True),
 ])
 def test_malformed_settings_rejected(field, value):
     with pytest.raises(ValueError, match=field):
