@@ -38,7 +38,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import sys
 import time
 import traceback
 from collections.abc import Callable
@@ -66,32 +65,25 @@ from .entanglement import (
 )
 from .errors import ConfigError
 from .lattice import LatticeSpec, exact_ground_state
-from .optimizer import OptimizerConfig, optimize, optimize_imaginary, warm_start
+from .optimizer import (
+    OptimizerConfig, is_finite_positive, is_int, optimize, optimize_imaginary, warm_start
+)
 from .slater import SlaterState, overlap
 
 EPS_INF_COEFF = 2.0 / np.pi  # per-site energy of the infinite chain, in units of t
 
 
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_finite_positive(v):
-    real = isinstance(v, (int, float)) and not isinstance(v, bool)
-    return real and 0 < v <= sys.float_info.max  # also rejects NaN
-
-
 # Value rules of the declared kind options: (what a valid value is, check(value, sizes)).
-_POSITIVE_INT = ("a positive integer", lambda v, sizes: _is_int(v) and v > 0)
-_FINITE_POSITIVE = ("a finite positive number", lambda v, sizes: _is_finite_positive(v))
+_POSITIVE_INT = ("a positive integer", lambda v, sizes: is_int(v) and v > 0)
+_FINITE_POSITIVE = ("a finite positive number", lambda v, sizes: is_finite_positive(v))
 _SUBSYSTEM_SIZE = (
     "a positive integer no larger than the smallest chain length",
-    lambda v, sizes: _is_int(v) and 0 < v <= min(sizes),
+    lambda v, sizes: is_int(v) and 0 < v <= min(sizes),
 )
-_ORDER = ("1 or 2", lambda v, sizes: _is_int(v) and v in (1, 2))
+_ORDER = ("1 or 2", lambda v, sizes: is_int(v) and v in (1, 2))
 _T_GRID = (
     "a list of finite positive numbers",
-    lambda v, sizes: isinstance(v, list) and all(map(_is_finite_positive, v)),
+    lambda v, sizes: isinstance(v, list) and all(map(is_finite_positive, v)),
 )
 
 
@@ -134,7 +126,7 @@ class ExperimentConfig:
         if not isinstance(sizes, list) or not sizes:
             raise ConfigError("'sizes' must be a non-empty list of even chain lengths")
         for L in sizes:
-            if not _is_int(L) or L < 2 or L % 2:
+            if not is_int(L) or L < 2 or L % 2:
                 raise ConfigError(f"invalid chain length {L!r}")
         boundary = raw.get("boundary", "apbc")
         if boundary not in ("apbc", "pbc"):
@@ -144,7 +136,7 @@ class ExperimentConfig:
             if not isinstance(depths, list) or not depths:
                 raise ConfigError("'depths' must be a non-empty list or 'quarter'")
             for m in depths:
-                if not _is_int(m) or m < 0:
+                if not is_int(m) or m < 0:
                     raise ConfigError(f"invalid depth {m!r}")
         if depths is None and KINDS[cfg_kind].needs_depths:
             raise ConfigError(f"experiment {cfg_kind!r} needs explicit 'depths'")
@@ -156,10 +148,10 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad optimizer settings: {exc}") from exc
         seed = raw.get("seed", 0)
-        if not _is_int(seed):
+        if not is_int(seed):
             raise ConfigError(f"seed must be an integer, got {seed!r}")
         t = raw.get("t", 1.0)
-        if not _is_finite_positive(t):
+        if not is_finite_positive(t):
             raise ConfigError(f"t must be a finite positive number, got {t!r}")
         out = raw.get("out")
         if out is not None and not isinstance(out, str):

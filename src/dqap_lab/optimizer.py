@@ -49,9 +49,18 @@ _STEP_GROWTH = 1.5  # delta_beta factor after a step taken whole
 _INIT_MODES = ("linear-schedule", "random")
 
 
-def _number(v, kind=Real):
-    """True for a value of the numeric kind that is not a bool."""
-    return isinstance(v, kind) and not isinstance(v, bool)
+# Checks of config values, shared with experiments.py: bools fail, numpy scalars pass.
+def is_int(v):
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def is_finite_nonnegative(v):
+    real = isinstance(v, Real) and not isinstance(v, bool)
+    return real and 0 <= v <= sys.float_info.max  # also rejects NaN
+
+
+def is_finite_positive(v):
+    return is_finite_nonnegative(v) and v > 0
 
 
 @dataclass
@@ -65,11 +74,10 @@ class OptimizerConfig:
     iteration falls below energy_tol, when no halving of the proposed
     shift lowers the energy, or after max_iters iterations.
 
-    init_mode is 'linear-schedule' or 'random' (a uniform draw seeded
-    by seed); init_scale is the base step of the linear schedule and the
-    upper bound of the random draw, in units of 1/t.  An explicit table
-    passed to `optimize` replaces either.  A value of the wrong type or
-    out of range (bools included) raises ValueError here.
+    init_mode is 'linear-schedule' or 'random' (a uniform draw seeded by
+    seed); init_scale is the base step of the schedule and the upper bound
+    of the draw, in units of 1/t.  An explicit table passed to `optimize`
+    replaces either.  A value of the wrong type or range raises ValueError.
     """
 
     max_iters: int = 200_000
@@ -81,14 +89,13 @@ class OptimizerConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        big = sys.float_info.max  # the comparisons below also reject NaN
         checks = [
-            ("delta_beta", "a finite positive real", lambda v: _number(v) and 0 < v <= big),
-            ("init_scale", "a finite positive real", lambda v: _number(v) and 0 < v <= big),
-            ("energy_tol", "a finite non-negative real", lambda v: _number(v) and 0 <= v <= big),
-            ("ridge", "a finite non-negative real", lambda v: _number(v) and 0 <= v <= big),
-            ("max_iters", "a non-negative int", lambda v: _number(v, Integral) and v >= 0),
-            ("seed", "an int or None", lambda v: v is None or _number(v, Integral)),
+            ("delta_beta", "a finite positive real", is_finite_positive),
+            ("init_scale", "a finite positive real", is_finite_positive),
+            ("energy_tol", "a finite non-negative real", is_finite_nonnegative),
+            ("ridge", "a finite non-negative real", is_finite_nonnegative),
+            ("max_iters", "a non-negative int", lambda v: is_int(v) and v >= 0),
+            ("seed", "an int or None", lambda v: v is None or is_int(v)),
         ]
         for name, what, ok in checks:
             value = getattr(self, name)

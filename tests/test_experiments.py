@@ -331,7 +331,7 @@ def test_process_pool_writes_what_a_single_process_writes(tmp_path):
 @pytest.mark.parametrize("mode", ["real", "imag"])
 @pytest.mark.parametrize("L,boundary,layers", [(10, "pbc", 3), (12, "apbc", 3), (12, "apbc", 6)])
 def test_oracle_subcommand_passes(capsys, mode, L, boundary, layers):
-    # at 6 imaginary layers the squared norm is about 1e6, and is compared relatively
+    # at 6 imaginary layers the squared norm is about 1e6; only the norm is compared relatively
     code = main(["oracle", "--L", str(L), "--boundary", boundary, "--layers", str(layers),
                  "--mode", mode])
     assert code == 0
