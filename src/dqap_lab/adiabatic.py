@@ -143,6 +143,29 @@ def _bloch_orbitals(spec, spinors):
     return orbitals
 
 
+def _ramp_distance(spec, spinors):
+    """Terminal distance sqrt(2 - 2 |<exact|psi>|) of ramped (L/2, 2) spinors.
+
+    The exact ground state fills the lower band of every block, the
+    spinor phi_q = (1, u_q)/sqrt 2 with u_q = (1 + e^{iq}) / |1 + e^{iq}|,
+    so |<exact|psi>| = prod_q sqrt(1 - p_q), where p_q is the normalized
+    weight |<phi_q^perp|psi_q>|^2 / |psi_q|^2 of psi_q in the orthogonal
+    spinor (1, -u_q)/sqrt 2.  Then
+
+        2 - 2 |<exact|psi>| = -2 expm1(sum_q log1p(-p_q) / 2),
+
+    which keeps the relative precision of small p_q; taking 2 - 2 |det|
+    instead would divide the rounding of |det| by eps^2.  Rounding can
+    put p_q a hair above 1, so it is clipped there.
+    """
+    _, emiq, _ = _cell_momenta(spec.L, spec.gamma)
+    z = 1.0 + emiq  # conj(1 + e^{iq}); nonzero on a closed shell
+    a, b = spinors[:, 0], spinors[:, 1]
+    perp = np.abs(a - (z / np.abs(z)) * b) ** 2
+    p = np.minimum(perp / (2.0 * (np.abs(a) ** 2 + np.abs(b) ** 2)), 1.0)
+    return float(np.sqrt(-2.0 * np.expm1(0.5 * np.log1p(-p).sum())))
+
+
 def evolve_linear_schedule(spec: LatticeSpec, plan: EvolutionPlan):
     """Run the full linear ramp from the dimer state.
 
@@ -153,16 +176,16 @@ def evolve_linear_schedule(spec: LatticeSpec, plan: EvolutionPlan):
     -------
     (state, eps) : final SlaterState, whose columns are the Bloch
         orbitals of the ramped spinors, and the terminal distance
-        sqrt(2 - 2 |<exact|state>|) to the exact ground state.
+        sqrt(2 - 2 |<exact|state>|) to the exact ground state, taken
+        from the per-block weights outside the ground spinor
+        (`_ramp_distance`).
     """
     initial_state(spec)  # rejects N != L/2
-    exact, _ = exact_ground_state(spec)
+    exact_ground_state(spec)  # rejects an open shell
     spinors = np.full((spec.L // 2, 2), np.sqrt(0.5), dtype=complex)
     for m in range(1, plan.M + 1):
         spinors = magnus_step(spinors, spec, plan, m)
-    state = SlaterState(_bloch_orbitals(spec, spinors))
-    ov = overlap(SlaterState(exact), state)
-    return state, float(np.sqrt(max(2.0 - 2.0 * abs(ov), 0.0)))
+    return SlaterState(_bloch_orbitals(spec, spinors)), _ramp_distance(spec, spinors)
 
 
 def find_T_epsilon(
@@ -297,6 +320,27 @@ def scheduling_overlap(
     return float(abs(overlap(target, _prefix(spec, params, m)(alpha))) ** 2)
 
 
+def _grid_scan(targets, chis, alphas, prefix_state):
+    """First strict maximum of |<targets[i]|prefix_state(alpha)>|^2 over alphas x chis.
+
+    `targets` are the ground states at the grid points `chis` (log_scale
+    0).  Their adjoints are stacked once as (n_chi, N, L), so each alpha's
+    row of overlaps is one batched determinant, with the same products and
+    LU factorizations as `overlap` at each grid point.  Rows are taken in
+    order, and a row's first maximum replaces the best only when strictly
+    greater: the tie rule of a scalar scan.  Returns (f, chi, alpha).
+    """
+    adjoints = np.array([tgt.orbitals for tgt in targets]).conj().swapaxes(1, 2)
+    f_best, chi_best, al_best = -1.0, 0.0, float(alphas[0])
+    for al in alphas:
+        st = prefix_state(float(al))
+        row = np.abs(np.linalg.det(adjoints @ st.orbitals) * np.exp(st.log_scale)) ** 2
+        i = int(np.argmax(row))
+        if row[i] > f_best:
+            f_best, chi_best, al_best = float(row[i]), float(chis[i]), float(al)
+    return f_best, chi_best, al_best
+
+
 def maximize_overlap(
     spec: LatticeSpec,
     params: DqapParams,
@@ -342,13 +386,7 @@ def maximize_overlap(
         return float(res.x), float(-res.fun)
 
     grid_targets = [_ramp_ground_state(spec, float(c)) for c in chis]
-    f_best, chi_best, al_best = -1.0, 0.0, float(alphas[0])
-    for al in alphas:
-        st = prefix_state(float(al))
-        for chi, tgt in zip(chis, grid_targets):
-            f = float(abs(overlap(tgt, st)) ** 2)
-            if f > f_best:
-                f_best, chi_best, al_best = f, float(chi), float(al)
+    f_best, chi_best, al_best = _grid_scan(grid_targets, chis, alphas, prefix_state)
     # Bounded refinement never evaluates its endpoints, so a refined
     # point replaces the current one only when it is strictly better.
     for _ in range(2):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .slater import SlaterState, transition_density
+from .slater import SlaterState
 
 _LEVEL_TOL = 1e-8  # eigenvalues may stray this far outside [0, 1]
 _PAIR_TOL = 1e-6  # pairwise-degeneracy comparison
@@ -67,12 +67,17 @@ class SpectrumDiagnostic:
 
 
 def one_particle_dm(state: SlaterState, subsystem: Subsystem) -> np.ndarray:
-    """Correlation block D[i, j] = <c+_{s_i} c_{s_j}> on the subsystem sites."""
+    """Correlation block D[i, j] = <c+_{s_i} c_{s_j}> on the subsystem sites.
+
+    The block is a fresh array sliced from the state's cached, read-only
+    `projector`: the N x N solve behind it runs once per state (the state
+    is frozen and its orbitals read-only), however many subsystems are
+    asked for.
+    """
     sites = list(subsystem.sites)
     if any(not 0 <= x < state.L for x in sites):
         raise ValueError(f"subsystem {sites} out of range for L={state.L}")
-    p = transition_density(state, state)
-    return p[np.ix_(sites, sites)].T
+    return state.projector[np.ix_(sites, sites)].T
 
 
 def correlation_spectrum(state: SlaterState, subsystem: Subsystem) -> np.ndarray:

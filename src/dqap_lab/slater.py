@@ -22,6 +22,7 @@ O(L N^2) per half-layer); the tests pin it for every builder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .lattice import LatticeSpec, bond_pairs
 _SINGULAR_TOL = 1e-14
 
 
-@dataclass
+@dataclass(frozen=True)
 class SlaterState:
     """Determinant state: orthonormal orbitals (L, N) and a log scale.
 
@@ -41,19 +42,36 @@ class SlaterState:
     `log_scale` is the accumulated log of the determinant factors pulled
     out of the orbitals by imaginary-time layers; the stored matrix times
     exp(log_scale) is the true (unnormalized) state.
+
+    A state is immutable: the fields cannot be reassigned, and the
+    orbital array is made read-only (a complex input array is taken over,
+    not copied, so the caller's array becomes read-only too).  Operations
+    that evolve a state, such as `apply_bond_layer`, return a new one.
+    This keeps the cached `projector` valid for the life of the state.
     """
 
     orbitals: np.ndarray
     log_scale: float = 0.0
 
     def __post_init__(self):
-        self.orbitals = np.asarray(self.orbitals, dtype=complex)
-        if self.orbitals.ndim != 2:
-            raise DimensionMismatch(f"orbitals must be 2d, got {self.orbitals.shape}")
-        if self.orbitals.shape[0] < self.orbitals.shape[1]:
-            raise DimensionMismatch(
-                f"more orbitals than sites: {self.orbitals.shape}"
-            )
+        orbitals = np.asarray(self.orbitals, dtype=complex)
+        if orbitals.ndim != 2:
+            raise DimensionMismatch(f"orbitals must be 2d, got {orbitals.shape}")
+        if orbitals.shape[0] < orbitals.shape[1]:
+            raise DimensionMismatch(f"more orbitals than sites: {orbitals.shape}")
+        orbitals.setflags(write=False)
+        object.__setattr__(self, "orbitals", orbitals)
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        """The L x L one-particle projector `transition_density(self, self)`, read-only.
+
+        Computed on first access and kept, so every correlation block of
+        one state shares one N x N solve.
+        """
+        p = transition_density(self, self)
+        p.setflags(write=False)
+        return p
 
     @property
     def L(self) -> int:

@@ -7,8 +7,9 @@ The continuous-time ramp has a dense real-space route (an eigh-based
 exponential per slice) and a 40-digit mpmath product of its 2 x 2
 momentum blocks.  The layered circuit and its angle derivatives have a
 dense route too: `scipy.linalg.expm` half-layers with forward-mode
-derivatives and no re-orthonormalization.  Nothing here calls back into dqap_lab, so agreement
-is meaningful.
+derivatives and no re-orthonormalization.  The overlap grid scan has a
+scalar route, one determinant per grid point.  Nothing here calls back
+into dqap_lab, so agreement is meaningful.
 """
 
 import numpy as np
@@ -234,3 +235,22 @@ def mp_imag_energy(L, boundary, table, t=1.0, dps=40):
             h01 = -t * (1 + mp.conj(eiq))  # block entry <A|H_q|B>
             energy += 2 * mp.re(mp.conj(a) * h01 * b)
         return energy
+
+
+def scalar_grid_scan(targets, chis, alphas, prefix_state):
+    """Grid scan of |<target|prefix(alpha)>|^2, one determinant per (alpha, chi) point.
+
+    `targets` and the states `prefix_state(alpha)` returns carry
+    `orbitals` and `log_scale`.  Points are visited alpha by alpha, chi by
+    chi, and a point replaces the best only when strictly greater.
+    Returns (f, chi, alpha).
+    """
+    f_best, chi_best, al_best = -1.0, 0.0, float(alphas[0])
+    for al in alphas:
+        st = prefix_state(float(al))
+        for chi, tgt in zip(chis, targets):
+            det = np.linalg.det(tgt.orbitals.conj().T @ st.orbitals)
+            f = float(abs(complex(det * np.exp(tgt.log_scale + st.log_scale))) ** 2)
+            if f > f_best:
+                f_best, chi_best, al_best = f, float(chi), float(al)
+    return f_best, chi_best, al_best

@@ -44,6 +44,7 @@ from .oracles import (
     kspace_levels,
     mp_ramp_eps,
     random_orthonormal,
+    scalar_grid_scan,
 )
 
 
@@ -170,6 +171,18 @@ def test_ramp_matches_forty_digit_block_product():
     _, eps = evolve_linear_schedule(spec, EvolutionPlan(T=50.0, M=1000))
     ref = float(mp_ramp_eps(32, "apbc", 50.0, 1000))
     assert abs(eps - ref) < 1e-12 * ref
+
+
+@pytest.mark.parametrize("T", [20.0, 50.0])
+def test_small_ramp_distance_keeps_its_relative_precision(T):
+    # eps ~ 0.018: from 2 - 2|det| the rounding of |det| would be divided
+    # by eps^2, giving errors of 3e-11 and 5e-11 relative here
+    pytest.importorskip("mpmath")
+    spec = LatticeSpec.half_filling(8)
+    M = round(T / 0.01)
+    _, eps = evolve_linear_schedule(spec, EvolutionPlan(T=T, M=M))
+    ref = float(mp_ramp_eps(8, "apbc", T, M))
+    assert abs(eps - ref) < 2e-13 * ref
 
 
 @pytest.mark.parametrize(
@@ -399,6 +412,31 @@ def test_partial_prefix_matches_fock_route():
             expected = abs(np.vdot(ground, vec.amplitudes)) ** 2
             got = scheduling_overlap(spec, params, m, chi, alpha)
             assert abs(got - expected) < 1e-10
+
+
+@pytest.mark.parametrize("L, M", [(12, 3), (16, 4)])
+def test_batched_scan_equals_scalar_scan(L, M, monkeypatch):
+    spec = LatticeSpec.half_filling(L)
+    params = DqapParams(np.random.default_rng(L).uniform(0.0, 0.3, (M, 2)))
+    batched = [maximize_overlap(spec, params, m, alpha)
+               for m in range(M + 1) for alpha in (None, 1.0)]
+    monkeypatch.setattr(adiabatic, "_grid_scan", scalar_grid_scan)
+    scalar = [maximize_overlap(spec, params, m, alpha)
+              for m in range(M + 1) for alpha in (None, 1.0)]
+    assert batched == scalar
+
+
+def test_batched_scan_keeps_the_first_maximum():
+    # equal rows (a prefix that ignores alpha) and equal columns (repeated
+    # targets): the first alpha and the first chi win, as in the scalar scan
+    spec = LatticeSpec.half_filling(8)
+    dimer = SlaterState(initial_state(spec))
+    targets = [SlaterState(exact_ground_state(spec)[0]), dimer, dimer, dimer]
+    chis = np.array([1.0, 0.0, 0.5, 0.7])
+    alphas = np.array([0.2, 0.4, 0.6])
+    got = adiabatic._grid_scan(targets, chis, alphas, lambda al: dimer)
+    assert got == scalar_grid_scan(targets, chis, alphas, lambda al: dimer)
+    assert got[1:] == (0.0, 0.2)
 
 
 def test_free_alpha_never_loses_to_fixed(ladder16):

@@ -1,5 +1,7 @@
 """Determinant-state algebra cross-checked against the occupation-basis oracle."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -266,3 +268,15 @@ def test_every_builder_returns_orthonormal_orbitals(builder):
     for state in _BUILDERS[builder]():
         gram = state.orbitals.conj().T @ state.orbitals
         np.testing.assert_allclose(gram, np.eye(_SPEC.N), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("builder", _BUILDERS)
+def test_every_builder_returns_an_immutable_state(builder):
+    # the cached projector is valid only while the orbitals cannot change
+    for state in _BUILDERS[builder]():
+        with pytest.raises(ValueError):
+            state.orbitals[0, 0] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            state.orbitals = np.zeros_like(state.orbitals)
+        with pytest.raises(FrozenInstanceError):
+            state.log_scale = 1.0
