@@ -28,6 +28,18 @@ because [sigma_x, cos q sigma_x + sin q sigma_y] = 2i sin q sigma_z.
 Either generator is n . sigma for a real 3-vector n per block, and
 exp(-i n . sigma) = cos|n| - i (sin|n| / |n|) n . sigma exactly.
 
+That exponential is in SU(2), [[alpha, beta], [-conj(beta), conj(alpha)]],
+so a slice is one pair (alpha, beta) per cell momentum.  A run of
+consecutive slices is evaluated as (n_slices, L/2) arrays in one pass
+and multiplied by pairwise levels, later slice on the left:
+
+    alpha = alpha1 alpha0 - beta1 conj(beta0),
+    beta  = alpha1 beta0 + beta1 conj(alpha0),
+
+with an odd last slice carried up a level.  The ramp steps chunks of
+`_CHUNK_ELEMENTS` slice x cell entries this way, so each temporary
+stays near 1 MB at any L, and the spinors are touched once per chunk.
+
 The closed-form optimal ramp keeps the adiabaticity rate uniform along
 the path.  Writing g for 2 pi / L, the ramp and instantaneous gap are
 
@@ -54,9 +66,13 @@ from .lattice import LatticeSpec, build_v1, build_v2, exact_ground_state, initia
 from .slater import SlaterState, apply_bond_layer, overlap
 
 _GAP_TOL = 1e-10
+# slice x cell entries per magnus_step call of a ramp: about 1 MB per temporary
+_CHUNK_ELEMENTS = 1 << 16
 _T_START = 1.0  # first ramp time tried by find_T_epsilon
 # maximize_overlap's grid step, upper end of chi and alpha, and refinement tolerance
 _GRID_STEP, _GRID_BOUND, _REFINE_XTOL = 0.01, 1.5, 1e-4
+_GRID_CHIS = np.arange(0.0, _GRID_BOUND + _GRID_STEP / 2, _GRID_STEP)
+_GRID_CHIS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -90,27 +106,20 @@ def _cell_momenta(L, gamma):
     return grid
 
 
-def magnus_step(spinors, spec: LatticeSpec, plan: EvolutionPlan, m: int):
-    """Advance an (L/2, 2) spinor array by one slice, from (m-1) dt to m dt (m = 1..M).
+def _slice_blocks(spec, plan, slices):
+    """SU(2) pairs (alpha, beta), each (len(slices), L/2), of the slices' block exponentials.
 
-    Row n holds the sublattice amplitudes of cell momentum q_n (module
-    docstring).  The first-order generator is dt H_q(s_mid); order 2 adds
-    the commutator term -(dt^2/3) t^2 sin q (s_{m-1} - s_m) sigma_z.
-    Each block is exponentiated in closed form, so the step is exactly
-    unitary and costs O(L).
+    A block is [[alpha, beta], [-conj(beta), conj(alpha)]] with
+    alpha = c - i k w_z (alpha = c at order 1) and beta = -i k w, where
+    the generator is n . sigma = t dt [[w_z, w], [conj(w), -w_z]],
+    c = cos|n| and k = t dt sin|n| / |n|.
     """
-    if not 1 <= m <= plan.M:
-        raise ValueError(f"slice index {m} outside 1..{plan.M}")
-    spinors = np.asarray(spinors)
-    if spinors.shape != (spec.L // 2, 2):
-        raise DimensionMismatch(
-            f"spinors must have shape {(spec.L // 2, 2)}, got {spinors.shape}"
-        )
     _, emiq, sin_q = _cell_momenta(spec.L, spec.gamma)
     dt = plan.delta_tau
+    m = np.arange(slices.start, slices.stop)[:, None]
     s_prev, s_next = (m - 1) * dt / plan.T, m * dt / plan.T
     tdt = spec.t * dt
-    # Generator n . sigma = t dt [[w_z, w], [conj(w), -w_z]]; |w| >= 1 - s_mid > 0.
+    # |w| >= 1 - s_mid > 0
     w = -1.0 - 0.5 * (s_prev + s_next) * emiq
     if plan.order == 2:
         w_z = (tdt / 3.0 * (s_next - s_prev)) * sin_q
@@ -119,16 +128,58 @@ def magnus_step(spinors, spec: LatticeSpec, plan: EvolutionPlan, m: int):
         r = np.abs(w)
     c = np.cos(tdt * r)
     k = np.sin(tdt * r) / r  # sin|n| / |n| times t dt
-    g = -1j * k * w
-    if plan.order == 2:
-        d = 1j * k * w_z
-        c_a, c_b = c - d, c + d
-    else:
-        c_a = c_b = c
+    alpha = c - 1j * k * w_z if plan.order == 2 else c
+    return alpha, -1j * k * w
+
+
+def _compose(alpha, beta):
+    """Product of the SU(2) pairs along axis 0, later rows on the left, by pairwise levels.
+
+    Rows 2i and 2i+1 become U_{2i+1} U_{2i}:
+    alpha = alpha1 alpha0 - beta1 conj(beta0), beta = alpha1 beta0 + beta1 conj(alpha0).
+    An odd last row is carried up a level unchanged.
+    """
+    while len(alpha) > 1:
+        n = len(alpha) & ~1
+        a0, a1, b0, b1 = alpha[0:n:2], alpha[1:n:2], beta[0:n:2], beta[1:n:2]
+        a = a1 * a0 - b1 * b0.conj()
+        b = a1 * b0 + b1 * a0.conj()
+        if n < len(alpha):
+            a, b = np.concatenate((a, alpha[n:])), np.concatenate((b, beta[n:]))
+        alpha, beta = a, b
+    return alpha[0], beta[0]
+
+
+def magnus_step(spinors, spec: LatticeSpec, plan: EvolutionPlan, m: int | range):
+    """Advance an (L/2, 2) spinor array over slice m, or over a range of consecutive slices.
+
+    Slice m runs from (m-1) dt to m dt (m = 1..M); an int m is the
+    one-slice range(m, m + 1).  Row n holds the sublattice amplitudes of
+    cell momentum q_n (module docstring).  The first-order generator is
+    dt H_q(s_mid); order 2 adds the commutator term
+    -(dt^2/3) t^2 sin q (s_{m-1} - s_m) sigma_z.  Each slice's block is
+    exponentiated in closed form as an SU(2) pair (alpha, beta), all
+    slices of the range in one vectorized pass; the blocks are multiplied
+    by pairwise levels, later slice on the left, and the product is
+    applied to the spinors once.  Every block is exactly unitary, and a
+    slice costs O(L).  Raises ValueError for an empty range, a step
+    other than 1 or a slice outside 1..M.
+    """
+    slices = m if isinstance(m, range) else range(m, m + 1)
+    if slices.step != 1 or len(slices) == 0:
+        raise ValueError(f"slices must be a non-empty range of step 1, got {slices}")
+    if slices.start < 1 or slices.stop - 1 > plan.M:
+        raise ValueError(f"slices {slices.start}..{slices.stop - 1} outside 1..{plan.M}")
+    spinors = np.asarray(spinors)
+    if spinors.shape != (spec.L // 2, 2):
+        raise DimensionMismatch(
+            f"spinors must have shape {(spec.L // 2, 2)}, got {spinors.shape}"
+        )
+    alpha, beta = _compose(*_slice_blocks(spec, plan, slices))
     a, b = spinors[:, 0], spinors[:, 1]
     out = np.empty(spinors.shape, dtype=complex)
-    out[:, 0] = c_a * a + g * b
-    out[:, 1] = c_b * b - g.conj() * a
+    out[:, 0] = alpha * a + beta * b
+    out[:, 1] = alpha.conj() * b - beta.conj() * a
     return out
 
 
@@ -183,8 +234,10 @@ def evolve_linear_schedule(spec: LatticeSpec, plan: EvolutionPlan):
     initial_state(spec)  # rejects N != L/2
     exact_ground_state(spec)  # rejects an open shell
     spinors = np.full((spec.L // 2, 2), np.sqrt(0.5), dtype=complex)
-    for m in range(1, plan.M + 1):
-        spinors = magnus_step(spinors, spec, plan, m)
+    per_call = max(1, _CHUNK_ELEMENTS // (spec.L // 2))
+    for start in range(1, plan.M + 1, per_call):
+        stop = min(start + per_call, plan.M + 1)
+        spinors = magnus_step(spinors, spec, plan, range(start, stop))
     return SlaterState(_bloch_orbitals(spec, spinors)), _ramp_distance(spec, spinors)
 
 
@@ -320,17 +373,29 @@ def scheduling_overlap(
     return float(abs(overlap(target, _prefix(spec, params, m)(alpha))) ** 2)
 
 
-def _grid_scan(targets, chis, alphas, prefix_state):
-    """First strict maximum of |<targets[i]|prefix_state(alpha)>|^2 over alphas x chis.
+@lru_cache(maxsize=2)
+def _grid_adjoints(spec):
+    """Read-only (n_chi, N, L) adjoints of the ramp ground states at the chi grid points.
 
-    `targets` are the ground states at the grid points `chis` (log_scale
-    0).  Their adjoints are stacked once as (n_chi, N, L), so each alpha's
-    row of overlaps is one batched determinant, with the same products and
-    LU factorizations as `overlap` at each grid point.  Rows are taken in
+    They depend only on the spec, so every `maximize_overlap` call on it
+    shares one diagonalization per grid point.
+    """
+    targets = [_ramp_ground_state(spec, float(c)) for c in _GRID_CHIS]
+    adjoints = np.array([tgt.orbitals for tgt in targets]).conj().swapaxes(1, 2)
+    adjoints.flags.writeable = False  # shared by every caller through the cache
+    return adjoints
+
+
+def _grid_scan(adjoints, chis, alphas, prefix_state):
+    """First strict maximum of |det(adjoints[i] prefix_state(alpha))|^2 over alphas x chis.
+
+    `adjoints` stacks the conjugate transposes of the ground states at the
+    grid points `chis` (log_scale 0) as (n_chi, N, L), so each alpha's row
+    of overlaps is one batched determinant, with the same products and LU
+    factorizations as `overlap` at each grid point.  Rows are taken in
     order, and a row's first maximum replaces the best only when strictly
     greater: the tie rule of a scalar scan.  Returns (f, chi, alpha).
     """
-    adjoints = np.array([tgt.orbitals for tgt in targets]).conj().swapaxes(1, 2)
     f_best, chi_best, al_best = -1.0, 0.0, float(alphas[0])
     for al in alphas:
         st = prefix_state(float(al))
@@ -362,11 +427,10 @@ def maximize_overlap(
         raise ValueError(f"prefix depth {m} outside 0..{params.M}")
     if m == 0 and alpha is None:
         alpha = 1.0  # the dimer prefix does not depend on alpha
-    chis = np.arange(0.0, _GRID_BOUND + _GRID_STEP / 2, _GRID_STEP)
-    alphas = np.array([alpha]) if alpha is not None else chis
+    alphas = np.array([alpha]) if alpha is not None else _GRID_CHIS
 
     # The prefix below the alpha-scaled half-layer is built once, and
-    # each grid ramp point is diagonalized once.
+    # each grid ramp point is diagonalized once per spec (`_grid_adjoints`).
     prefix_state = _prefix(spec, params, m)
     targets = {}
 
@@ -385,8 +449,7 @@ def maximize_overlap(
         )
         return float(res.x), float(-res.fun)
 
-    grid_targets = [_ramp_ground_state(spec, float(c)) for c in chis]
-    f_best, chi_best, al_best = _grid_scan(grid_targets, chis, alphas, prefix_state)
+    f_best, chi_best, al_best = _grid_scan(_grid_adjoints(spec), _GRID_CHIS, alphas, prefix_state)
     # Bounded refinement never evaluates its endpoints, so a refined
     # point replaces the current one only when it is strictly better.
     for _ in range(2):

@@ -7,8 +7,9 @@ The continuous-time ramp has a dense real-space route (an eigh-based
 exponential per slice) and a 40-digit mpmath product of its 2 x 2
 momentum blocks.  The layered circuit and its angle derivatives have a
 dense route too: `scipy.linalg.expm` half-layers with forward-mode
-derivatives and no re-orthonormalization.  The overlap grid scan has a
-scalar route, one determinant per grid point.  Nothing here calls back
+derivatives and no re-orthonormalization.  The ramp's Bloch spinors
+have a one-slice-at-a-time route.  The overlap grid scan has a scalar
+route, one determinant per grid point.  Nothing here calls back
 into dqap_lab, so agreement is meaningful.
 """
 
@@ -179,6 +180,31 @@ def bloch_frame(L, boundary):
     return frame
 
 
+def sequential_ramp(spinors, L, boundary, T, M, slices, order=1, t=1.0):
+    """Bloch spinors (L/2, 2) stepped through `slices` of the ramp one slice at a time.
+
+    Slice m applies, to every cell momentum q, the closed-form exponential
+    of t dt [[w_z, w], [conj(w), -w_z]] with w = -1 - s_mid e^{-iq} and
+    (order 2) w_z = (t dt / 3) (s_m - s_{m-1}) sin q:
+    exp(-i n . sigma) = cos|n| - i (sin|n| / |n|) n . sigma.
+    """
+    q = cell_momenta(L, boundary)
+    emiq, sin_q = np.exp(-1j * q), np.sin(q)
+    dt = T / M
+    tdt = t * dt
+    spinors = np.asarray(spinors, dtype=complex)
+    a, b = spinors[:, 0], spinors[:, 1]
+    for m in slices:
+        s_prev, s_next = (m - 1) * dt / T, m * dt / T
+        w = -1.0 - 0.5 * (s_prev + s_next) * emiq
+        w_z = (tdt / 3.0 * (s_next - s_prev)) * sin_q if order == 2 else np.zeros(len(q))
+        r = np.sqrt(np.abs(w) ** 2 + w_z**2)
+        c, k = np.cos(tdt * r), np.sin(tdt * r) / r
+        g = -1j * k * w
+        a, b = (c - 1j * k * w_z) * a + g * b, (c + 1j * k * w_z) * b - g.conj() * a
+    return np.stack([a, b], axis=1)
+
+
 def mp_ramp_eps(L, boundary, T, M, t=1.0, dps=40):
     """Order-1 ramp's terminal distance, as a product of 2 x 2 blocks in mpmath.
 
@@ -237,10 +263,11 @@ def mp_imag_energy(L, boundary, table, t=1.0, dps=40):
         return energy
 
 
-def scalar_grid_scan(targets, chis, alphas, prefix_state):
-    """Grid scan of |<target|prefix(alpha)>|^2, one determinant per (alpha, chi) point.
+def scalar_grid_scan(adjoints, chis, alphas, prefix_state):
+    """Grid scan of |det(adjoint prefix(alpha))|^2, one determinant per (alpha, chi) point.
 
-    `targets` and the states `prefix_state(alpha)` returns carry
+    `adjoints[i]` is the conjugate transpose of the (log_scale 0) target
+    at `chis[i]`; the states `prefix_state(alpha)` returns carry
     `orbitals` and `log_scale`.  Points are visited alpha by alpha, chi by
     chi, and a point replaces the best only when strictly greater.
     Returns (f, chi, alpha).
@@ -248,9 +275,9 @@ def scalar_grid_scan(targets, chis, alphas, prefix_state):
     f_best, chi_best, al_best = -1.0, 0.0, float(alphas[0])
     for al in alphas:
         st = prefix_state(float(al))
-        for chi, tgt in zip(chis, targets):
-            det = np.linalg.det(tgt.orbitals.conj().T @ st.orbitals)
-            f = float(abs(complex(det * np.exp(tgt.log_scale + st.log_scale))) ** 2)
+        for chi, adj in zip(chis, adjoints):
+            det = np.linalg.det(adj @ st.orbitals)
+            f = float(abs(complex(det * np.exp(st.log_scale))) ** 2)
             if f > f_best:
                 f_best, chi_best, al_best = f, float(chi), float(al)
     return f_best, chi_best, al_best

@@ -45,6 +45,7 @@ from .oracles import (
     mp_ramp_eps,
     random_orthonormal,
     scalar_grid_scan,
+    sequential_ramp,
 )
 
 
@@ -95,6 +96,68 @@ def test_step_rejects_wrong_spinor_shape():
     spec = LatticeSpec.half_filling(8)
     with pytest.raises(DimensionMismatch):
         magnus_step(np.ones((8, 2)), spec, EvolutionPlan(T=1.0, M=4), 1)
+
+
+def test_step_rejects_bad_slice_ranges():
+    spec = LatticeSpec.half_filling(8)
+    sp = _dimer_spinors(spec)
+    plan = EvolutionPlan(T=1.0, M=4)
+    for bad in (range(3, 3), range(4, 2), range(1, 5, 2), range(4, 1, -1),
+                range(0, 3), range(3, 6)):
+        with pytest.raises(ValueError):
+            magnus_step(sp, spec, plan, bad)
+
+
+def _random_spinors(rng, cells):
+    sp = rng.normal(size=(cells, 2)) + 1j * rng.normal(size=(cells, 2))
+    return sp / np.linalg.norm(sp, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("L, gamma", [(10, +1), (12, -1)])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("start, length", [(1, 1), (5, 2), (9, 3), (100, 7), (977, 1023)])
+def test_slice_range_matches_sequential_slices(L, gamma, order, start, length):
+    spec = LatticeSpec.half_filling(L, gamma=gamma)
+    sp = _random_spinors(np.random.default_rng(length), L // 2)
+    plan = EvolutionPlan(T=20.0, M=2000, order=order)
+    slices = range(start, start + length)
+    got = magnus_step(sp, spec, plan, slices)
+    ref = sequential_ramp(sp, L, spec.boundary, plan.T, plan.M, slices, order)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14)
+    if length == 1:
+        np.testing.assert_array_equal(magnus_step(sp, spec, plan, start), got)
+
+
+@pytest.mark.parametrize("L, gamma", [(62, +1), (64, -1)])
+@pytest.mark.parametrize("order", [1, 2])
+def test_chunked_ramp_matches_sequential_slices(L, gamma, order):
+    # 5000 slices of 31 or 32 cells span three chunks
+    spec = LatticeSpec.half_filling(L, gamma=gamma)
+    plan = EvolutionPlan(T=250.0, M=5000, order=order)
+    assert plan.M * (L // 2) > 2 * adiabatic._CHUNK_ELEMENTS
+    state, _ = evolve_linear_schedule(spec, plan)
+    ref = sequential_ramp(_dimer_spinors(spec), L, spec.boundary, plan.T, plan.M,
+                          range(1, plan.M + 1), order)
+    np.testing.assert_allclose(state.orbitals, _spinor_orbitals(spec, ref), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("L, M", [(8, 10), (32, 3740), (64, 5000), (256, 1100)])
+def test_ramp_steps_in_bounded_chunks(L, M, monkeypatch):
+    # the ramp runs through magnus_step, one call per chunk of at most
+    # _CHUNK_ELEMENTS slice x cell entries, slices in order
+    calls = []
+    step = adiabatic.magnus_step
+
+    def counting_step(spinors, spec, plan, m):
+        calls.append(m)
+        return step(spinors, spec, plan, m)
+
+    monkeypatch.setattr(adiabatic, "magnus_step", counting_step)
+    evolve_linear_schedule(LatticeSpec.half_filling(L), EvolutionPlan(T=0.05 * M, M=M))
+    per_call = adiabatic._CHUNK_ELEMENTS // (L // 2)
+    assert len(calls) == -(-M // per_call)
+    assert all(len(r) * (L // 2) <= adiabatic._CHUNK_ELEMENTS for r in calls)
+    assert [m for r in calls for m in r] == list(range(1, M + 1))
 
 
 def test_tiny_step_is_near_identity():
@@ -170,6 +233,16 @@ def test_ramp_matches_forty_digit_block_product():
     spec = LatticeSpec.half_filling(32)
     _, eps = evolve_linear_schedule(spec, EvolutionPlan(T=50.0, M=1000))
     ref = float(mp_ramp_eps(32, "apbc", 50.0, 1000))
+    assert abs(eps - ref) < 1e-12 * ref
+
+
+def test_ramp_at_benchmark_crossing_matches_forty_digit_block_product():
+    # the ramp the continuous-time search returns at L=32, dtau 0.05:
+    # one chunk of 3740 slices composed by pairwise levels
+    pytest.importorskip("mpmath")
+    spec = LatticeSpec.half_filling(32)
+    _, eps = evolve_linear_schedule(spec, EvolutionPlan(T=187.0, M=3740))
+    ref = float(mp_ramp_eps(32, "apbc", 187.0, 3740))
     assert abs(eps - ref) < 1e-12 * ref
 
 
@@ -432,11 +505,35 @@ def test_batched_scan_keeps_the_first_maximum():
     spec = LatticeSpec.half_filling(8)
     dimer = SlaterState(initial_state(spec))
     targets = [SlaterState(exact_ground_state(spec)[0]), dimer, dimer, dimer]
+    adjoints = np.array([tgt.orbitals.conj().T for tgt in targets])
     chis = np.array([1.0, 0.0, 0.5, 0.7])
     alphas = np.array([0.2, 0.4, 0.6])
-    got = adiabatic._grid_scan(targets, chis, alphas, lambda al: dimer)
-    assert got == scalar_grid_scan(targets, chis, alphas, lambda al: dimer)
+    got = adiabatic._grid_scan(adjoints, chis, alphas, lambda al: dimer)
+    assert got == scalar_grid_scan(adjoints, chis, alphas, lambda al: dimer)
     assert got[1:] == (0.0, 0.2)
+
+
+def test_grid_ground_states_are_built_once_per_spec(monkeypatch):
+    # 8 scans on one spec diagonalize each of the 151 grid points once,
+    # not 8 x 151 times; the shared stack is read-only
+    spec = LatticeSpec.half_filling(16)
+    params = DqapParams(np.random.default_rng(16).uniform(0.0, 0.3, (4, 2)))
+    chis = []
+    build = adiabatic._ramp_ground_state
+
+    def counting_build(spec, chi):
+        chis.append(chi)
+        return build(spec, chi)
+
+    monkeypatch.setattr(adiabatic, "_ramp_ground_state", counting_build)
+    adiabatic._grid_adjoints.cache_clear()
+    for m in range(1, 5):
+        maximize_overlap(spec, params, m)
+        maximize_overlap(spec, params, m, alpha=1.0)
+    grid = set(adiabatic._GRID_CHIS.tolist())
+    assert len(grid) == 151
+    assert sum(chi in grid for chi in chis) == 151
+    assert not adiabatic._grid_adjoints(spec).flags.writeable
 
 
 def test_free_alpha_never_loses_to_fixed(ladder16):
