@@ -18,9 +18,19 @@ e^{iq L/2} = gamma, so the cell momenta are q = (2 pi n + phi) / (L/2),
 n = 0..L/2-1, with phi = 0 for periodic and phi = pi for antiperiodic
 closure.  The dimer state puts one fermion in every block, in the
 spinor (1, 1)/sqrt 2, so a ramped state is an (L/2, 2) spinor array and
-a slice costs O(L).  Over slice m the first-order generator is
-dt H_q(s_mid).  The second-order commutator term
-(dt^2/6) [H_q(s_m), H_q(s_{m-1})] is diagonal in each block,
+a slice costs O(L).
+
+H_q(chi) has levels -+t|z|, z = 1 + chi e^{iq}.  The ground state of
+V1 + chi V2 at half filling puts every block in its lower-band spinor
+(1, u_q)/sqrt 2 with u_q = z / |z| (`_ground_phase`); its shell is
+closed when every block gap 2t|z| is at least 1e-10 t.  Every ramp
+quantity comes from these blocks, with no dense diagonalization: the
+steps, the terminal distance, the O(L) shell check, and the ramp ground
+states that the overlap scans compare against.
+
+Over slice m the first-order generator is dt H_q(s_mid).  The
+second-order commutator term (dt^2/6) [H_q(s_m), H_q(s_{m-1})] is
+diagonal in each block,
 
     -(dt^2 / 3) t^2 sin q (s_{m-1} - s_m) sigma_z,
 
@@ -62,10 +72,10 @@ from scipy.optimize import minimize_scalar
 
 from .ansatz import DqapParams, _forward_pass
 from .errors import DimensionMismatch, NoConvergence, OpenShellError
-from .lattice import LatticeSpec, build_v1, build_v2, exact_ground_state, initial_state
+from .lattice import _GAP_TOL, LatticeSpec, initial_state
+from .optimizer import is_finite_positive, is_int
 from .slater import SlaterState, apply_bond_layer, overlap
 
-_GAP_TOL = 1e-10
 # slice x cell entries per magnus_step call of a ramp: about 1 MB per temporary
 _CHUNK_ELEMENTS = 1 << 16
 _T_START = 1.0  # first ramp time tried by find_T_epsilon
@@ -84,10 +94,10 @@ class EvolutionPlan:
     order: int = 1
 
     def __post_init__(self):
-        if self.T <= 0 or self.M < 1:
-            raise ValueError(f"need T > 0 and M >= 1, got T={self.T}, M={self.M}")
-        if self.order not in (1, 2):
-            raise ValueError(f"order must be 1 or 2, got {self.order}")
+        if not is_finite_positive(self.T) or not (is_int(self.M) and self.M >= 1):
+            raise ValueError(f"need finite T > 0 and int M >= 1, got T={self.T!r}, M={self.M!r}")
+        if not (is_int(self.order) and self.order in (1, 2)):
+            raise ValueError(f"order must be 1 or 2, got {self.order!r}")
 
     @property
     def delta_tau(self) -> float:
@@ -135,9 +145,8 @@ def _slice_blocks(spec, plan, slices):
 def _compose(alpha, beta):
     """Product of the SU(2) pairs along axis 0, later rows on the left, by pairwise levels.
 
-    Rows 2i and 2i+1 become U_{2i+1} U_{2i}:
-    alpha = alpha1 alpha0 - beta1 conj(beta0), beta = alpha1 beta0 + beta1 conj(alpha0).
-    An odd last row is carried up a level unchanged.
+    Rows 2i and 2i+1 become U_{2i+1} U_{2i} (module docstring); an odd
+    last row is carried up a level unchanged.
     """
     while len(alpha) > 1:
         n = len(alpha) & ~1
@@ -155,15 +164,12 @@ def magnus_step(spinors, spec: LatticeSpec, plan: EvolutionPlan, m: int | range)
 
     Slice m runs from (m-1) dt to m dt (m = 1..M); an int m is the
     one-slice range(m, m + 1).  Row n holds the sublattice amplitudes of
-    cell momentum q_n (module docstring).  The first-order generator is
-    dt H_q(s_mid); order 2 adds the commutator term
-    -(dt^2/3) t^2 sin q (s_{m-1} - s_m) sigma_z.  Each slice's block is
-    exponentiated in closed form as an SU(2) pair (alpha, beta), all
-    slices of the range in one vectorized pass; the blocks are multiplied
-    by pairwise levels, later slice on the left, and the product is
-    applied to the spinors once.  Every block is exactly unitary, and a
-    slice costs O(L).  Raises ValueError for an empty range, a step
-    other than 1 or a slice outside 1..M.
+    cell momentum q_n.  Every slice of the range is exponentiated in
+    closed form as an SU(2) pair in one vectorized pass, the pairs are
+    multiplied by pairwise levels, and the product is applied to the
+    spinors once (module docstring); a slice costs O(L).  Raises
+    ValueError for an empty range, a step other than 1 or a slice
+    outside 1..M.
     """
     slices = m if isinstance(m, range) else range(m, m + 1)
     if slices.step != 1 or len(slices) == 0:
@@ -184,24 +190,45 @@ def magnus_step(spinors, spec: LatticeSpec, plan: EvolutionPlan, m: int | range)
 
 
 def _bloch_orbitals(spec, spinors):
-    """Real-space (L, L/2) orbitals, column n the Bloch wave of row n of `spinors`."""
+    """Real-space (..., L, L/2) orbitals; column n is the Bloch wave of spinors[..., n, :]."""
     q = _cell_momenta(spec.L, spec.gamma)[0]
     cells = spec.L // 2
     phase = np.exp(1j * np.outer(np.arange(cells), q)) / np.sqrt(cells)
-    orbitals = np.empty((spec.L, cells), dtype=complex)
-    orbitals[0::2] = phase * spinors[:, 0]
-    orbitals[1::2] = phase * spinors[:, 1]
+    orbitals = np.empty(spinors.shape[:-2] + (spec.L, cells), dtype=complex)
+    orbitals[..., 0::2, :] = phase * spinors[..., None, :, 0]
+    orbitals[..., 1::2, :] = phase * spinors[..., None, :, 1]
     return orbitals
 
 
-def _ramp_distance(spec, spinors):
+def _ground_phase(spec, chi):
+    """Unit phases u_q = z / |z|, z = 1 + chi e^{iq}, of the lower-band spinors of H_q(chi).
+
+    The lower-band spinor of every block is (1, u_q)/sqrt 2.  `chi` is a
+    scalar or an array; the result has shape shape(chi) + (L/2,).
+    Raises OpenShellError where a block gap 2t|z| is below 1e-10 t.
+    """
+    _, emiq, _ = _cell_momenta(spec.L, spec.gamma)
+    z = 1.0 + np.multiply.outer(chi, emiq.conj())
+    r = np.abs(z)
+    if 2.0 * r.min() < _GAP_TOL:
+        gap = 2.0 * spec.t * r.min()
+        raise OpenShellError(f"ramp block gap {gap:.3e} for L={spec.L}, {spec.boundary}")
+    return z / r
+
+
+def _ramp_ground_orbitals(spec, chi):
+    """(..., L, L/2) orbitals of the ground states of V1 + chi V2, chi a scalar or an array."""
+    u = _ground_phase(spec, chi)
+    return _bloch_orbitals(spec, np.stack((np.ones_like(u), u), axis=-1) * np.sqrt(0.5))
+
+
+def _ramp_distance(u, spinors):
     """Terminal distance sqrt(2 - 2 |<exact|psi>|) of ramped (L/2, 2) spinors.
 
-    The exact ground state fills the lower band of every block, the
-    spinor phi_q = (1, u_q)/sqrt 2 with u_q = (1 + e^{iq}) / |1 + e^{iq}|,
-    so |<exact|psi>| = prod_q sqrt(1 - p_q), where p_q is the normalized
-    weight |<phi_q^perp|psi_q>|^2 / |psi_q|^2 of psi_q in the orthogonal
-    spinor (1, -u_q)/sqrt 2.  Then
+    The exact ground state puts every block in phi_q = (1, u_q)/sqrt 2,
+    `u` from `_ground_phase` at chi = 1, so |<exact|psi>| = prod_q
+    sqrt(1 - p_q), where p_q = |<phi_q^perp|psi_q>|^2 / |psi_q|^2 is the
+    weight of psi_q in the orthogonal spinor (1, -u_q)/sqrt 2.  Then
 
         2 - 2 |<exact|psi>| = -2 expm1(sum_q log1p(-p_q) / 2),
 
@@ -209,10 +236,8 @@ def _ramp_distance(spec, spinors):
     instead would divide the rounding of |det| by eps^2.  Rounding can
     put p_q a hair above 1, so it is clipped there.
     """
-    _, emiq, _ = _cell_momenta(spec.L, spec.gamma)
-    z = 1.0 + emiq  # conj(1 + e^{iq}); nonzero on a closed shell
     a, b = spinors[:, 0], spinors[:, 1]
-    perp = np.abs(a - (z / np.abs(z)) * b) ** 2
+    perp = np.abs(a - u.conj() * b) ** 2
     p = np.minimum(perp / (2.0 * (np.abs(a) ** 2 + np.abs(b) ** 2)), 1.0)
     return float(np.sqrt(-2.0 * np.expm1(0.5 * np.log1p(-p).sum())))
 
@@ -232,21 +257,17 @@ def evolve_linear_schedule(spec: LatticeSpec, plan: EvolutionPlan):
         (`_ramp_distance`).
     """
     initial_state(spec)  # rejects N != L/2
-    exact_ground_state(spec)  # rejects an open shell
+    u = _ground_phase(spec, 1.0)  # rejects an open shell
     spinors = np.full((spec.L // 2, 2), np.sqrt(0.5), dtype=complex)
     per_call = max(1, _CHUNK_ELEMENTS // (spec.L // 2))
     for start in range(1, plan.M + 1, per_call):
         stop = min(start + per_call, plan.M + 1)
         spinors = magnus_step(spinors, spec, plan, range(start, stop))
-    return SlaterState(_bloch_orbitals(spec, spinors)), _ramp_distance(spec, spinors)
+    return SlaterState(_bloch_orbitals(spec, spinors)), _ramp_distance(u, spinors)
 
 
 def find_T_epsilon(
-    spec: LatticeSpec,
-    target_eps: float,
-    dtau: float = 0.01,
-    order: int = 1,
-    t_cap: float = 1e6,
+    spec: LatticeSpec, target_eps: float, dtau: float = 0.01, order: int = 1, t_cap: float = 1e6
 ) -> float:
     """A ramp time at which the terminal distance crosses below the target.
 
@@ -259,8 +280,13 @@ def find_T_epsilon(
     time reaching it: at L=8 apbc, target 0.05, dtau 0.01 it returns
     11.3125, while eps(8.25) = 0.0495 and eps(10) = 0.0850.  The slice
     count tracks T so the step stays at most `dtau`.  Raises
-    NoConvergence if the cap is hit before the target.
+    ValueError for a non-finite or non-positive target_eps, dtau or
+    t_cap before any ramp runs, and NoConvergence if the cap is hit
+    before the target.
     """
+    for name, value in (("target_eps", target_eps), ("dtau", dtau), ("t_cap", t_cap)):
+        if not is_finite_positive(value):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     def eps_at(T):
         plan = EvolutionPlan(T=T, M=max(1, round(T / dtau)), order=order)
@@ -318,15 +344,6 @@ def qab_samples(L: int, n: int = 1001, t: float = 1.0):
     return [ScheduleSample(float(a), float(b), float(c)) for a, b, c in zip(s, chi, gap)]
 
 
-def _ramp_ground_state(spec, chi):
-    h = build_v1(spec) + chi * build_v2(spec)
-    vals, vecs = np.linalg.eigh(h)
-    gap = vals[spec.N] - vals[spec.N - 1]
-    if gap < _GAP_TOL * spec.t:
-        raise OpenShellError(f"degenerate ramp point chi={chi} for L={spec.L}")
-    return SlaterState(vecs[:, : spec.N])
-
-
 def _reduced_odd_angle(spec, angle):
     """Odd-family angle shifted by a multiple of pi/t so that angle*t is in (-pi/2, pi/2].
 
@@ -344,8 +361,11 @@ def _prefix(spec, params, m):
 
     Layers 1..m-1 and the even half of layer m are applied once; each
     call applies layer m's odd half-layer with its reduced angle scaled
-    by alpha.  At m = 0 every alpha gives the dimer state.
+    by alpha.  At m = 0 every alpha gives the dimer state.  Raises
+    ValueError for m outside 0..M or N != L/2.
     """
+    if not 0 <= m <= params.M:
+        raise ValueError(f"prefix depth {m} outside 0..{params.M}")
     if m == 0:
         dimer = SlaterState(initial_state(spec))
         return lambda alpha: dimer
@@ -367,23 +387,8 @@ def scheduling_overlap(
     phase.  Used to read off which ramp point the circuit has reached
     after m layers.
     """
-    if not 0 <= m <= params.M:
-        raise ValueError(f"prefix depth {m} outside 0..{params.M}")
-    target = _ramp_ground_state(spec, chi)
-    return float(abs(overlap(target, _prefix(spec, params, m)(alpha))) ** 2)
-
-
-@lru_cache(maxsize=2)
-def _grid_adjoints(spec):
-    """Read-only (n_chi, N, L) adjoints of the ramp ground states at the chi grid points.
-
-    They depend only on the spec, so every `maximize_overlap` call on it
-    shares one diagonalization per grid point.
-    """
-    targets = [_ramp_ground_state(spec, float(c)) for c in _GRID_CHIS]
-    adjoints = np.array([tgt.orbitals for tgt in targets]).conj().swapaxes(1, 2)
-    adjoints.flags.writeable = False  # shared by every caller through the cache
-    return adjoints
+    prefix = _prefix(spec, params, m)
+    return float(abs(overlap(SlaterState(_ramp_ground_orbitals(spec, chi)), prefix(alpha))) ** 2)
 
 
 def _grid_scan(adjoints, chis, alphas, prefix_state):
@@ -406,12 +411,7 @@ def _grid_scan(adjoints, chis, alphas, prefix_state):
     return f_best, chi_best, al_best
 
 
-def maximize_overlap(
-    spec: LatticeSpec,
-    params: DqapParams,
-    m: int,
-    alpha: float | None = None,
-):
+def maximize_overlap(spec: LatticeSpec, params: DqapParams, m: int, alpha: float | None = None):
     """Best (chi, alpha) for the m-layer prefix by grid scan plus refinement.
 
     Scans chi (and alpha unless fixed) over [0, 1.5] in steps of 0.01,
@@ -423,22 +423,18 @@ def maximize_overlap(
     which no alpha changes; a free alpha is then reported as 1.  Returns
     (chi, alpha, overlap_sq).
     """
-    if not 0 <= m <= params.M:
-        raise ValueError(f"prefix depth {m} outside 0..{params.M}")
     if m == 0 and alpha is None:
         alpha = 1.0  # the dimer prefix does not depend on alpha
     alphas = np.array([alpha]) if alpha is not None else _GRID_CHIS
 
-    # The prefix below the alpha-scaled half-layer is built once, and
-    # each grid ramp point is diagonalized once per spec (`_grid_adjoints`).
+    # The prefix below the alpha-scaled half-layer is built once, and the
+    # grid's ramp ground states in one pass over the chi grid.
     prefix_state = _prefix(spec, params, m)
-    targets = {}
+    adjoints = _ramp_ground_orbitals(spec, _GRID_CHIS).conj().swapaxes(1, 2)
 
     def value(chi, al):
-        chi = float(chi)
-        if chi not in targets:
-            targets[chi] = _ramp_ground_state(spec, chi)
-        return float(abs(overlap(targets[chi], prefix_state(float(al)))) ** 2)
+        target = SlaterState(_ramp_ground_orbitals(spec, float(chi)))
+        return float(abs(overlap(target, prefix_state(float(al)))) ** 2)
 
     def refine(fun, centre):
         res = minimize_scalar(
@@ -449,7 +445,7 @@ def maximize_overlap(
         )
         return float(res.x), float(-res.fun)
 
-    f_best, chi_best, al_best = _grid_scan(_grid_adjoints(spec), _GRID_CHIS, alphas, prefix_state)
+    f_best, chi_best, al_best = _grid_scan(adjoints, _GRID_CHIS, alphas, prefix_state)
     # Bounded refinement never evaluates its endpoints, so a refined
     # point replaces the current one only when it is strictly better.
     for _ in range(2):

@@ -17,13 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
+from scipy.special import expit, xlogy
 
 from .slater import SlaterState
 
 _LEVEL_TOL = 1e-8  # eigenvalues may stray this far outside [0, 1]
 _PAIR_TOL = 1e-6  # pairwise-degeneracy comparison
-_INTERIOR = 1e-12  # cutoff for the mode-form entropy
 
 
 @dataclass(frozen=True)
@@ -101,14 +100,15 @@ def entropy_from_levels(levels) -> float:
 def entropy_mode_form(levels) -> float:
     """Same entropy through the mode-energy parametrization.
 
-    Each interior eigenvalue maps to lam = ln((1-d)/d) and contributes
-    lam/(1+e^lam) + ln(1+e^-lam); boundary eigenvalues contribute
-    nothing.  Used as an internal consistency check of the spectrum.
+    Each eigenvalue strictly inside (0, 1) maps to lam = ln((1-d)/d) and
+    contributes lam/(1+e^lam) + ln(1+e^-lam), evaluated so that nothing
+    overflows; only levels at exactly 0 or 1 contribute nothing.  Used
+    as an internal consistency check of the spectrum.
     """
     d = np.asarray(levels, dtype=float)
-    d = d[(d > _INTERIOR) & (d < 1.0 - _INTERIOR)]
-    lam = np.log((1.0 - d) / d)
-    return float((lam / (1.0 + np.exp(lam)) + np.log1p(np.exp(-lam))).sum())
+    d = d[(d > 0.0) & (d < 1.0)]
+    lam = np.log1p(-d) - np.log(d)
+    return float((lam * expit(-lam) + np.logaddexp(0.0, -lam)).sum())
 
 
 def entanglement_entropy(state: SlaterState, subsystem: Subsystem) -> float:

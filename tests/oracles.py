@@ -4,13 +4,14 @@ Momentum-space sums pin the chain energetics (the closure phase shifts
 the allowed modes by half a spacing), finite differences pin analytic
 derivatives, and random orthonormal frames feed the property tests.
 The continuous-time ramp has a dense real-space route (an eigh-based
-exponential per slice) and a 40-digit mpmath product of its 2 x 2
-momentum blocks.  The layered circuit and its angle derivatives have a
-dense route too: `scipy.linalg.expm` half-layers with forward-mode
-derivatives and no re-orthonormalization.  The ramp's Bloch spinors
-have a one-slice-at-a-time route.  The overlap grid scan has a scalar
-route, one determinant per grid point.  Nothing here calls back
-into dqap_lab, so agreement is meaningful.
+exponential per slice, and eigh ground states along the ramp) and a
+40-digit mpmath product of its 2 x 2 momentum blocks.  The layered
+circuit and its angle derivatives have a dense route too:
+`scipy.linalg.expm` half-layers with forward-mode derivatives and no
+re-orthonormalization.  The ramp's Bloch spinors have a
+one-slice-at-a-time route.  The overlap grid scan has a scalar route,
+one determinant per grid point.  Nothing here calls back into
+dqap_lab, so agreement is meaningful.
 """
 
 import numpy as np
@@ -157,6 +158,13 @@ def dense_ramp(L, gamma, T, M, order=1, t=1.0):
     ov = abs(np.linalg.det(exact.conj().T @ orbitals))
     energy = float(np.trace(orbitals.conj().T @ h @ orbitals).real)
     return float(np.sqrt(max(2.0 - 2.0 * ov, 0.0))), energy
+
+
+def dense_ramp_ground_state(L, gamma, chi, t=1.0):
+    """Ground orbitals (L, L/2) of V1 + chi V2 by dense eigh, and the gap above them."""
+    v1, v2 = hopping_families(L, gamma, t)
+    vals, vecs = np.linalg.eigh(v1 + chi * v2)
+    return vecs[:, : L // 2], float(vals[L // 2] - vals[L // 2 - 1])
 
 
 def cell_momenta(L, boundary):

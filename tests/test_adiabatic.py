@@ -39,6 +39,7 @@ from dqap_lab import adiabatic
 from .oracles import (
     bloch_frame,
     dense_ramp,
+    dense_ramp_ground_state,
     dense_ramp_step,
     hopping_families,
     kspace_levels,
@@ -60,6 +61,21 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         EvolutionPlan(T=1.0, M=10, order=3)
     assert EvolutionPlan(T=2.0, M=8).delta_tau == 0.25
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"T": np.nan, "M": 10}, {"T": np.inf, "M": 10}, {"T": -1.0, "M": 10}, {"T": True, "M": 10},
+     {"T": 1.0, "M": 2.5}, {"T": 1.0, "M": 10.0}, {"T": 1.0, "M": True},
+     {"T": 1.0, "M": 10, "order": True}, {"T": 1.0, "M": 10, "order": 2.0},
+     {"T": 1.0, "M": 10, "order": 0}],
+    ids=["T-nan", "T-inf", "T-negative", "T-bool", "M-fraction", "M-float", "M-bool",
+         "order-bool", "order-float", "order-0"],
+)
+def test_plan_rejects_malformed_fields(fields):
+    # a NaN time would otherwise step a NaN ramp and report eps = nan
+    with pytest.raises(ValueError):
+        EvolutionPlan(**fields)
 
 
 def _dimer_spinors(spec):
@@ -333,10 +349,90 @@ def test_find_T_epsilon_monotone_in_target():
     assert tight > loose
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"target_eps": np.nan}, {"target_eps": 0.0}, {"target_eps": -0.1}, {"dtau": np.nan},
+     {"dtau": 0.0}, {"t_cap": np.inf}, {"t_cap": -1.0}, {"order": True}],
+    ids=["target-nan", "target-0", "target-negative", "dtau-nan", "dtau-0", "cap-inf",
+         "cap-negative", "order-bool"],
+)
+def test_find_T_epsilon_rejects_malformed_inputs_before_any_ramp(kwargs, monkeypatch):
+    calls = []
+    step = adiabatic.magnus_step
+
+    def counting_step(*args):
+        calls.append(args[-1])
+        return step(*args)
+
+    monkeypatch.setattr(adiabatic, "magnus_step", counting_step)
+    with pytest.raises(ValueError):
+        find_T_epsilon(LatticeSpec.half_filling(8), **{"target_eps": 0.05, **kwargs})
+    assert calls == []
+
+
 def test_find_T_epsilon_cap_raises():
     spec = LatticeSpec.half_filling(8)
     with pytest.raises(NoConvergence):
         find_T_epsilon(spec, 1e-5, dtau=0.01, t_cap=2.0)
+
+
+# ---- ramp ground states ----
+
+
+def _projector(orbitals):
+    return orbitals @ orbitals.conj().T
+
+
+def test_grid_ground_states_match_dense_diagonalization():
+    # the batched grid stack, each slice against eigh and against the
+    # scalar build the refinement uses
+    spec = LatticeSpec.half_filling(16)
+    stack = adiabatic._ramp_ground_orbitals(spec, adiabatic._GRID_CHIS)
+    assert stack.shape == (151, 16, 8)
+    for chi, orbitals in zip(adiabatic._GRID_CHIS, stack):
+        ref, _ = dense_ramp_ground_state(16, -1, chi)
+        np.testing.assert_allclose(_projector(orbitals), _projector(ref), rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(orbitals, adiabatic._ramp_ground_orbitals(spec, float(chi)))
+
+
+@pytest.mark.parametrize("L, gamma", [(8, -1), (12, -1), (10, +1), (30, +1)])
+@pytest.mark.parametrize("chi", [0.0, 0.37, 1.0, 1.5])
+def test_ramp_ground_state_matches_dense_diagonalization(L, gamma, chi):
+    orbitals = adiabatic._ramp_ground_orbitals(LatticeSpec.half_filling(L, gamma=gamma), chi)
+    np.testing.assert_allclose(orbitals.conj().T @ orbitals, np.eye(L // 2), rtol=0.0, atol=1e-14)
+    ref, _ = dense_ramp_ground_state(L, gamma, chi)
+    np.testing.assert_allclose(_projector(orbitals), _projector(ref), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("L, gamma", [(8, +1), (10, -1), (8, -1), (12, -1), (10, +1), (30, +1)])
+@pytest.mark.parametrize("chi", [0.0, 0.37, 1.0, 1.5])
+def test_open_shell_raised_exactly_where_dense_gap_closes(L, gamma, chi):
+    spec = LatticeSpec.half_filling(L, gamma=gamma)
+    _, gap = dense_ramp_ground_state(L, gamma, chi)
+    assert (gap < 1e-10) == ((L, gamma, chi) in {(8, +1, 1.0), (10, -1, 1.0)})
+    if gap < 1e-10:
+        with pytest.raises(OpenShellError):
+            adiabatic._ramp_ground_orbitals(spec, chi)
+        with pytest.raises(OpenShellError):
+            adiabatic._ramp_ground_orbitals(spec, adiabatic._GRID_CHIS)
+    else:
+        adiabatic._ramp_ground_orbitals(spec, chi)
+
+
+def test_ramp_and_overlap_scans_need_no_dense_diagonalization(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("dense diagonalization on a ramp path")
+
+    spec = LatticeSpec.half_filling(12)
+    params = DqapParams(np.random.default_rng(12).uniform(0.0, 0.3, (3, 2)))
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigh)
+    _, eps = evolve_linear_schedule(spec, EvolutionPlan(T=5.0, M=500))
+    assert 0.0 < eps < 2.0
+    for m in (0, 2):
+        assert maximize_overlap(spec, params, m)[2] > 0.5
+        assert maximize_overlap(spec, params, m, alpha=1.0)[2] > 0.5
+    assert 0.0 < scheduling_overlap(spec, params, 2, 0.5, 0.5) <= 1.0
 
 
 # ---- closed-form schedule ----
@@ -511,29 +607,6 @@ def test_batched_scan_keeps_the_first_maximum():
     got = adiabatic._grid_scan(adjoints, chis, alphas, lambda al: dimer)
     assert got == scalar_grid_scan(adjoints, chis, alphas, lambda al: dimer)
     assert got[1:] == (0.0, 0.2)
-
-
-def test_grid_ground_states_are_built_once_per_spec(monkeypatch):
-    # 8 scans on one spec diagonalize each of the 151 grid points once,
-    # not 8 x 151 times; the shared stack is read-only
-    spec = LatticeSpec.half_filling(16)
-    params = DqapParams(np.random.default_rng(16).uniform(0.0, 0.3, (4, 2)))
-    chis = []
-    build = adiabatic._ramp_ground_state
-
-    def counting_build(spec, chi):
-        chis.append(chi)
-        return build(spec, chi)
-
-    monkeypatch.setattr(adiabatic, "_ramp_ground_state", counting_build)
-    adiabatic._grid_adjoints.cache_clear()
-    for m in range(1, 5):
-        maximize_overlap(spec, params, m)
-        maximize_overlap(spec, params, m, alpha=1.0)
-    grid = set(adiabatic._GRID_CHIS.tolist())
-    assert len(grid) == 151
-    assert sum(chi in grid for chi in chis) == 151
-    assert not adiabatic._grid_adjoints(spec).flags.writeable
 
 
 def test_free_alpha_never_loses_to_fixed(ladder16):

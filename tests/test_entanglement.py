@@ -154,6 +154,10 @@ def test_mode_form_agrees_with_direct_entropy():
     st_ = circuit_state(10, 2, seed=2)
     levels = correlation_spectrum(st_, Subsystem.half_chain(10))
     assert abs(entropy_from_levels(levels) - entropy_mode_form(levels)) < 1e-8
+    # levels within 1e-12 of 0 or 1 still carry entropy (about 3e-12 each
+    # here); only the exact boundary levels contribute nothing
+    near_boundary = [0.0, 1e-15, 1e-13, 0.3, 1.0 - 1e-13, 1.0]
+    assert abs(entropy_from_levels(near_boundary) - entropy_mode_form(near_boundary)) < 1e-14
 
 
 def test_entropy_rejects_level_excursions():
