@@ -22,7 +22,6 @@ from .lattice import (
     build_v2,
     exact_ground_state,
     initial_state,
-    single_particle_spectrum,
 )
 from .slater import (
     SlaterState,

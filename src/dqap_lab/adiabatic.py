@@ -5,28 +5,14 @@ the odd family over a total time T, H(s) = V1 + s V2 with s = tau / T.
 Time stepping uses a commutator expansion of the ordered exponential
 over each slice.
 
-Both bond families, the boundary bond and the dimer state are invariant
-under translation by two sites, so the ramp never mixes cell momenta and
-runs as L/2 independent 2 x 2 Bloch blocks.  Cell j holds sites
-(2j, 2j+1); an orbital with amplitudes e^{iqj} (a, b) / sqrt(L/2) on
-them sees
-
-    H_q(s) = -t [[0, 1 + s e^{-iq}], [1 + s e^{iq}, 0]].
-
-The boundary bond carries the weight gamma, which twists the closure:
-e^{iq L/2} = gamma, so the cell momenta are q = (2 pi n + phi) / (L/2),
-n = 0..L/2-1, with phi = 0 for periodic and phi = pi for antiperiodic
-closure.  The dimer state puts one fermion in every block, in the
-spinor (1, 1)/sqrt 2, so a ramped state is an (L/2, 2) spinor array and
-a slice costs O(L).
-
-H_q(chi) has levels -+t|z|, z = 1 + chi e^{iq}.  The ground state of
-V1 + chi V2 at half filling puts every block in its lower-band spinor
-(1, u_q)/sqrt 2 with u_q = z / |z| (`_ground_phase`); its shell is
-closed when every block gap 2t|z| is at least 1e-10 t.  Every ramp
-quantity comes from these blocks, with no dense diagonalization: the
-steps, the terminal distance, the O(L) shell check, and the ramp ground
-states that the overlap scans compare against.
+The ramp never mixes cell momenta: it runs as the L/2 independent 2 x 2
+Bloch blocks H_q(s) of V1 + s V2; `lattice` sets them out and builds
+their ground states.  The dimer state puts one fermion in every block,
+in the spinor (1, 1)/sqrt 2, so a ramped state is an (L/2, 2) spinor
+array and a slice costs O(L).  Every ramp quantity comes from these
+blocks, with no dense diagonalization: the steps, the terminal distance,
+the O(L) shell check, and the ramp ground states that the overlap scans
+compare against.
 
 Over slice m the first-order generator is dt H_q(s_mid).  The
 second-order commutator term (dt^2/6) [H_q(s_m), H_q(s_{m-1})] is
@@ -64,7 +50,6 @@ ramp solves  x'' = 2 (x - cos g) x'^2 / ((x - cos g)^2 + sin^2 g).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -72,8 +57,10 @@ from scipy.optimize import minimize_scalar
 
 from .ansatz import DqapParams, _forward_pass
 from .errors import DimensionMismatch, NoConvergence, OpenShellError
-from .lattice import _GAP_TOL, LatticeSpec, initial_state
-from .optimizer import is_finite_positive, is_int
+from .lattice import (
+    LatticeSpec, _bloch_orbitals, _cell_momenta, _ground_orbitals, _ground_phase, initial_state,
+    is_finite_positive, is_int,
+)
 from .slater import SlaterState, apply_bond_layer, overlap
 
 # slice x cell entries per magnus_step call of a ramp: about 1 MB per temporary
@@ -102,18 +89,6 @@ class EvolutionPlan:
     @property
     def delta_tau(self) -> float:
         return self.T / self.M
-
-
-@lru_cache(maxsize=16)
-def _cell_momenta(L, gamma):
-    """Cell momenta q of an L-site chain with closure gamma, with e^{-iq} and sin q."""
-    cells = L // 2
-    phi = 0.0 if gamma == +1 else np.pi
-    q = (2.0 * np.pi * np.arange(cells) + phi) / cells
-    grid = (q, np.exp(-1j * q), np.sin(q))
-    for arr in grid:
-        arr.flags.writeable = False  # shared by every caller through the cache
-    return grid
 
 
 def _slice_blocks(spec, plan, slices):
@@ -189,39 +164,6 @@ def magnus_step(spinors, spec: LatticeSpec, plan: EvolutionPlan, m: int | range)
     return out
 
 
-def _bloch_orbitals(spec, spinors):
-    """Real-space (..., L, L/2) orbitals; column n is the Bloch wave of spinors[..., n, :]."""
-    q = _cell_momenta(spec.L, spec.gamma)[0]
-    cells = spec.L // 2
-    phase = np.exp(1j * np.outer(np.arange(cells), q)) / np.sqrt(cells)
-    orbitals = np.empty(spinors.shape[:-2] + (spec.L, cells), dtype=complex)
-    orbitals[..., 0::2, :] = phase * spinors[..., None, :, 0]
-    orbitals[..., 1::2, :] = phase * spinors[..., None, :, 1]
-    return orbitals
-
-
-def _ground_phase(spec, chi):
-    """Unit phases u_q = z / |z|, z = 1 + chi e^{iq}, of the lower-band spinors of H_q(chi).
-
-    The lower-band spinor of every block is (1, u_q)/sqrt 2.  `chi` is a
-    scalar or an array; the result has shape shape(chi) + (L/2,).
-    Raises OpenShellError where a block gap 2t|z| is below 1e-10 t.
-    """
-    _, emiq, _ = _cell_momenta(spec.L, spec.gamma)
-    z = 1.0 + np.multiply.outer(chi, emiq.conj())
-    r = np.abs(z)
-    if 2.0 * r.min() < _GAP_TOL:
-        gap = 2.0 * spec.t * r.min()
-        raise OpenShellError(f"ramp block gap {gap:.3e} for L={spec.L}, {spec.boundary}")
-    return z / r
-
-
-def _ramp_ground_orbitals(spec, chi):
-    """(..., L, L/2) orbitals of the ground states of V1 + chi V2, chi a scalar or an array."""
-    u = _ground_phase(spec, chi)
-    return _bloch_orbitals(spec, np.stack((np.ones_like(u), u), axis=-1) * np.sqrt(0.5))
-
-
 def _ramp_distance(u, spinors):
     """Terminal distance sqrt(2 - 2 |<exact|psi>|) of ramped (L/2, 2) spinors.
 
@@ -245,8 +187,8 @@ def _ramp_distance(u, spinors):
 def evolve_linear_schedule(spec: LatticeSpec, plan: EvolutionPlan):
     """Run the full linear ramp from the dimer state.
 
-    Raises ValueError unless N = L/2, and OpenShellError when the final
-    ground state is not unique, both before any slice is stepped.
+    Raises OpenShellError when the final ground state is not unique,
+    before any slice is stepped.
 
     Returns
     -------
@@ -256,7 +198,6 @@ def evolve_linear_schedule(spec: LatticeSpec, plan: EvolutionPlan):
         from the per-block weights outside the ground spinor
         (`_ramp_distance`).
     """
-    initial_state(spec)  # rejects N != L/2
     u = _ground_phase(spec, 1.0)  # rejects an open shell
     spinors = np.full((spec.L // 2, 2), np.sqrt(0.5), dtype=complex)
     per_call = max(1, _CHUNK_ELEMENTS // (spec.L // 2))
@@ -362,7 +303,7 @@ def _prefix(spec, params, m):
     Layers 1..m-1 and the even half of layer m are applied once; each
     call applies layer m's odd half-layer with its reduced angle scaled
     by alpha.  At m = 0 every alpha gives the dimer state.  Raises
-    ValueError for m outside 0..M or N != L/2.
+    ValueError for m outside 0..M.
     """
     if not 0 <= m <= params.M:
         raise ValueError(f"prefix depth {m} outside 0..{params.M}")
@@ -388,7 +329,7 @@ def scheduling_overlap(
     after m layers.
     """
     prefix = _prefix(spec, params, m)
-    return float(abs(overlap(SlaterState(_ramp_ground_orbitals(spec, chi)), prefix(alpha))) ** 2)
+    return float(abs(overlap(SlaterState(_ground_orbitals(spec, chi)), prefix(alpha))) ** 2)
 
 
 def _grid_scan(adjoints, chis, alphas, prefix_state):
@@ -430,10 +371,10 @@ def maximize_overlap(spec: LatticeSpec, params: DqapParams, m: int, alpha: float
     # The prefix below the alpha-scaled half-layer is built once, and the
     # grid's ramp ground states in one pass over the chi grid.
     prefix_state = _prefix(spec, params, m)
-    adjoints = _ramp_ground_orbitals(spec, _GRID_CHIS).conj().swapaxes(1, 2)
+    adjoints = _ground_orbitals(spec, _GRID_CHIS).conj().swapaxes(1, 2)
 
     def value(chi, al):
-        target = SlaterState(_ramp_ground_orbitals(spec, float(chi)))
+        target = SlaterState(_ground_orbitals(spec, float(chi)))
         return float(abs(overlap(target, prefix_state(float(al)))) ** 2)
 
     def refine(fun, centre):

@@ -132,12 +132,12 @@ def boundary_rank_diagnostic(state: SlaterState, subsystem: Subsystem) -> Spectr
 
     Reports the rank of D^2 - D (singular values above 1e-8), the
     counts of eigenvalues pinned at 0 and 1 within 1e-8, and whether the
-    interior eigenvalues are pairwise degenerate within 1e-6.
+    interior eigenvalues are pairwise degenerate within 1e-6.  D is
+    Hermitian, so the singular values of D^2 - D are |l^2 - l| over its
+    eigenvalues l.
     """
-    d = one_particle_dm(state, subsystem)
-    levels = np.linalg.eigvalsh(d)
-    sv = np.linalg.svd(d @ d - d, compute_uv=False)
-    rank = int((sv > _LEVEL_TOL).sum())
+    levels = np.linalg.eigvalsh(one_particle_dm(state, subsystem))
+    rank = int((np.abs(levels * levels - levels) > _LEVEL_TOL).sum())
     n_zero = int((np.abs(levels) <= _LEVEL_TOL).sum())
     n_one = int((np.abs(levels - 1.0) <= _LEVEL_TOL).sum())
     interior = levels[(levels > _LEVEL_TOL) & (levels < 1.0 - _LEVEL_TOL)]

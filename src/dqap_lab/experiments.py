@@ -64,10 +64,8 @@ from .entanglement import (
     scaling_exponents,
 )
 from .errors import ConfigError
-from .lattice import LatticeSpec, exact_ground_state
-from .optimizer import (
-    OptimizerConfig, is_finite_positive, is_int, optimize, optimize_imaginary, warm_start
-)
+from .lattice import LatticeSpec, exact_ground_state, is_finite_positive, is_int
+from .optimizer import OptimizerConfig, optimize, optimize_imaginary, warm_start
 from .slater import SlaterState, overlap
 
 EPS_INF_COEFF = 2.0 / np.pi  # per-site energy of the infinite chain, in units of t

@@ -1,8 +1,9 @@
-"""Free-fermion chain geometry and quadratic Hamiltonians.
+"""Free-fermion chain geometry, quadratic Hamiltonians and the exact ground state.
 
-The chain has L sites (L even), hopping amplitude t, and a boundary
-phase gamma: +1 for periodic, -1 for antiperiodic closure.  The full
-hopping operator splits into two checkerboard bond families,
+The chain has L sites (L even) holding N = L/2 fermions, hopping
+amplitude t, and a boundary phase gamma: +1 for periodic, -1 for
+antiperiodic closure.  The full hopping operator splits into two
+checkerboard bond families,
 
     odd family   : bonds (1,2), (3,4), ..., (L-1,L)     [1-based]
     even family  : bonds (2,3), (4,5), ..., (L-2,L-1) and the
@@ -12,16 +13,29 @@ so that their sum is the nearest-neighbour Hamiltonian.  Internally all
 site indices are 0-based; file output and documentation use 1-based
 labels.
 
-Half filling N = L/2 closes a shell for gamma = -1 when N is even and
-for gamma = +1 when N is odd; the ground-state builder checks the
-actual Fermi gap rather than the parity rule so that non-half-filled
-cases are handled uniformly.
+Both families are invariant under translation by two sites, so V1 + chi V2
+splits into L/2 independent 2 x 2 Bloch blocks.  Cell j holds sites
+(2j, 2j+1); an orbital with amplitudes e^{iqj} (a, b) / sqrt(L/2) on them sees
+
+    H_q(chi) = -t [[0, 1 + chi e^{-iq}], [1 + chi e^{iq}, 0]],
+
+where the boundary bond closes the chain with e^{iq L/2} = gamma, so
+q = (2 pi n + phi) / (L/2), n = 0..L/2-1, with phi = 0 for periodic and
+phi = pi for antiperiodic closure.  H_q(chi) has levels -+t|z|,
+z = 1 + chi e^{iq}, so the ground state of V1 + chi V2 puts every block in
+its lower-band spinor (1, z/|z|)/sqrt 2 and has energy -t sum_q |z|.  Its
+shell is closed when every block gap 2t|z| is at least 1e-10 t.  The exact
+ground state is the chi = 1 case, closed for gamma = -1 when N is even and
+for gamma = +1 when N is odd; the ramp in `adiabatic` reads the other chi.
+No ground state comes from a dense diagonalization.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -31,28 +45,45 @@ from .errors import OpenShellError
 _GAP_TOL = 1e-10
 
 
+# Checks of config values, shared by every module: bools fail, numpy scalars pass.
+def is_int(v):
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def is_finite_nonnegative(v):
+    real = isinstance(v, Real) and not isinstance(v, bool)
+    return real and 0 <= v <= sys.float_info.max  # also rejects NaN
+
+
+def is_finite_positive(v):
+    return is_finite_nonnegative(v) and v > 0
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Chain geometry: site count L, fermion number N, boundary phase, hopping t."""
+    """Chain geometry: site count L, boundary phase gamma, hopping t; half filled."""
 
     L: int
-    N: int
     gamma: int = -1
     t: float = 1.0
 
     def __post_init__(self):
-        if self.L < 2 or self.L % 2:
-            raise ValueError(f"L must be even and >= 2, got {self.L}")
-        if not 0 < self.N <= self.L:
-            raise ValueError(f"N must lie in (0, L], got N={self.N}")
-        if self.gamma not in (+1, -1):
-            raise ValueError(f"gamma must be +1 or -1, got {self.gamma}")
-        if self.t <= 0:
-            raise ValueError(f"t must be positive, got {self.t}")
+        if not (is_int(self.L) and self.L >= 2 and self.L % 2 == 0):
+            raise ValueError(f"L must be an even int >= 2, got {self.L!r}")
+        if not (is_int(self.gamma) and self.gamma in (+1, -1)):
+            raise ValueError(f"gamma must be +1 or -1, got {self.gamma!r}")
+        if not is_finite_positive(self.t):
+            raise ValueError(f"t must be finite and positive, got {self.t!r}")
 
     @classmethod
     def half_filling(cls, L, gamma=-1, t=1.0):
-        return cls(L=L, N=L // 2, gamma=gamma, t=t)
+        """The spec LatticeSpec(L, gamma, t); every chain is half filled."""
+        return cls(L=L, gamma=gamma, t=t)
+
+    @property
+    def N(self) -> int:
+        """Fermion number, L/2."""
+        return self.L // 2
 
     @property
     def boundary(self) -> str:
@@ -119,31 +150,66 @@ def build_hamiltonian(spec: LatticeSpec) -> np.ndarray:
     return build_v1(spec) + build_v2(spec)
 
 
-def single_particle_spectrum(spec: LatticeSpec) -> np.ndarray:
-    """Eigenvalues of the hopping matrix, ascending."""
-    return np.linalg.eigvalsh(build_hamiltonian(spec))
+@lru_cache(maxsize=16)
+def _cell_momenta(L, gamma):
+    """Cell momenta q of an L-site chain with closure gamma, with e^{-iq} and sin q."""
+    cells = L // 2
+    phi = 0.0 if gamma == +1 else np.pi
+    q = (2.0 * np.pi * np.arange(cells) + phi) / cells
+    grid = (q, np.exp(-1j * q), np.sin(q))
+    for arr in grid:
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return grid
+
+
+def _bloch_orbitals(spec, spinors):
+    """Real-space (..., L, L/2) orbitals; column n is the Bloch wave of spinors[..., n, :]."""
+    q = _cell_momenta(spec.L, spec.gamma)[0]
+    cells = spec.L // 2
+    phase = np.exp(1j * np.outer(np.arange(cells), q)) / np.sqrt(cells)
+    orbitals = np.empty(spinors.shape[:-2] + (spec.L, cells), dtype=complex)
+    orbitals[..., 0::2, :] = phase * spinors[..., None, :, 0]
+    orbitals[..., 1::2, :] = phase * spinors[..., None, :, 1]
+    return orbitals
+
+
+def _ground_phase(spec, chi):
+    """Unit phases u_q = z / |z|, z = 1 + chi e^{iq}, of the lower-band spinors of H_q(chi).
+
+    The lower-band spinor of every block is (1, u_q)/sqrt 2.  `chi` is a
+    scalar or an array; the result has shape shape(chi) + (L/2,).
+    Raises OpenShellError where a block gap 2t|z| is below 1e-10 t.
+    """
+    _, emiq, _ = _cell_momenta(spec.L, spec.gamma)
+    z = 1.0 + np.multiply.outer(chi, emiq.conj())
+    r = np.abs(z)
+    if 2.0 * r.min() < _GAP_TOL:
+        gap = 2.0 * spec.t * r.min()
+        raise OpenShellError(f"block gap {gap:.3e} for L={spec.L}, {spec.boundary}")
+    return z / r
+
+
+def _ground_orbitals(spec, chi):
+    """(..., L, L/2) orbitals of the ground states of V1 + chi V2, chi a scalar or an array."""
+    u = _ground_phase(spec, chi)
+    return _bloch_orbitals(spec, np.stack((np.ones_like(u), u), axis=-1) * np.sqrt(0.5))
 
 
 def exact_ground_state(spec: LatticeSpec):
-    """Ground-state orbitals and energy of the quadratic Hamiltonian.
+    """Ground-state orbitals and energy of the chain at half filling.
 
-    Fills the N lowest single-particle levels.  Raises OpenShellError
-    when levels N and N+1 are degenerate within 1e-10 * t, since the
-    determinant state is then not unique.
+    The chi = 1 case of `_ground_orbitals`: one lower-band Bloch orbital
+    per cell momentum, with energy -t sum_q |1 + e^{iq}| (module
+    docstring).  Raises OpenShellError when a block gap is below
+    1e-10 * t, since the determinant state is then not unique.
 
     Returns
     -------
-    (orbitals, energy) : (L, N) float array of eigenvectors, float.
+    (orbitals, energy) : (L, N) complex orthonormal array, float.
     """
-    h = build_hamiltonian(spec)
-    vals, vecs = np.linalg.eigh(h)
-    gap = vals[spec.N] - vals[spec.N - 1] if spec.N < spec.L else np.inf
-    if gap < _GAP_TOL * spec.t:
-        raise OpenShellError(
-            f"levels {spec.N} and {spec.N + 1} degenerate (gap {gap:.3e}) "
-            f"for L={spec.L}, N={spec.N}, {spec.boundary}"
-        )
-    return vecs[:, : spec.N].copy(), float(vals[: spec.N].sum())
+    orbitals = _ground_orbitals(spec, 1.0)
+    z = 1.0 + _cell_momenta(spec.L, spec.gamma)[1].conj()
+    return orbitals, -spec.t * float(np.abs(z).sum())
 
 
 def initial_state(spec: LatticeSpec) -> np.ndarray:
@@ -151,10 +217,8 @@ def initial_state(spec: LatticeSpec) -> np.ndarray:
 
     Column n holds amplitude 1/sqrt(2) on the two sites of the n-th odd
     bond, so the state is the ground state of the odd bond family alone
-    with energy -t * L/2.  Requires N = L/2.
+    with energy -t * L/2.
     """
-    if spec.N != spec.L // 2:
-        raise ValueError(f"dimer state needs N = L/2, got N={spec.N}, L={spec.L}")
     psi = np.zeros((spec.L, spec.N))
     n = np.arange(spec.N)
     psi[2 * n, n] = 1.0

@@ -31,15 +31,15 @@ start onto a plateau where it stalls too.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
 from .ansatz import DqapParams, build_dqap_state, build_imag_state, state_and_derivatives
 from .errors import LinearSolveError, SingularOverlapError
-from .lattice import LatticeSpec, build_hamiltonian
+from .lattice import (
+    LatticeSpec, build_hamiltonian, is_finite_nonnegative, is_finite_positive, is_int
+)
 from .slater import SlaterState, energy_expectation
 
 _LSTSQ_CUTOFF = 1e-12
@@ -47,20 +47,6 @@ _MAX_HALVINGS = 60
 _TRUST_CAP = 0.1  # largest angle shift per iteration, in units of 1/t
 _STEP_GROWTH = 1.5  # delta_beta factor after a step taken whole
 _INIT_MODES = ("linear-schedule", "random")
-
-
-# Checks of config values, shared with experiments.py: bools fail, numpy scalars pass.
-def is_int(v):
-    return isinstance(v, Integral) and not isinstance(v, bool)
-
-
-def is_finite_nonnegative(v):
-    real = isinstance(v, Real) and not isinstance(v, bool)
-    return real and 0 <= v <= sys.float_info.max  # also rejects NaN
-
-
-def is_finite_positive(v):
-    return is_finite_nonnegative(v) and v > 0
 
 
 @dataclass

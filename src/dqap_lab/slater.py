@@ -7,10 +7,10 @@ this family and all expectation values reduce to determinants and
 linear solves.
 
 Every state the package builds has orthonormal orbitals, Psi+ Psi = 1:
-exact orbitals come from `eigh`, real-time layers are unitary, and
-imaginary-time layers are followed by a QR step, the standard
-stabilization of determinant quantum Monte Carlo (White et al., PRB 40,
-506 (1989)).  G = QR keeps Q, with R's diagonal made positive so that
+exact orbitals are Bloch waves (`lattice`), real-time layers are
+unitary, and imaginary-time layers are followed by a QR step, the
+standard stabilization of determinant quantum Monte Carlo (White et
+al., PRB 40, 506 (1989)).  G = QR keeps Q, with R's diagonal made positive so that
 det G = det Q * prod diag R, and log prod diag R is accumulated on the
 state.  The stored orbitals stay orthonormal however large the
 imaginary angles grow; the norm lives only in `log_scale`, which

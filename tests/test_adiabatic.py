@@ -34,7 +34,7 @@ from dqap_lab import (
     scheduling_overlap,
     slater_to_fock,
 )
-from dqap_lab import adiabatic
+from dqap_lab import adiabatic, lattice
 
 from .oracles import (
     bloch_frame,
@@ -195,7 +195,7 @@ def test_step_preserves_gram(order):
 def test_orders_coincide_when_families_commute():
     # at L=2 both families act on the same bond, so the commutator
     # correction vanishes identically
-    spec = LatticeSpec(L=2, N=1, gamma=+1)
+    spec = LatticeSpec(L=2, gamma=+1)
     sp = _dimer_spinors(spec)
     a = magnus_step(sp, spec, EvolutionPlan(T=0.6, M=1, order=1), 1)
     b = magnus_step(sp, spec, EvolutionPlan(T=0.6, M=1, order=2), 1)
@@ -275,9 +275,7 @@ def test_small_ramp_distance_keeps_its_relative_precision(T):
 
 
 @pytest.mark.parametrize(
-    "spec, error",
-    [(LatticeSpec.half_filling(8, gamma=+1), OpenShellError), (LatticeSpec(L=8, N=3), ValueError)],
-    ids=["open-shell", "not-half-filled"],
+    "spec, error", [(LatticeSpec.half_filling(8, gamma=+1), OpenShellError)], ids=["open-shell"]
 )
 def test_ramp_rejects_spec_before_stepping(spec, error, monkeypatch):
     calls = []
@@ -387,18 +385,18 @@ def test_grid_ground_states_match_dense_diagonalization():
     # the batched grid stack, each slice against eigh and against the
     # scalar build the refinement uses
     spec = LatticeSpec.half_filling(16)
-    stack = adiabatic._ramp_ground_orbitals(spec, adiabatic._GRID_CHIS)
+    stack = lattice._ground_orbitals(spec, adiabatic._GRID_CHIS)
     assert stack.shape == (151, 16, 8)
     for chi, orbitals in zip(adiabatic._GRID_CHIS, stack):
         ref, _ = dense_ramp_ground_state(16, -1, chi)
         np.testing.assert_allclose(_projector(orbitals), _projector(ref), rtol=0.0, atol=1e-12)
-        np.testing.assert_array_equal(orbitals, adiabatic._ramp_ground_orbitals(spec, float(chi)))
+        np.testing.assert_array_equal(orbitals, lattice._ground_orbitals(spec, float(chi)))
 
 
 @pytest.mark.parametrize("L, gamma", [(8, -1), (12, -1), (10, +1), (30, +1)])
 @pytest.mark.parametrize("chi", [0.0, 0.37, 1.0, 1.5])
 def test_ramp_ground_state_matches_dense_diagonalization(L, gamma, chi):
-    orbitals = adiabatic._ramp_ground_orbitals(LatticeSpec.half_filling(L, gamma=gamma), chi)
+    orbitals = lattice._ground_orbitals(LatticeSpec.half_filling(L, gamma=gamma), chi)
     np.testing.assert_allclose(orbitals.conj().T @ orbitals, np.eye(L // 2), rtol=0.0, atol=1e-14)
     ref, _ = dense_ramp_ground_state(L, gamma, chi)
     np.testing.assert_allclose(_projector(orbitals), _projector(ref), rtol=0.0, atol=1e-12)
@@ -412,11 +410,11 @@ def test_open_shell_raised_exactly_where_dense_gap_closes(L, gamma, chi):
     assert (gap < 1e-10) == ((L, gamma, chi) in {(8, +1, 1.0), (10, -1, 1.0)})
     if gap < 1e-10:
         with pytest.raises(OpenShellError):
-            adiabatic._ramp_ground_orbitals(spec, chi)
+            lattice._ground_orbitals(spec, chi)
         with pytest.raises(OpenShellError):
-            adiabatic._ramp_ground_orbitals(spec, adiabatic._GRID_CHIS)
+            lattice._ground_orbitals(spec, adiabatic._GRID_CHIS)
     else:
-        adiabatic._ramp_ground_orbitals(spec, chi)
+        lattice._ground_orbitals(spec, chi)
 
 
 def test_ramp_and_overlap_scans_need_no_dense_diagonalization(monkeypatch):

@@ -230,6 +230,18 @@ def test_diagnostic_dimer_half_chain():
     assert diag.bond_preserving
 
 
+
+@pytest.mark.parametrize("L, m", [(8, 1), (16, 3), (32, 5), (64, 8)])
+def test_diagnostic_rank_matches_singular_values(L, m):
+    # D is Hermitian, so the rank read off its eigenvalues is the
+    # singular-value rank of D^2 - D, for every cut size
+    st_ = circuit_state(L, m, seed=L + m)
+    for size in range(2, L // 2 + 1):
+        cut = Subsystem.contiguous(1, size, L)
+        d = one_particle_dm(st_, cut)
+        sv = np.linalg.svd(d @ d - d, compute_uv=False)
+        assert boundary_rank_diagnostic(st_, cut).rank == int((sv > 1e-8).sum())
+
 def test_diagnostic_shapes_track_depth():
     # below saturation each layer pair converts two pinned eigenvalues
     # per cut side into an interior degenerate pair

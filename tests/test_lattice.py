@@ -14,7 +14,6 @@ from dqap_lab import (
     build_v2,
     exact_ground_state,
     initial_state,
-    single_particle_spectrum,
 )
 
 from .oracles import kspace_gap, kspace_ground_energy, kspace_levels
@@ -23,13 +22,15 @@ from .oracles import kspace_gap, kspace_ground_energy, kspace_levels
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(L=7, N=3),
-        dict(L=0, N=1),
-        dict(L=8, N=0),
-        dict(L=8, N=9),
-        dict(L=8, N=4, gamma=2),
-        dict(L=8, N=4, t=0.0),
-        dict(L=8, N=4, t=-1.0),
+        dict(L=7),
+        dict(L=0),
+        dict(L=8.0),
+        dict(L=8, gamma=2),
+        dict(L=8, t=0.0),
+        dict(L=8, t=-1.0),
+        dict(L=8, t=float("nan")),
+        dict(L=8, t=float("inf")),
+        dict(L=8, gamma=True),
     ],
 )
 def test_spec_rejects_invalid_fields(kwargs):
@@ -78,7 +79,7 @@ def test_bond_pairs_rejects_unknown_family():
     t=st.floats(0.1, 3.0),
 )
 def test_families_sum_to_hamiltonian(L, gamma, t):
-    spec = LatticeSpec(L=L, N=L // 2, gamma=gamma, t=t)
+    spec = LatticeSpec(L=L, gamma=gamma, t=t)
     h = build_hamiltonian(spec)
     np.testing.assert_allclose(build_v1(spec) + build_v2(spec), h, atol=0)
     np.testing.assert_allclose(h, h.T, atol=0)
@@ -91,7 +92,7 @@ def test_families_sum_to_hamiltonian(L, gamma, t):
 def test_spectrum_matches_momentum_oracle(L, gamma):
     spec = LatticeSpec.half_filling(L, gamma=gamma, t=1.3)
     np.testing.assert_allclose(
-        single_particle_spectrum(spec),
+        np.linalg.eigvalsh(build_hamiltonian(spec)),
         kspace_levels(L, spec.boundary, t=1.3),
         atol=1e-10,
     )
@@ -99,17 +100,27 @@ def test_spectrum_matches_momentum_oracle(L, gamma):
 
 @pytest.mark.parametrize(
     "L,gamma",
-    [(8, -1), (16, -1), (10, +1), (18, +1)],
+    [(8, -1), (16, -1), (10, +1), (18, +1), (130, +1), (256, -1)],
 )
 def test_ground_energy_matches_momentum_oracle(L, gamma):
     spec = LatticeSpec.half_filling(L, gamma=gamma)
     orb, energy = exact_ground_state(spec)
     assert abs(energy - kspace_ground_energy(L, L // 2, spec.boundary)) < 1e-10
     assert orb.shape == (L, L // 2)
-    np.testing.assert_allclose(orb.T @ orb, np.eye(L // 2), atol=1e-12)
+    np.testing.assert_allclose(orb.conj().T @ orb, np.eye(L // 2), atol=1e-12)
     h = build_hamiltonian(spec)
-    assert abs(np.trace(orb.T @ h @ orb) - energy) < 1e-10
+    assert abs(np.trace(orb.conj().T @ h @ orb) - energy) < 1e-10
 
+
+def test_exact_ground_state_needs_no_dense_diagonalization(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("dense diagonalization in exact_ground_state")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigh)
+    orb, energy = exact_ground_state(LatticeSpec.half_filling(16))
+    assert orb.shape == (16, 8)
+    assert abs(energy - kspace_ground_energy(16, 8, "apbc")) < 1e-10
 
 @pytest.mark.parametrize("L,gamma", [(8, +1), (16, +1), (10, -1), (18, -1)])
 def test_open_shell_raises(L, gamma):
@@ -143,7 +154,3 @@ def test_dimer_state_energy_and_gram(t):
     v1 = build_v1(spec)
     np.testing.assert_allclose(v1 @ psi, -t * psi, atol=1e-12)
 
-
-def test_dimer_state_requires_half_filling():
-    with pytest.raises(ValueError):
-        initial_state(LatticeSpec(L=8, N=3))
