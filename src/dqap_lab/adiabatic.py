@@ -336,8 +336,8 @@ def _grid_scan(adjoints, chis, alphas, prefix_state):
     """First strict maximum of |det(adjoints[i] prefix_state(alpha))|^2 over alphas x chis.
 
     `adjoints` stacks the conjugate transposes of the ground states at the
-    grid points `chis` (log_scale 0) as (n_chi, N, L), so each alpha's row
-    of overlaps is one batched determinant, with the same products and LU
+    grid points `chis` as (n_chi, N, L), so each alpha's row of overlaps
+    is one batched determinant, with the same products and LU
     factorizations as `overlap` at each grid point.  Rows are taken in
     order, and a row's first maximum replaces the best only when strictly
     greater: the tie rule of a scalar scan.  Returns (f, chi, alpha).
@@ -345,7 +345,7 @@ def _grid_scan(adjoints, chis, alphas, prefix_state):
     f_best, chi_best, al_best = -1.0, 0.0, float(alphas[0])
     for al in alphas:
         st = prefix_state(float(al))
-        row = np.abs(np.linalg.det(adjoints @ st.orbitals) * np.exp(st.log_scale)) ** 2
+        row = np.abs(np.linalg.det(adjoints @ st.orbitals)) ** 2
         i = int(np.argmax(row))
         if row[i] > f_best:
             f_best, chi_best, al_best = float(row[i]), float(chis[i]), float(al)

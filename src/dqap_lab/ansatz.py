@@ -26,8 +26,9 @@ In imaginary mode every half-layer ends with a QR step, G = QR: the
 prefix state becomes Q and all live derivatives are multiplied by
 R^-1 in the same step.  The natural-gradient metric, force and energy
 are invariant under G -> GX, dG -> dG X for any invertible X, so this
-changes no result; it keeps the state orthonormal, so the optimizer
-uses the same normalized formulas in both modes.
+changes no result.  It keeps the state normalized (the norm det R is
+dropped, not stored), so the optimizer uses the same normalized
+formulas in both modes.
 """
 
 from __future__ import annotations

@@ -69,7 +69,7 @@ def one_particle_dm(state: SlaterState, subsystem: Subsystem) -> np.ndarray:
     """Correlation block D[i, j] = <c+_{s_i} c_{s_j}> on the subsystem sites.
 
     The block is a fresh array sliced from the state's cached, read-only
-    `projector`: the N x N solve behind it runs once per state (the state
+    `projector`: the L x L product behind it runs once per state (the state
     is frozen and its orbitals read-only), however many subsystems are
     asked for.
     """

@@ -14,7 +14,11 @@ class DimensionMismatch(DqapError):
 
 
 class SingularOverlapError(DqapError):
-    """Overlap determinant vanishes; transition quantities are undefined."""
+    """Imaginary-time evolution leaves no normalizable state.
+
+    A bond coefficient overflows, or the evolved orbital columns are
+    linearly dependent to tolerance.
+    """
 
 
 class LinearSolveError(DqapError):

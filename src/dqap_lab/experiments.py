@@ -42,7 +42,7 @@ import time
 import traceback
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -341,9 +341,7 @@ def _task_imaginary_sweep(spec, depths, results, options):
     rows = []
     for m in depths:
         r = results[m]
-        # the orbitals are orthonormal, so without its scale factor the
-        # state has unit norm and the overlap cannot overflow
-        state = replace(build_imag_state(spec, r.params), log_scale=0.0)
+        state = build_imag_state(spec, r.params)
         dist = float(np.sqrt(max(1.0 - abs(overlap(exact_state, state)) ** 2, 0.0)))
         rows.append(
             _context(spec, m)

@@ -87,18 +87,17 @@ def _occupied(mask, L):
 
 def slater_to_fock(state: SlaterState, basis: FockBasis | None = None) -> FockVector:
     """Expand a determinant state: amplitude on mask m is det of the
-    orbital rows at m's occupied sites (times the state's scale factor)."""
+    orbital rows at m's occupied sites."""
     if basis is None:
         basis = FockBasis.build(state.L, state.N)
     if basis.L != state.L or basis.N != state.N:
         raise DimensionMismatch(
             f"basis is (L={basis.L}, N={basis.N}), state is (L={state.L}, N={state.N})"
         )
-    scale = np.exp(state.log_scale)
     amps = np.empty(basis.dim, dtype=complex)
     for i, m in enumerate(basis.masks):
         rows = _occupied(int(m), state.L)
-        amps[i] = np.linalg.det(state.orbitals[rows, :]) * scale
+        amps[i] = np.linalg.det(state.orbitals[rows, :])
     return FockVector(basis, amps)
 
 

@@ -175,11 +175,10 @@ def _solve_step(workspace: NaturalGradientWorkspace, delta_beta: float, ridge: f
     return dtheta
 
 
-def linear_schedule_params(m_layers, spec=None, scale=0.01):
-    """Angles of the discretized interpolation: odd family constant,
-    even family ramping linearly to the full step over the M layers."""
-    t = spec.t if spec is not None else 1.0
-    dtau = scale / t
+def linear_schedule_params(m_layers, spec, scale):
+    """Angles of the discretized interpolation: odd family constant at
+    scale / t, even family ramping linearly to it over the M layers."""
+    dtau = scale / spec.t
     table = np.empty((m_layers, 2))
     table[:, 0] = dtau
     table[:, 1] = dtau * np.arange(1, m_layers + 1) / max(m_layers, 1)

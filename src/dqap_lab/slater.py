@@ -4,19 +4,20 @@ A determinant state is an L x N orbital matrix; the physical state is
 the antisymmetrized product of its columns.  Quadratic-exponential
 layers act column-wise, so every circuit in this package stays inside
 this family and all expectation values reduce to determinants and
-linear solves.
+products of orbital matrices.
 
-Every state the package builds has orthonormal orbitals, Psi+ Psi = 1:
-exact orbitals are Bloch waves (`lattice`), real-time layers are
-unitary, and imaginary-time layers are followed by a QR step, the
-standard stabilization of determinant quantum Monte Carlo (White et
-al., PRB 40, 506 (1989)).  G = QR keeps Q, with R's diagonal made positive so that
-det G = det Q * prod diag R, and log prod diag R is accumulated on the
-state.  The stored orbitals stay orthonormal however large the
-imaginary angles grow; the norm lives only in `log_scale`, which
-`overlap` folds back in.  Expectation values therefore need no Gram
-solve.  The invariant is not checked at run time (that would cost
-O(L N^2) per half-layer); the tests pin it for every builder.
+Every state the package builds is normalized: it is its orthonormal
+orbitals, Psi+ Psi = 1, and nothing else.  Exact orbitals are Bloch
+waves (`lattice`), real-time layers are unitary, and imaginary-time
+layers are followed by a QR step, the stabilization of determinant
+quantum Monte Carlo (White et al., PRB 40, 506 (1989)).  G = QR keeps Q,
+with R's diagonal made positive, so det Q has the phase of det G.  The
+norm prod diag R is dropped: every quantity the package reports
+(energies, overlaps with the exact state, entropies) is a normalized
+one.  So overlaps are plain determinants that cannot overflow, and
+expectation values need no Gram solve.  The invariant is not checked at run time
+(that would cost O(L N^2) per half-layer); the tests pin it for every
+builder.
 """
 
 from __future__ import annotations
@@ -29,21 +30,19 @@ import numpy as np
 from .errors import DimensionMismatch, SingularOverlapError
 from .lattice import LatticeSpec, bond_pairs
 
-# Relative magnitude below which an overlap determinant, or a diagonal entry
-# of R in the QR step, is treated as zero.
+# Relative magnitude below which a diagonal entry of R in the QR step is
+# treated as zero.
 _SINGULAR_TOL = 1e-14
 
 
 @dataclass(frozen=True)
 class SlaterState:
-    """Determinant state: orthonormal orbitals (L, N) and a log scale.
+    """Normalized determinant state: its orthonormal orbitals (L, N).
 
-    The columns of `orbitals` are orthonormal (module docstring).
-    `log_scale` is the accumulated log of the determinant factors pulled
-    out of the orbitals by imaginary-time layers; the stored matrix times
-    exp(log_scale) is the true (unnormalized) state.
+    The columns of `orbitals` are orthonormal (module docstring), so the
+    state has unit norm.
 
-    A state is immutable: the fields cannot be reassigned, and the
+    A state is immutable: the field cannot be reassigned, and the
     orbital array is made read-only (a complex input array is taken over,
     not copied, so the caller's array becomes read-only too).  Operations
     that evolve a state, such as `apply_bond_layer`, return a new one.
@@ -51,7 +50,6 @@ class SlaterState:
     """
 
     orbitals: np.ndarray
-    log_scale: float = 0.0
 
     def __post_init__(self):
         orbitals = np.asarray(self.orbitals, dtype=complex)
@@ -64,12 +62,12 @@ class SlaterState:
 
     @cached_property
     def projector(self) -> np.ndarray:
-        """The L x L one-particle projector `transition_density(self, self)`, read-only.
+        """The L x L one-particle projector `transition_density(self)`, read-only.
 
         Computed on first access and kept, so every correlation block of
-        one state shares one N x N solve.
+        one state shares one product.
         """
-        p = transition_density(self, self)
+        p = transition_density(self)
         p.setflags(write=False)
         return p
 
@@ -82,60 +80,25 @@ class SlaterState:
         return self.orbitals.shape[1]
 
 
-def _check_compatible(psi: SlaterState, phi: SlaterState):
+def overlap(psi: SlaterState, phi: SlaterState) -> complex:
+    """Many-body overlap <psi|phi> = det(Psi+ Phi) of two normalized states.
+
+    Uses the pivoted-LU determinant; its magnitude is at most 1.
+    """
     if psi.L != phi.L or psi.N != phi.N:
         raise DimensionMismatch(
             f"states have shapes {psi.orbitals.shape} and {phi.orbitals.shape}"
         )
+    return complex(np.linalg.det(psi.orbitals.conj().T @ phi.orbitals))
 
 
-def _overlap_matrix(psi, phi):
-    return psi.orbitals.conj().T @ phi.orbitals
+def transition_density(state: SlaterState) -> np.ndarray:
+    """One-particle density matrix P = Psi Psi+ of a normalized state.
 
-
-def _solve_overlap(a, rhs):
-    """Solve a @ x = rhs, rejecting relative determinants below tolerance."""
-    scale = np.linalg.norm(a, axis=0)
-    if np.any(scale == 0.0):
-        raise SingularOverlapError("overlap matrix has a null column")
-    sign, logdet = np.linalg.slogdet(a)
-    if sign == 0 or logdet - np.log(scale).sum() < np.log(_SINGULAR_TOL):
-        raise SingularOverlapError("overlap determinant vanishes to tolerance")
-    return np.linalg.solve(a, rhs)
-
-
-def overlap(psi: SlaterState, phi: SlaterState) -> complex:
-    """Many-body overlap <psi|phi> = det(Psi+ Phi), with scale factors restored.
-
-    Uses the pivoted-LU determinant.  For heavily scaled imaginary-time
-    states the exp of the accumulated log factors can overflow; compare
-    ratios of overlaps in that regime.
+    P[i, j] = <c+_j c_i>: the projector onto the occupied orbitals
+    (Hermitian, idempotent, trace N).
     """
-    _check_compatible(psi, phi)
-    det = np.linalg.det(_overlap_matrix(psi, phi))
-    return complex(det * np.exp(psi.log_scale + phi.log_scale))
-
-
-def transition_density(psi: SlaterState, phi: SlaterState) -> np.ndarray:
-    """Normalized one-body transition matrix between determinant states.
-
-    Returns the L x L matrix P with
-
-        P[i, j] = <psi| c+_j c_i |phi> / <psi|phi>,
-
-    i.e. P = Phi (Psi+ Phi)^(-1) Psi+.  With psi = phi this is the
-    one-particle density matrix projector (idempotent, trace N);
-    column-scale accumulators cancel in the ratio.
-
-    Raises
-    ------
-    SingularOverlapError
-        If det(Psi+ Phi) is below 1e-14 relative to its column norms.
-    """
-    _check_compatible(psi, phi)
-    a = _overlap_matrix(psi, phi)
-    x = _solve_overlap(a, psi.orbitals.conj().T)
-    return phi.orbitals @ x
+    return state.orbitals @ state.orbitals.conj().T
 
 
 def _bond_block(spec, angle, w, mode):
@@ -176,10 +139,10 @@ def _apply_generator(orb, a, b, w, t):
 
 
 def _orthonormalize(orb, tangents=None):
-    """Replace orb (L, N) by Q of G = QR in place; return log det R.
+    """Replace orb (L, N) by Q of G = QR in place.
 
-    R's diagonal is made positive, so det G = det Q * exp(log det R) keeps
-    the determinant's phase.  Any `tangents` slices (k, L, N) are
+    R's diagonal is made positive, so det Q keeps the phase of det G: Q
+    spans the normalized ray of G.  Any `tangents` slices (k, L, N) are
     multiplied by R^-1 on the right, the same change of column basis.
 
     Raises
@@ -197,7 +160,6 @@ def _orthonormalize(orb, tangents=None):
     orb[:] = q * phase
     if tangents is not None:
         tangents[:] = tangents @ np.linalg.inv(r / phase[:, None])
-    return float(np.log(mag).sum())
 
 
 def apply_bond_layer(
@@ -219,8 +181,8 @@ def apply_bond_layer(
         imag:  [[cosh(angle*t), w*sinh(angle*t)], [w*sinh(angle*t), cosh(angle*t)]]
 
     where w = +1 in the bulk and w = gamma on the boundary bond.
-    Real mode is unitary; imaginary mode re-orthonormalizes the columns
-    and adds the log of the removed determinant factor to `log_scale`.
+    Real mode is unitary; imaginary mode re-orthonormalizes the columns,
+    so the result is the normalized evolved state.
 
     `tangents`, if given, is a complex (k+1, L, N) array updated in
     place.  Slices 0..k-1 hold derivatives of the input orbitals; they
@@ -248,10 +210,9 @@ def apply_bond_layer(
         if k:
             _rotate_rows(tangents[:k], a, b, c, s)
         tangents[k] = (-1j if mode == "real" else -1.0) * _apply_generator(orb, a, b, w, spec.t)
-    if mode == "real":
-        return SlaterState(orb, log_scale=state.log_scale)
-    dlog = _orthonormalize(orb, tangents)
-    return SlaterState(orb, log_scale=state.log_scale + dlog)
+    if mode == "imag":
+        _orthonormalize(orb, tangents)
+    return SlaterState(orb)
 
 
 def energy_expectation(state: SlaterState, h: np.ndarray) -> float:

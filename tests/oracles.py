@@ -274,9 +274,9 @@ def mp_imag_energy(L, boundary, table, t=1.0, dps=40):
 def scalar_grid_scan(adjoints, chis, alphas, prefix_state):
     """Grid scan of |det(adjoint prefix(alpha))|^2, one determinant per (alpha, chi) point.
 
-    `adjoints[i]` is the conjugate transpose of the (log_scale 0) target
-    at `chis[i]`; the states `prefix_state(alpha)` returns carry
-    `orbitals` and `log_scale`.  Points are visited alpha by alpha, chi by
+    `adjoints[i]` is the conjugate transpose of the target at `chis[i]`;
+    the states `prefix_state(alpha)` returns carry `orbitals`.  Points are
+    visited alpha by alpha, chi by
     chi, and a point replaces the best only when strictly greater.
     Returns (f, chi, alpha).
     """
@@ -285,7 +285,7 @@ def scalar_grid_scan(adjoints, chis, alphas, prefix_state):
         st = prefix_state(float(al))
         for chi, adj in zip(chis, adjoints):
             det = np.linalg.det(adj @ st.orbitals)
-            f = float(abs(complex(det * np.exp(st.log_scale))) ** 2)
+            f = float(abs(complex(det)) ** 2)
             if f > f_best:
                 f_best, chi_best, al_best = f, float(chi), float(al)
     return f_best, chi_best, al_best

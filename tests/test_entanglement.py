@@ -74,9 +74,9 @@ def test_one_projector_per_state(monkeypatch):
     calls = []
     solve = slater.transition_density
 
-    def counting(psi, phi):
+    def counting(st):
         calls.append(1)
-        return solve(psi, phi)
+        return solve(st)
 
     monkeypatch.setattr(slater, "transition_density", counting)
     monkeypatch.setattr(entanglement, "transition_density", counting, raising=False)
@@ -87,7 +87,7 @@ def test_one_projector_per_state(monkeypatch):
     boundary_rank_diagnostic(state, half)
     entanglement_entropy(state, half)
     assert len(calls) == 1
-    assert np.array_equal(state.projector, solve(state, state))
+    assert np.array_equal(state.projector, solve(state))
     with pytest.raises(ValueError):
         state.projector[0, 0] = 0.0
 

@@ -232,8 +232,8 @@ def test_sweep_manifest_records_stop_reason_per_rung(tmp_path, kind):
 
 
 def test_imaginary_distance_is_finite_for_large_scale_factors(tmp_path):
-    # unoptimized angles of 3/t: the state's scale factor exp(log_scale)
-    # is far beyond the float range, which once made the distance nan
+    # unoptimized angles of 3/t: the unnormalized state's norm is far
+    # beyond the float range, and the distance must still be finite
     config = {"sizes": [64], "boundary": "apbc", "depths": [4],
               "optimizer": {"init_scale": 3.0, "max_iters": 0}}
     code, out = _run(tmp_path, "imaginary-sweep", config)
@@ -331,7 +331,7 @@ def test_process_pool_writes_what_a_single_process_writes(tmp_path):
 @pytest.mark.parametrize("mode", ["real", "imag"])
 @pytest.mark.parametrize("L,boundary,layers", [(10, "pbc", 3), (12, "apbc", 3), (12, "apbc", 6)])
 def test_oracle_subcommand_passes(capsys, mode, L, boundary, layers):
-    # at 6 imaginary layers the squared norm is about 1e6; only the norm is compared relatively
+    # states are stored normalized, so every check, the norm too, is compared absolutely
     code = main(["oracle", "--L", str(L), "--boundary", boundary, "--layers", str(layers),
                  "--mode", mode])
     assert code == 0
@@ -344,7 +344,8 @@ def test_oracle_subcommand_passes(capsys, mode, L, boundary, layers):
     ["--layers", "-1"],
     ["--t", "0"],
     ["--t", "nan"],
-], ids=["L-odd", "L-zero", "layers-negative", "t-zero", "t-nan"])
+    ["--L", "14"],
+], ids=["L-odd", "L-zero", "layers-negative", "t-zero", "t-nan", "L-over-cap"])
 def test_oracle_bad_arguments_are_a_config_error(capsys, argv):
     assert main(["oracle", *argv]) == 2
     assert "config error" in capsys.readouterr().err

@@ -84,14 +84,6 @@ def test_column_swap_flips_all_amplitudes():
     np.testing.assert_allclose(b.amplitudes, -a.amplitudes, atol=1e-12)
 
 
-def test_log_scale_multiplies_amplitudes():
-    rng = np.random.default_rng(2)
-    orb = random_orthonormal(rng, 6, 3)
-    a = slater_to_fock(SlaterState(orb))
-    b = slater_to_fock(SlaterState(orb, log_scale=1.3))
-    np.testing.assert_allclose(b.amplitudes, np.exp(1.3) * a.amplitudes, atol=1e-12)
-
-
 def test_dimer_energy_L8():
     spec = LatticeSpec.half_filling(8, t=1.0)
     vec = slater_to_fock(SlaterState(initial_state(spec).astype(complex)))

@@ -341,7 +341,7 @@ def test_malformed_settings_rejected(field, value):
 
 
 def test_linear_schedule_values():
-    p = linear_schedule_params(4, scale=0.02)
+    p = linear_schedule_params(4, LatticeSpec.half_filling(8), 0.02)
     np.testing.assert_allclose(p.angles[:, 0], 0.02)
     np.testing.assert_allclose(p.angles[:, 1], 0.02 * np.array([1, 2, 3, 4]) / 4)
 
