@@ -56,7 +56,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .ansatz import DqapParams, _forward_pass
-from .errors import DimensionMismatch, NoConvergence, OpenShellError
+from .errors import DimensionMismatch, NoConvergence
 from .lattice import (
     LatticeSpec, _bloch_orbitals, _cell_momenta, _ground_orbitals, _ground_phase, initial_state,
     is_finite_positive, is_int,

@@ -10,25 +10,32 @@ One table type, `DqapParams`, serves both modes: the same angles are
 real-time angles or imaginary-time steps depending on which build
 function (or which `mode` argument) the caller picks.
 
-One forward pass, `_forward_pass`, is the only loop over half-layers:
-it yields the dimer state and then the state after each half-layer,
-each applied by `slater.apply_bond_layer`.  The two circuit builders
-keep its last state, `intermediate_states` keeps every second one, and
-the partial-layer prefixes of `adiabatic` run it on a truncated table.
-The derivative engine, `state_and_derivatives`, runs the same pass with
-a (K, L, N) derivative array: at half-layer k the layer receives slices
-0..k as its tangents, transports the derivatives created so far with
-the state's own 2x2 blocks and seeds slice k with the bond generator
-applied to the rotated state.  Every derivative therefore ends in the
-final frame, at total cost O(M^2 L N) without any backward pass.
+One forward pass, `_forward_pass`, is the only real-space loop over
+half-layers: it yields the dimer state and then the state after each
+half-layer, each applied by `slater.apply_bond_layer`.  The two circuit
+builders keep its last state, `intermediate_states` keeps every second
+one, and the partial-layer prefixes of `adiabatic` run it on a truncated
+table.
 
-In imaginary mode every half-layer ends with a QR step, G = QR: the
-prefix state becomes Q and all live derivatives are multiplied by
-R^-1 in the same step.  The natural-gradient metric, force and energy
-are invariant under G -> GX, dG -> dG X for any invertible X, so this
-changes no result.  It keeps the state normalized (the norm det R is
-dropped, not stored), so the optimizer uses the same normalized
-formulas in both modes.
+The derivative engine, `state_and_derivatives`, runs on the Bloch blocks
+instead.  The dimer state, both bond families and the boundary twist are
+invariant under translation by two sites, so the circuit state puts one
+fermion in each cell momentum q (`lattice`): an (L/2, 2) spinor array,
+starting from (1, 1)/sqrt 2, the layout `adiabatic.magnus_step` uses.
+Half-layer k multiplies every block by c + s [[0, z], [z*, 0]], with
+(c, s) from `slater._bond_block`, z = e^{-iq} for the even family and
+z = 1 for the odd one.  The same block transports the derivatives
+created so far, and derivative k is seeded with the generator -i V_q
+(real) or -V_q (imag) applied to the rotated spinors, V_q = -t [[0, z],
+[z*, 0]].  Every derivative therefore ends in the final frame, at total
+cost O(M^2 L) without any backward pass.
+
+In imaginary mode every half-layer ends by dividing each block, and its
+live derivatives, by the block's norm.  The natural-gradient metric and
+force are invariant under G -> GX, dG -> dG X for any invertible column
+change X, and this one is diagonal, so it changes no result; it keeps
+the state normalized (the norm is dropped, not stored), so the optimizer
+uses the same normalized formulas in both modes.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeSpec, initial_state
-from .slater import SlaterState, apply_bond_layer
+from .lattice import LatticeSpec, _cell_momenta, initial_state
+from .slater import SlaterState, _bond_block, apply_bond_layer
 
 _SUPPORT_TOL = 1e-12  # magnitude above which orbital_support counts an entry
 
@@ -77,22 +84,18 @@ class DqapParams:
         return cls(flat.reshape(-1, 2)[:, ::-1])
 
 
-def _forward_pass(spec: LatticeSpec, table, mode: str, derivs=None):
+def _forward_pass(spec: LatticeSpec, table, mode: str):
     """Yield the dimer state, then the state after each half-layer of `table`.
 
     `table` has the (M, 2) layout of `DqapParams.angles`; 2M + 1 states
     are yielded in application order.  Readers that need only the last
     state should iterate and keep it, so that earlier states can be freed.
-    With a (2M, L, N) array `derivs`, half-layer k updates `derivs[:k+1]`
-    as its tangents (`slater.apply_bond_layer`), so after the last one
-    derivs[k] is the derivative of the last state by flat angle k.
     """
     state = SlaterState(initial_state(spec))
     yield state
     # The flat table runs even(1), odd(1), even(2), ...: family 2, 1, 2, ...
     for k, ang in enumerate(table[:, ::-1].ravel()):
-        tangents = None if derivs is None else derivs[: k + 1]
-        state = apply_bond_layer(state, 2 - k % 2, ang, spec, mode=mode, tangents=tangents)
+        state = apply_bond_layer(state, 2 - k % 2, ang, spec, mode=mode)
         yield state
 
 
@@ -116,23 +119,40 @@ def intermediate_states(spec: LatticeSpec, params: DqapParams):
 
 
 def state_and_derivatives(spec: LatticeSpec, params: DqapParams, mode="real"):
-    """Final state plus all K = 2M parameter derivatives in one pass.
+    """Final Bloch spinors plus all K = 2M parameter derivatives in one pass.
 
     Returns
     -------
-    (state, derivs) : SlaterState and complex array (K, L, N).
-        derivs[k] is the derivative of the final orbital matrix with
-        respect to flat parameter k, in the same column basis as the
-        state (imaginary mode re-orthonormalizes both together, so the
-        state is normalized in both modes).
+    (spinors, derivs) : complex arrays (L/2, 2) and (K, L/2, 2).
+        Row n of `spinors` holds the sublattice amplitudes of cell
+        momentum q_n (`lattice._bloch_orbitals` maps them to real-space
+        orbitals); derivs[k] is their derivative by flat parameter k, in
+        the same column basis.  Every block has unit norm in both modes
+        (module docstring).
+
+    Raises
+    ------
+    SingularOverlapError
+        In imaginary mode, if a block coefficient overflows.
     """
-    # The state and the derivatives stay two arrays: a single rotation over
-    # both spills its temporaries out of cache one depth sooner (about 10%
-    # slower at L=160, M=3, 2-vCPU VM).
-    derivs = np.empty((2 * params.M, spec.L, spec.N), dtype=complex)
-    for state in _forward_pass(spec, params.angles, mode, derivs):
-        pass
-    return state, derivs
+    emiq = _cell_momenta(spec.L, spec.gamma)[1]
+    # -i (real) or -1 (imag) times the -t of V_q
+    gen = (1j if mode == "real" else 1.0) * spec.t
+    # Row 0 is the state, row k + 1 its derivative by flat angle k.
+    stack = np.zeros((2 * params.M + 1, spec.N, 2), dtype=complex)
+    stack[0] = np.sqrt(0.5)
+    psi = stack[0]
+    for k, ang in enumerate(params.flatten()):
+        c, s = _bond_block(spec, ang, mode)
+        z = emiq if k % 2 == 0 else 1.0
+        live = stack[: k + 1]
+        a, b = live[..., 0], live[..., 1]
+        live[..., 0], live[..., 1] = c * a + s * z * b, s * np.conj(z) * a + c * b
+        stack[k + 1, :, 0] = gen * z * psi[:, 1]
+        stack[k + 1, :, 1] = gen * np.conj(z) * psi[:, 0]
+        if mode == "imag":
+            stack[: k + 2] /= np.hypot(np.abs(psi[:, 0]), np.abs(psi[:, 1]))[:, None]
+    return psi, stack[1:]
 
 
 def orbital_support(state: SlaterState) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 The update solves (S + S* + ridge) dtheta = -delta_beta (f + f*) where S
 is the overlap metric of the parameter derivatives and f the force
-vector.  Both are assembled from the stacked derivatives of the circuit
-state, which the derivative engine returns with orthonormal orbitals in
-both modes (imaginary-time states are re-orthonormalized by a QR step
-after every half-layer, which leaves S and f unchanged).
+vector.  Both are assembled block by block from the Bloch spinors of the
+circuit state and their derivatives (`ansatz.state_and_derivatives`),
+which are normalized in both modes, at cost O(K^2 L).  The energy the
+run reads is the real-space one, `slater.energy_expectation` of the
+built state, so the start, every line-search trial and the trace share
+one formula.
 
 Both modes optimize the same table type, `DqapParams`; the mode is
 named by the caller, through `optimize` (real) or `optimize_imaginary`.
@@ -38,9 +40,10 @@ import numpy as np
 from .ansatz import DqapParams, build_dqap_state, build_imag_state, state_and_derivatives
 from .errors import LinearSolveError, SingularOverlapError
 from .lattice import (
-    LatticeSpec, build_hamiltonian, is_finite_nonnegative, is_finite_positive, is_int
+    LatticeSpec, _cell_momenta, build_hamiltonian, is_finite_nonnegative, is_finite_positive,
+    is_int,
 )
-from .slater import SlaterState, energy_expectation
+from .slater import energy_expectation
 
 _LSTSQ_CUTOFF = 1e-12
 _MAX_HALVINGS = 60
@@ -93,11 +96,10 @@ class OptimizerConfig:
 
 @dataclass
 class NaturalGradientWorkspace:
-    """Assembled metric S (K, K), force f (K,), and current energy."""
+    """Assembled metric S (K, K) and force f (K,)."""
 
     metric: np.ndarray
     force: np.ndarray
-    energy: float
 
 
 @dataclass
@@ -119,32 +121,29 @@ class OptResult:
 
 
 def assemble_metric_and_force(
-    state: SlaterState, derivs: np.ndarray, h: np.ndarray
+    spinors: np.ndarray, derivs: np.ndarray, spec: LatticeSpec
 ) -> NaturalGradientWorkspace:
-    """Metric, force, and energy from a state and its derivative stacks (K, L, N).
+    """Metric and force from Bloch spinors (L/2, 2) and their derivatives (K, L/2, 2).
 
-    The state's orbitals Psi are orthonormal (Psi+ Psi = 1), as for every
-    state the package builds, so
+    Every block psi_q has unit norm and the blocks of different cell
+    momenta are orthogonal, so the real-space traces of the metric and
+    force split into sums over q,
 
-        S_kk' = tr[A_k+ A_k'] - tr[A_k+ Psi Psi+ A_k']
-        f_k   = tr[A_k+ (h Psi - Psi (Psi+ h Psi))]
+        S_kk' = sum_q [a_kq+ a_k'q - conj(psi_q+ a_kq) (psi_q+ a_k'q)]
+        f_k   = sum_q a_kq+ (H_q psi_q - psi_q E_q),   E_q = psi_q+ H_q psi_q,
 
-    Both reduce to Gram products over the stacked matrices.  K = 0 gives
-    an empty metric and force next to the energy.
+    with H_q = -t [[0, 1 + e^{-iq}], [1 + e^{iq}, 0]] and a_kq = derivs[k, q].
+    The cost is O(K^2 L).  K = 0 gives an empty metric and force.
     """
-    orb = state.orbitals
     kdim = derivs.shape[0]
-    hpsi = h @ orb
-    rhs = orb.conj().T @ hpsi
-    energy = float(np.trace(rhs).real)
-    aflat = derivs.reshape(kdim, orb.size)
-    term1 = aflat.conj() @ aflat.T
-    proj = np.tensordot(derivs, orb.conj(), axes=([1], [0]))
-    pflat = proj.reshape(kdim, state.N**2)
-    term2 = pflat.conj() @ pflat.T
-    x = hpsi - orb @ rhs
-    force = aflat.conj() @ x.ravel()
-    return NaturalGradientWorkspace(term1 - term2, force, energy)
+    h01 = -spec.t * (1.0 + _cell_momenta(spec.L, spec.gamma)[1])
+    hpsi = np.stack((h01 * spinors[:, 1], h01.conj() * spinors[:, 0]), axis=1)
+    e_q = np.sum(spinors.conj() * hpsi, axis=1)
+    aflat = derivs.reshape(kdim, spinors.size)
+    proj = np.einsum("qs,kqs->kq", spinors.conj(), derivs)
+    metric = aflat.conj() @ aflat.T - proj.conj() @ proj.T
+    force = aflat.conj() @ (hpsi - spinors * e_q[:, None]).ravel()
+    return NaturalGradientWorkspace(metric, force)
 
 
 def _solve_step(workspace: NaturalGradientWorkspace, delta_beta: float, ridge: float):
@@ -196,16 +195,15 @@ def _initial_params(spec, m_layers, config, init):
 
 def _run(spec, params, mode, config):
     h = build_hamiltonian(spec)
-    state, derivs = state_and_derivatives(spec, params, mode=mode)
-    ws = assemble_metric_and_force(state, derivs, h)
-    trace = [ws.energy]
+    build = build_dqap_state if mode == "real" else build_imag_state
+    trace = [energy_expectation(build(spec, params), h)]
     if params.M == 0:
-        return OptResult(params, ws.energy, np.asarray(trace), 0, True, "no_descent")
+        return OptResult(params, trace[0], np.asarray(trace), 0, True, "no_descent")
     stop_reason = "max_iters"
     it = 0
-    build = build_dqap_state if mode == "real" else build_imag_state
     db = config.delta_beta
     while it < config.max_iters:
+        ws = assemble_metric_and_force(*state_and_derivatives(spec, params, mode=mode), spec)
         dtheta = _solve_step(ws, db, config.ridge)
         largest = np.max(np.abs(dtheta)) * spec.t
         if largest > _TRUST_CAP:
@@ -232,9 +230,7 @@ def _run(spec, params, mode, config):
         db = db * _STEP_GROWTH if scale == 1.0 else max(config.delta_beta, db * scale)
         params = accepted
         it += 1
-        state, derivs = state_and_derivatives(spec, params, mode=mode)
-        ws = assemble_metric_and_force(state, derivs, h)
-        trace.append(ws.energy)
+        trace.append(energy)
         if abs(trace[-1] - trace[-2]) / (abs(trace[-1]) + 1.0) < config.energy_tol:
             stop_reason = "energy_tol"
             break

@@ -101,10 +101,12 @@ def transition_density(state: SlaterState) -> np.ndarray:
     return state.orbitals @ state.orbitals.conj().T
 
 
-def _bond_block(spec, angle, w, mode):
-    """Entries (c, s) of the 2x2 blocks [[c, s], [s, c]] of one bond family.
+def _bond_block(spec, angle, mode):
+    """Scalars (c, s) of the 2x2 bond blocks [[c, s w], [s w*, c]] of one angle.
 
-    c is a scalar; s has one row per bond, shape (n_bonds, 1).
+    w is the bond's weight, or the cell phase of a Bloch block; both
+    half-layer kernels, `apply_bond_layer` and the Bloch-block engine of
+    `ansatz.state_and_derivatives`, read their blocks from here.
 
     Raises
     ------
@@ -113,37 +115,28 @@ def _bond_block(spec, angle, w, mode):
     """
     th = angle * spec.t
     if mode == "real":
-        return np.cos(th), 1j * np.sin(th) * w[:, None]
+        return np.cos(th), 1j * np.sin(th)
     if mode != "imag":
         raise ValueError(f"mode must be 'real' or 'imag', got {mode!r}")
     with np.errstate(over="ignore"):
         c = np.cosh(th)
     if not np.isfinite(c):
         raise SingularOverlapError(f"imaginary bond coefficient cosh({float(th):.6g}) overflows")
-    return c, np.sinh(th) * w[:, None]
+    return c, np.sinh(th)
 
 
 def _rotate_rows(arr, a, b, c, s):
-    """Apply the blocks [[c, s], [s, c]] in place to row pairs (a, b) of arr (..., L, N)."""
-    ra, rb = arr[..., a, :], arr[..., b, :]
-    arr[..., a, :] = c * ra + s * rb
-    arr[..., b, :] = s * ra + c * rb
+    """Apply the blocks [[c, s], [s, c]] in place to row pairs (a, b) of arr (L, N)."""
+    ra, rb = arr[a], arr[b]
+    arr[a] = c * ra + s * rb
+    arr[b] = s * ra + c * rb
 
 
-def _apply_generator(orb, a, b, w, t):
-    """Bond-family generator -t*w*(c+_a c_b + h.c.) acting on orbitals."""
-    out = np.zeros_like(orb)
-    out[a] = -t * w[:, None] * orb[b]
-    out[b] = -t * w[:, None] * orb[a]
-    return out
-
-
-def _orthonormalize(orb, tangents=None):
+def _orthonormalize(orb):
     """Replace orb (L, N) by Q of G = QR in place.
 
     R's diagonal is made positive, so det Q keeps the phase of det G: Q
-    spans the normalized ray of G.  Any `tangents` slices (k, L, N) are
-    multiplied by R^-1 on the right, the same change of column basis.
+    spans the normalized ray of G.
 
     Raises
     ------
@@ -156,10 +149,7 @@ def _orthonormalize(orb, tangents=None):
     mag = np.abs(d)
     if not mag.min() > _SINGULAR_TOL * np.abs(r).max():
         raise SingularOverlapError("orbital columns are linearly dependent to tolerance")
-    phase = d / mag
-    orb[:] = q * phase
-    if tangents is not None:
-        tangents[:] = tangents @ np.linalg.inv(r / phase[:, None])
+    orb[:] = q * (d / mag)
 
 
 def apply_bond_layer(
@@ -168,8 +158,6 @@ def apply_bond_layer(
     angle: float,
     spec: LatticeSpec,
     mode: str = "real",
-    *,
-    tangents: np.ndarray | None = None,
 ) -> SlaterState:
     """Apply exp(-i*angle*V_family) (real) or exp(-angle*V_family) (imag).
 
@@ -182,16 +170,9 @@ def apply_bond_layer(
 
     where w = +1 in the bulk and w = gamma on the boundary bond.
     Real mode is unitary; imaginary mode re-orthonormalizes the columns,
-    so the result is the normalized evolved state.
-
-    `tangents`, if given, is a complex (k+1, L, N) array updated in
-    place.  Slices 0..k-1 hold derivatives of the input orbitals; they
-    are transported by the same 2x2 blocks (and in imaginary mode by the
-    same R^-1 of the QR step), so they become derivatives of the result.
-    Slice k is overwritten with the derivative of the result by `angle`:
-    the generator -i*V_family (real) or -V_family (imag) applied to the
-    rotated orbitals, before the QR step.  Every slice ends in the
-    result's column basis.
+    so the result is the normalized evolved state.  This is the
+    real-space kernel of the circuit builders; the angle derivatives
+    come from the Bloch blocks instead (`ansatz.state_and_derivatives`).
 
     Raises
     ------
@@ -202,16 +183,11 @@ def apply_bond_layer(
     if state.L != spec.L:
         raise DimensionMismatch(f"state has L={state.L}, spec has L={spec.L}")
     a, b, w = bond_pairs(spec, family)
-    c, s = _bond_block(spec, angle, w, mode)
+    c, s = _bond_block(spec, angle, mode)
     orb = state.orbitals.copy()
-    _rotate_rows(orb, a, b, c, s)
-    if tangents is not None:
-        k = len(tangents) - 1
-        if k:
-            _rotate_rows(tangents[:k], a, b, c, s)
-        tangents[k] = (-1j if mode == "real" else -1.0) * _apply_generator(orb, a, b, w, spec.t)
+    _rotate_rows(orb, a, b, c, s * w[:, None])
     if mode == "imag":
-        _orthonormalize(orb, tangents)
+        _orthonormalize(orb)
     return SlaterState(orb)
 
 

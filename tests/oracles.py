@@ -9,7 +9,8 @@ exponential per slice, and eigh ground states along the ramp) and a
 circuit and its angle derivatives have a dense route too:
 `scipy.linalg.expm` half-layers with forward-mode derivatives and no
 re-orthonormalization.  The ramp's Bloch spinors have a
-one-slice-at-a-time route.  The overlap grid scan has a scalar route,
+one-slice-at-a-time route, and any Bloch spinors a map to real-space
+orbitals.  The overlap grid scan has a scalar route,
 one determinant per grid point.  Nothing here calls back into
 dqap_lab, so agreement is meaningful.
 """
@@ -122,9 +123,7 @@ def gauge_invariant_metric_and_force(g, dg, h):
     ninv = np.linalg.inv(g.conj().T @ g)
     proj = g @ ninv @ g.conj().T
     right = np.array([d @ ninv for d in dg])  # dG_k n^-1
-    metric = np.einsum("kia,lia->kl", dg.conj(), right) - np.einsum(
-        "kia,ij,lja->kl", dg.conj(), proj, right
-    )
+    metric = np.einsum("kia,lia->kl", dg.conj(), right - proj @ right)
     hg = h @ g
     resid = (hg - proj @ hg) @ ninv
     force = np.einsum("kia,ia->k", dg.conj(), resid)
@@ -186,6 +185,17 @@ def bloch_frame(L, boundary):
     frame[0::2, 0::2] = phase
     frame[1::2, 1::2] = phase
     return frame
+
+
+def spinor_orbitals(L, boundary, spinors):
+    """Real-space orbitals (..., L, L/2) of Bloch spinors (..., L/2, 2), through `bloch_frame`.
+
+    Column n is the Bloch wave of momentum q_n with sublattice amplitudes
+    spinors[..., n, :].
+    """
+    frame = bloch_frame(L, boundary)
+    spinors = np.asarray(spinors)
+    return frame[:, 0::2] * spinors[..., None, :, 0] + frame[:, 1::2] * spinors[..., None, :, 1]
 
 
 def sequential_ramp(spinors, L, boundary, T, M, slices, order=1, t=1.0):

@@ -1,8 +1,10 @@
 """Layered circuits, parameter tables, and the derivative engine."""
 
+import sys
+from functools import lru_cache
+
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from dqap_lab import (
     DqapParams,
@@ -29,15 +31,31 @@ from dqap_lab import (
 
 from .oracles import (
     dense_circuit,
+    dimer_orbitals,
     gauge_invariant_metric_and_force,
-    hopping_families,
     mp_imag_energy,
     random_orthonormal,
+    spinor_orbitals,
 )
 
 
 def random_params(rng, m, scale=1.0):
     return DqapParams(scale * rng.uniform(0.1, 1.0, size=(m, 2)))
+
+
+def real_space(spec, spinors):
+    """Real-space orbitals (..., L, N) of the engine's Bloch spinors (..., N, 2)."""
+    return spinor_orbitals(spec.L, spec.boundary, spinors)
+
+
+def dimer_frame(spec):
+    """Unitary X with real_space(dimer spinors) = dimer orbitals @ X.
+
+    A unitary circuit acts on the left, so in real mode the engine's
+    state and derivatives are the dimer-frame ones times X.
+    """
+    bloch = real_space(spec, np.full((spec.N, 2), np.sqrt(0.5)))
+    return dimer_orbitals(spec.L).conj().T @ bloch
 
 
 # ---- parameter tables ----
@@ -184,6 +202,7 @@ def test_real_derivatives_match_finite_differences():
     rng = np.random.default_rng(5)
     p = random_params(rng, 2)
     _, derivs = state_and_derivatives(spec, p, mode="real")
+    derivs = real_space(spec, derivs) @ dimer_frame(spec).conj().T
     flat = p.flatten()
     h = 1e-6
     for k in range(flat.size):
@@ -199,8 +218,10 @@ def test_real_derivatives_match_finite_differences():
 
 def test_derivative_seeds_at_zero_angles():
     spec = LatticeSpec.half_filling(8)
-    psi = initial_state(spec)
-    _, derivs = state_and_derivatives(spec, DqapParams(np.zeros((1, 2))))
+    spinors, derivs = state_and_derivatives(spec, DqapParams(np.zeros((1, 2))))
+    psi = real_space(spec, spinors)
+    np.testing.assert_allclose(psi, initial_state(spec) @ dimer_frame(spec), atol=1e-15)
+    derivs = real_space(spec, derivs)
     np.testing.assert_allclose(derivs[0], -1j * build_v2(spec) @ psi, atol=1e-14)
     np.testing.assert_allclose(derivs[1], -1j * build_v1(spec) @ psi, atol=1e-14)
 
@@ -220,8 +241,8 @@ def test_imag_derivatives_match_fd_of_normalized_overlap():
         den = overlap(st, st).real
         return float(np.log(abs(num) ** 2 / den))
 
-    st, derivs = state_and_derivatives(spec, p, mode="imag")
-    phi = st.orbitals
+    spinors, derivs = state_and_derivatives(spec, p, mode="imag")
+    phi, derivs = real_space(spec, spinors), real_space(spec, derivs)
     flat = p.flatten()
     rphi = ref.conj().T @ phi
     gram = phi.conj().T @ phi
@@ -241,57 +262,83 @@ def test_imag_derivatives_match_fd_of_normalized_overlap():
 
 # (L, gamma, M) of the dense-route comparisons
 _DENSE_CASES = [(8, -1, 2), (10, +1, 3), (16, -1, 4), (30, +1, 3)]
+# Real mode only: the unnormalized imaginary-time G of the dense route
+# loses accuracy beyond L of about 30 (3e-9 at (80, 10), O(1) at (160, 20)).
+_WIDE_CASES = [(40, -1, 6), (80, +1, 10), (160, -1, 20)]
 
 
-@pytest.mark.parametrize("L,gamma,m", _DENSE_CASES)
+@lru_cache(maxsize=None)
+def dense_case(L, gamma, m, mode):
+    """The random table of one dense-route case and the dense circuit's (G, dG)."""
+    p = random_params(np.random.default_rng(L), m)
+    return p, dense_circuit(L, gamma, p.angles, mode)
+
+
+def assert_close_to_largest(got, ref):
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("L,gamma,m", _DENSE_CASES + _WIDE_CASES)
 def test_real_derivatives_match_dense_route(L, gamma, m):
     spec = LatticeSpec.half_filling(L, gamma=gamma)
-    p = random_params(np.random.default_rng(L), m)
-    st, derivs = state_and_derivatives(spec, p, mode="real")
-    g, dg = dense_circuit(L, gamma, p.angles, "real")
-    np.testing.assert_allclose(st.orbitals, g, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(derivs, dg, rtol=0, atol=1e-12)
+    p, (g, dg) = dense_case(L, gamma, m, "real")
+    spinors, derivs = state_and_derivatives(spec, p, mode="real")
+    x = dimer_frame(spec)
+    assert_close_to_largest(real_space(spec, spinors), g @ x)
+    assert_close_to_largest(real_space(spec, derivs), dg @ x)
 
 
-@pytest.mark.parametrize("mode", ["real", "imag"])
-@pytest.mark.parametrize("L,gamma,m", _DENSE_CASES)
+@pytest.mark.parametrize(
+    "L,gamma,m,mode",
+    [(*case, mode) for case in _DENSE_CASES for mode in ("imag", "real")]
+    + [(*case, "real") for case in _WIDE_CASES],
+)
 def test_metric_and_force_match_dense_route(L, gamma, m, mode):
     # the dense route never re-orthonormalizes, so it is compared
     # through the column-basis invariant formulas
     spec = LatticeSpec.half_filling(L, gamma=gamma)
+    p, (g, dg) = dense_case(L, gamma, m, mode)
+    ws = assemble_metric_and_force(*state_and_derivatives(spec, p, mode=mode), spec)
+    metric, force = gauge_invariant_metric_and_force(g, dg, build_hamiltonian(spec))
+    assert_close_to_largest(ws.metric, metric)
+    assert_close_to_largest(ws.force, force)
+
+
+@pytest.mark.parametrize("L,gamma,m", _WIDE_CASES + [(16, +1, 4)])
+def test_imag_spinors_span_the_built_state(L, gamma, m):
+    # where the dense imaginary route is too inaccurate, the real-space
+    # builder pins the state: equal projectors, whatever the column basis
+    spec = LatticeSpec.half_filling(L, gamma=gamma)
     p = random_params(np.random.default_rng(L), m)
-    h = build_hamiltonian(spec)
-    ws = assemble_metric_and_force(*state_and_derivatives(spec, p, mode=mode), h)
-    metric, force = gauge_invariant_metric_and_force(*dense_circuit(L, gamma, p.angles, mode), h)
-    for got, ref in ((ws.metric, metric), (ws.force, force)):
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    phi = real_space(spec, state_and_derivatives(spec, p, mode="imag")[0])
+    ref = build_imag_state(spec, p).projector
+    np.testing.assert_allclose(phi @ phi.conj().T, ref, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["real", "imag"])
-@pytest.mark.parametrize("family", [1, 2])
-def test_bond_layer_tangents_contract(mode, family):
-    # slices 0..k-1 are carried by the layer's blocks, slice k is the
-    # derivative by the layer's angle; all end in the result's column basis
-    spec = LatticeSpec.half_filling(8)
-    rng = np.random.default_rng(9)
-    psi = random_orthonormal(rng, 8, 4)
-    old = rng.normal(size=(2, 8, 4)) + 1j * rng.normal(size=(2, 8, 4))
-    tangents = np.empty((3, 8, 4), dtype=complex)
-    tangents[:2] = old
-    angle, h = 0.37, 1e-6
-    out = apply_bond_layer(SlaterState(psi), family, angle, spec, mode=mode, tangents=tangents)
+def test_every_block_has_unit_norm(mode):
+    # the metric and force assembly reads psi_q+ psi_q = 1 without checking it
+    spec = LatticeSpec.half_filling(160, gamma=+1)
+    p = DqapParams(np.full((20, 2), 3.0 / spec.t))  # unnormalized block norms near e^240
+    spinors, _ = state_and_derivatives(spec, p, mode=mode)
+    np.testing.assert_allclose(np.linalg.norm(spinors, axis=1), 1.0, rtol=0, atol=1e-13)
 
-    v = hopping_families(8, spec.gamma)[family - 1]
-    factor = -1j if mode == "real" else -1.0
 
-    def layer(theta):
-        return expm(factor * theta * v) @ psi
+@pytest.mark.parametrize("mode", ["real", "imag"])
+def test_derivative_engine_needs_no_real_space_kernel(monkeypatch, mode):
+    # the engine and the assembly run on the Bloch blocks alone
+    def unavailable(*args, **kwargs):
+        raise AssertionError("real-space kernel called")
 
-    basis = np.linalg.inv(out.orbitals.conj().T @ layer(angle))  # result = layer(angle) @ basis
-    transported = expm(factor * angle * v) @ old @ basis
-    np.testing.assert_allclose(tangents[:2], transported, rtol=0, atol=1e-13)
-    fd = (layer(angle + h) - layer(angle - h)) / (2 * h) @ basis
-    np.testing.assert_allclose(tangents[2], fd, rtol=0, atol=1e-9)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dqap_lab"):
+            for attr in ("apply_bond_layer", "bond_pairs"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, unavailable)
+    spec = LatticeSpec.half_filling(16)
+    p = random_params(np.random.default_rng(0), 3)
+    ws = assemble_metric_and_force(*state_and_derivatives(spec, p, mode=mode), spec)
+    assert ws.metric.shape == (6, 6) and np.all(np.isfinite(ws.force))
 
 
 # ---- support growth ----

@@ -120,9 +120,9 @@ GOLDEN = {
          "converged"],
         [
             [10, 5, 1, 1, -6.472135955, -6.472135955,
-             4.48530101949e-13, 3.71335023474e-07, 0.721818536138, 27, 1],
+             4.48530101949e-13, 3.70736578245e-07, 0.721818536138, 27, 1],
             [10, 5, 1, 2, -6.472135955, -6.472135955,
-             2.93098878501e-14, 1.21971261082e-07, 1.23084896612, 21, 1],
+             2.93098878501e-14, 1.18274300295e-07, 1.23084896612, 21, 1],
         ],
     ),
     "conttime": (

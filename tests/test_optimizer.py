@@ -7,7 +7,6 @@ from dqap_lab import (
     DqapParams,
     LatticeSpec,
     OptimizerConfig,
-    SlaterState,
     assemble_metric_and_force,
     build_dqap_state,
     build_hamiltonian,
@@ -22,13 +21,11 @@ from dqap_lab import (
     warm_start,
 )
 
-from .oracles import central_difference, mp_imag_energy
+from .oracles import cell_momenta, central_difference, mp_imag_energy
 
 
 def workspace_at(spec, params, mode="real"):
-    h = build_hamiltonian(spec)
-    state, derivs = state_and_derivatives(spec, params, mode=mode)
-    return assemble_metric_and_force(state, derivs, h)
+    return assemble_metric_and_force(*state_and_derivatives(spec, params, mode=mode), spec)
 
 
 def random_point(rng, m):
@@ -84,14 +81,21 @@ def test_metric_diagonal_is_fidelity_curvature():
 
 
 def test_force_vanishes_at_exact_ground_state():
-    # N = 5 is odd, so only periodic closure gives a closed shell
+    # N = 5 is odd, so only periodic closure gives a closed shell; every
+    # block sits in its lower-band spinor (1, z/|z|)/sqrt 2, z = 1 + e^{iq}
     spec = LatticeSpec.half_filling(10, gamma=+1)
-    orb, _ = exact_ground_state(spec)
-    h = build_hamiltonian(spec)
+    z = 1.0 + np.exp(1j * cell_momenta(10, "pbc"))
+    spinors = np.stack([np.ones(5), z / np.abs(z)], axis=1) / np.sqrt(2.0)
     rng = np.random.default_rng(2)
-    derivs = rng.normal(size=(4, 10, 5)) + 1j * rng.normal(size=(4, 10, 5))
-    ws = assemble_metric_and_force(SlaterState(orb.astype(complex)), derivs, h)
+    derivs = rng.normal(size=(4, 5, 2)) + 1j * rng.normal(size=(4, 5, 2))
+    ws = assemble_metric_and_force(spinors, derivs, spec)
     assert np.max(np.abs(ws.force)) < 1e-8
+
+
+@pytest.mark.parametrize("mode", ["real", "imag"])
+def test_zero_layer_assembly_is_empty(mode):
+    ws = workspace_at(LatticeSpec.half_filling(8), DqapParams(np.zeros((0, 2))), mode)
+    assert ws.metric.shape == (0, 0) and ws.force.shape == (0,)
 
 
 @pytest.mark.parametrize("mode,builder", [
@@ -111,16 +115,6 @@ def test_energy_gradient_matches_finite_differences(mode, builder):
 
     fd = central_difference(energy, params.flatten(), h=1e-6)
     np.testing.assert_allclose(grad, fd, atol=1e-7)
-
-
-def test_workspace_energy_matches_expectation():
-    spec = LatticeSpec.half_filling(8)
-    h = build_hamiltonian(spec)
-    rng = np.random.default_rng(4)
-    for mode, builder in (("real", build_dqap_state), ("imag", build_imag_state)):
-        params = random_point(rng, 2)
-        ws = workspace_at(spec, params, mode)
-        assert abs(ws.energy - energy_expectation(builder(spec, params), h)) < 1e-10
 
 
 # ---- single update ----
@@ -143,7 +137,8 @@ def test_one_step_lowers_energy_from_random_point():
     params = random_point(rng, 2)
     ws = workspace_at(spec, params)
     stepped = natural_gradient_step(ws, params, OptimizerConfig())
-    assert energy_expectation(build_dqap_state(spec, stepped), h) < ws.energy
+    start = energy_expectation(build_dqap_state(spec, params), h)
+    assert energy_expectation(build_dqap_state(spec, stepped), h) < start
 
 
 def test_step_insensitive_to_ridge_at_generic_points():
@@ -234,21 +229,37 @@ def test_imaginary_run_improves_on_dimer():
 
 
 def test_line_search_rejects_non_finite_energy(monkeypatch):
-    # the first trial energy reads -inf; it must not count as descent
+    # the first call is the start energy; the first trial energy reads
+    # -inf, and it must not count as descent
     spec = LatticeSpec.half_filling(8)
     real_energy = optimizer.energy_expectation
     calls = []
 
-    def energy_once_minus_inf(state, h):
+    def first_trial_minus_inf(state, h):
         calls.append(state)
-        return -np.inf if len(calls) == 1 else real_energy(state, h)
+        return -np.inf if len(calls) == 2 else real_energy(state, h)
 
-    monkeypatch.setattr(optimizer, "energy_expectation", energy_once_minus_inf)
+    monkeypatch.setattr(optimizer, "energy_expectation", first_trial_minus_inf)
     res = optimize(spec, 2, OptimizerConfig(max_iters=1))
     assert res.iterations == 1
-    assert len(calls) >= 2
+    assert len(calls) >= 3
     assert np.all(np.isfinite(res.trace))
     assert res.trace[1] <= res.trace[0]
+
+
+@pytest.mark.parametrize("run,builder", [
+    (optimize, build_dqap_state),
+    (optimize_imaginary, build_imag_state),
+])
+def test_trace_holds_the_energy_of_the_built_state(run, builder):
+    # one energy formula per run: the trace ends on the real-space
+    # energy of the returned table, bit for bit
+    spec = LatticeSpec.half_filling(16, gamma=+1)
+    h = build_hamiltonian(spec)
+    res = run(spec, 3, OptimizerConfig(init_mode="random", seed=1, max_iters=40))
+    assert res.iterations > 0
+    assert res.trace[-1] == energy_expectation(builder(spec, res.params), h)
+    assert res.energy == res.trace[-1]
 
 
 def test_large_step_imaginary_rung_matches_block_product():

@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from dqap_lab import (
     DimensionMismatch,
@@ -28,7 +29,6 @@ from dqap_lab import (
     many_body_matrix,
     overlap,
     slater_to_fock,
-    state_and_derivatives,
     transition_density,
 )
 
@@ -170,11 +170,10 @@ def test_real_bond_layer_matches_fock(family, gamma):
     )
 
 
-@pytest.mark.parametrize("family", [1, 2])
-def test_imag_bond_layer_matches_fock(family):
+def check_imag_layer_against_fock(family, seed):
     L, N = 6, 3
     spec = LatticeSpec.half_filling(L, gamma=+1)
-    rng = np.random.default_rng(9)
+    rng = np.random.default_rng(seed)
     st = random_state(rng, L, N)
     tau = 0.41
     v = build_v1(spec) if family == 1 else build_v2(spec)
@@ -187,6 +186,22 @@ def test_imag_bond_layer_matches_fock(family):
     np.testing.assert_allclose(
         got.amplitudes, target.amplitudes / np.sqrt(target.norm_sq), atol=1e-10
     )
+    return st, v, tau
+
+
+@pytest.mark.parametrize("family", [1, 2])
+def test_imag_bond_layer_matches_fock(family):
+    check_imag_layer_against_fock(family, seed=9)
+
+
+@pytest.mark.parametrize("family", [1, 2])
+def test_imag_bond_layer_keeps_the_phase_that_qr_flips(family):
+    # seed 10 gives, for both families, an evolved G = QR whose R diagonal
+    # has a negative sign product, so det Q alone has the wrong sign and
+    # only the positive-diagonal fix of the QR step restores the phase
+    st, v, tau = check_imag_layer_against_fock(family, seed=10)
+    r = np.linalg.qr(expm(-tau * v) @ st.orbitals)[1]
+    assert np.prod(np.sign(np.diagonal(r).real)) == -1.0
 
 
 def test_imag_layer_rejects_dependent_columns():
@@ -244,8 +259,6 @@ _STEEP = DqapParams(np.full((3, 2), 3.0 / _SPEC.t))  # unnormalized norm about e
 _BUILDERS = {
     "build_dqap_state": lambda: [build_dqap_state(_SPEC, _ANGLES)],
     "build_imag_state": lambda: [build_imag_state(_SPEC, _STEEP)],
-    "state_and_derivatives-real": lambda: [state_and_derivatives(_SPEC, _ANGLES)[0]],
-    "state_and_derivatives-imag": lambda: [state_and_derivatives(_SPEC, _STEEP, mode="imag")[0]],
     "intermediate_states": lambda: intermediate_states(_SPEC, _ANGLES),
     "evolve_linear_schedule": lambda: [
         evolve_linear_schedule(_SPEC, EvolutionPlan(T=4.0, M=40))[0]
