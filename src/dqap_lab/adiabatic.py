@@ -45,23 +45,30 @@ the path.  Writing g for 2 pi / L, the ramp and instantaneous gap are
 with a = -atan(sin g / (1 - cos g)), b = atan(cos g / sin g); the
 coefficients satisfy ramp(0) = 0 and ramp(1) = 1 identically, and the
 ramp solves  x'' = 2 (x - cos g) x'^2 / ((x - cos g)^2 + sin^2 g).
+
+The overlap scans match the m-layer circuit prefix, its last odd
+half-layer scaled by alpha, to the ramp ground state it overlaps best.
+Both put one fermion in every Bloch block, so the squared overlap is the
+product over q of |c (a + conj(u_q) b) + s (b + conj(u_q) a)|^2 / 2:
+(a, b) are the prefix spinors before that half-layer, (c, s) its
+`slater._bond_block` and (1, u_q)/sqrt 2 the ground spinor.  A scan point
+costs O(L) and no determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .ansatz import DqapParams, _forward_pass
+from .ansatz import DqapParams, build_dqap_state, state_and_derivatives
 from .errors import DimensionMismatch, NoConvergence
 from .lattice import (
-    LatticeSpec, _bloch_orbitals, _cell_momenta, _ground_orbitals, _ground_phase, initial_state,
+    LatticeSpec, _bloch_orbitals, _cell_momenta, _ground_orbitals, _ground_phase,
     is_finite_positive, is_int,
 )
-from .slater import SlaterState, apply_bond_layer, overlap
+from .slater import SlaterState, _bond_block, overlap
 
 # slice x cell entries per magnus_step call of a ramp: about 1 MB per temporary
 _CHUNK_ELEMENTS = 1 << 16
@@ -298,22 +305,18 @@ def _reduced_odd_angle(spec, angle):
 
 
 def _prefix(spec, params, m):
-    """The m-layer circuit prefix as a function alpha -> state.
+    """The m-layer prefix as (table, theta): layers 1..m, layer m's odd angle set to 0.
 
-    Layers 1..m-1 and the even half of layer m are applied once; each
-    call applies layer m's odd half-layer with its reduced angle scaled
-    by alpha.  At m = 0 every alpha gives the dimer state.  Raises
+    theta is that angle after `_reduced_odd_angle` (0 at m = 0); the
+    prefix at partial layer alpha sets it to alpha * theta.  Raises
     ValueError for m outside 0..M.
     """
     if not 0 <= m <= params.M:
         raise ValueError(f"prefix depth {m} outside 0..{params.M}")
-    if m == 0:
-        dimer = SlaterState(initial_state(spec))
-        return lambda alpha: dimer
-    for base in islice(_forward_pass(spec, params.angles[:m], "real"), 2 * m):
-        pass
-    theta = _reduced_odd_angle(spec, params.angles[m - 1, 0])
-    return lambda alpha: apply_bond_layer(base, 1, alpha * theta, spec, mode="real")
+    table = params.angles[:m].copy()
+    theta = _reduced_odd_angle(spec, table[-1, 0]) if m else 0.0
+    table[-1:, 0] = 0.0  # no row at m = 0
+    return table, theta
 
 
 def scheduling_overlap(
@@ -328,28 +331,26 @@ def scheduling_overlap(
     phase.  Used to read off which ramp point the circuit has reached
     after m layers.
     """
-    prefix = _prefix(spec, params, m)
-    return float(abs(overlap(SlaterState(_ground_orbitals(spec, chi)), prefix(alpha))) ** 2)
+    table, theta = _prefix(spec, params, m)
+    table[-1:, 0] = alpha * theta
+    prefix = build_dqap_state(spec, DqapParams(table))
+    return float(abs(overlap(SlaterState(_ground_orbitals(spec, chi)), prefix)) ** 2)
 
 
-def _grid_scan(adjoints, chis, alphas, prefix_state):
-    """First strict maximum of |det(adjoints[i] prefix_state(alpha))|^2 over alphas x chis.
+def _block_overlap(spec, psi, u, angle):
+    """The module docstring's block product: spinors psi, odd angle, phases u (..., L/2)."""
+    c, s = _bond_block(spec, angle, "real")
+    a, b = psi[:, 0], psi[:, 1]
+    amp = c * (a + u.conj() * b) + s * (b + u.conj() * a)
+    return np.prod(0.5 * np.abs(amp) ** 2, axis=-1)
 
-    `adjoints` stacks the conjugate transposes of the ground states at the
-    grid points `chis` as (n_chi, N, L), so each alpha's row of overlaps
-    is one batched determinant, with the same products and LU
-    factorizations as `overlap` at each grid point.  Rows are taken in
-    order, and a row's first maximum replaces the best only when strictly
-    greater: the tie rule of a scalar scan.  Returns (f, chi, alpha).
-    """
-    f_best, chi_best, al_best = -1.0, 0.0, float(alphas[0])
-    for al in alphas:
-        st = prefix_state(float(al))
-        row = np.abs(np.linalg.det(adjoints @ st.orbitals)) ** 2
-        i = int(np.argmax(row))
-        if row[i] > f_best:
-            f_best, chi_best, al_best = float(row[i]), float(chis[i]), float(al)
-    return f_best, chi_best, al_best
+
+def _scan_blocks(spec, psi, theta, alphas):
+    """(f, chi, alpha) at the first maximum of `_block_overlap` on the alpha-major grid."""
+    u = _ground_phase(spec, _GRID_CHIS)
+    grid = np.array([_block_overlap(spec, psi, u, al * theta) for al in alphas])
+    i, j = np.unravel_index(np.argmax(grid), grid.shape)
+    return float(grid[i, j]), float(_GRID_CHIS[j]), float(alphas[i])
 
 
 def maximize_overlap(spec: LatticeSpec, params: DqapParams, m: int, alpha: float | None = None):
@@ -361,21 +362,18 @@ def maximize_overlap(spec: LatticeSpec, params: DqapParams, m: int, alpha: float
     last odd-family angle after its reduction to angle*t in
     (-pi/2, pi/2], so tables whose odd angles differ by multiples of
     pi/t give the same result.  At m = 0 the prefix is the dimer state,
-    which no alpha changes; a free alpha is then reported as 1.  Returns
-    (chi, alpha, overlap_sq).
+    which no alpha changes; a free alpha is then reported as 1.  The
+    search runs on the blocks; overlap_sq is `scheduling_overlap` at the
+    optimum.  Returns (chi, alpha, overlap_sq).
     """
     if m == 0 and alpha is None:
         alpha = 1.0  # the dimer prefix does not depend on alpha
     alphas = np.array([alpha]) if alpha is not None else _GRID_CHIS
-
-    # The prefix below the alpha-scaled half-layer is built once, and the
-    # grid's ramp ground states in one pass over the chi grid.
-    prefix_state = _prefix(spec, params, m)
-    adjoints = _ground_orbitals(spec, _GRID_CHIS).conj().swapaxes(1, 2)
+    table, theta = _prefix(spec, params, m)
+    psi = state_and_derivatives(spec, DqapParams(table))[0]
 
     def value(chi, al):
-        target = SlaterState(_ground_orbitals(spec, float(chi)))
-        return float(abs(overlap(target, prefix_state(float(al)))) ** 2)
+        return float(_block_overlap(spec, psi, _ground_phase(spec, chi), al * theta))
 
     def refine(fun, centre):
         res = minimize_scalar(
@@ -386,7 +384,7 @@ def maximize_overlap(spec: LatticeSpec, params: DqapParams, m: int, alpha: float
         )
         return float(res.x), float(-res.fun)
 
-    f_best, chi_best, al_best = _grid_scan(adjoints, _GRID_CHIS, alphas, prefix_state)
+    f_best, chi_best, al_best = _scan_blocks(spec, psi, theta, alphas)
     # Bounded refinement never evaluates its endpoints, so a refined
     # point replaces the current one only when it is strictly better.
     for _ in range(2):
@@ -397,7 +395,7 @@ def maximize_overlap(spec: LatticeSpec, params: DqapParams, m: int, alpha: float
             al_new, f_new = refine(lambda a_: value(chi_best, a_), al_best)
             if f_new > f_best:
                 al_best, f_best = al_new, f_new
-    return chi_best, al_best, f_best
+    return chi_best, al_best, scheduling_overlap(spec, params, m, chi_best, al_best)
 
 
 def aggregate_times(params: DqapParams, mode: str = "real") -> float:

@@ -12,10 +12,10 @@ function (or which `mode` argument) the caller picks.
 
 One forward pass, `_forward_pass`, is the only real-space loop over
 half-layers: it yields the dimer state and then the state after each
-half-layer, each applied by `slater.apply_bond_layer`.  The two circuit
-builders keep its last state, `intermediate_states` keeps every second
-one, and the partial-layer prefixes of `adiabatic` run it on a truncated
-table.
+half-layer, each applied by `slater.apply_bond_layer`.  Its readers are
+`build_dqap_state` and `build_imag_state`, which keep its last state, and
+`intermediate_states`, which keeps every second one; the partial-layer
+prefixes of `adiabatic` are `build_dqap_state` on a truncated table.
 
 The derivative engine, `state_and_derivatives`, runs on the Bloch blocks
 instead.  The dimer state, both bond families and the boundary twist are

@@ -31,8 +31,7 @@ def _add_experiment_parsers(sub):
     for kind in KINDS:
         p = sub.add_parser(kind, help=f"run the {kind} experiment")
         p.add_argument("--config", required=True, help="JSON experiment config")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: 1)")
+        p.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.set_defaults(func=_cmd_experiment, kind=kind)

@@ -562,16 +562,18 @@ def _write_csv(path, header, rows):
 
 
 def run_experiment(
-    config: ExperimentConfig, jobs: int | None = None, out_dir: str | None = None
+    config: ExperimentConfig, jobs: int = 1, out_dir: str | None = None
 ) -> RunManifest:
     """Run all tasks of an experiment and write CSVs plus manifest.json.
 
-    Tasks run on a process pool when jobs > 1 (default 1); failures are
-    recorded in the manifest without aborting sibling tasks.  Returns the
-    manifest (ok = True only if every task succeeded).
+    Tasks run on a process pool when jobs > 1; failures are recorded in
+    the manifest without aborting sibling tasks.  Returns the manifest
+    (ok = True only if every task succeeded).  A jobs that is not a
+    positive int is a ConfigError, raised before any task runs.
     """
     kind = KINDS[config.kind]
-    jobs = max(1, jobs or 1)
+    if not (is_int(jobs) and jobs >= 1):
+        raise ConfigError(f"jobs must be a positive int, got {jobs!r}")
     out = out_dir or config.out or os.path.join("runs", config.kind)
     os.makedirs(out, exist_ok=True)
     tasks = _build_tasks(config)

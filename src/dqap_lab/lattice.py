@@ -163,14 +163,12 @@ def _cell_momenta(L, gamma):
 
 
 def _bloch_orbitals(spec, spinors):
-    """Real-space (..., L, L/2) orbitals; column n is the Bloch wave of spinors[..., n, :]."""
+    """Real-space (L, L/2) orbitals; column n is the Bloch wave of spinors[n]."""
     q = _cell_momenta(spec.L, spec.gamma)[0]
     cells = spec.L // 2
     phase = np.exp(1j * np.outer(np.arange(cells), q)) / np.sqrt(cells)
-    orbitals = np.empty(spinors.shape[:-2] + (spec.L, cells), dtype=complex)
-    orbitals[..., 0::2, :] = phase * spinors[..., None, :, 0]
-    orbitals[..., 1::2, :] = phase * spinors[..., None, :, 1]
-    return orbitals
+    # row 2j + a, column n: phase[j, n] * spinors[n, a]
+    return (phase[:, None, :] * spinors.T).reshape(spec.L, cells)
 
 
 def _ground_phase(spec, chi):
@@ -190,7 +188,7 @@ def _ground_phase(spec, chi):
 
 
 def _ground_orbitals(spec, chi):
-    """(..., L, L/2) orbitals of the ground states of V1 + chi V2, chi a scalar or an array."""
+    """(L, L/2) orbitals of the ground state of V1 + chi V2, for a scalar chi."""
     u = _ground_phase(spec, chi)
     return _bloch_orbitals(spec, np.stack((np.ones_like(u), u), axis=-1) * np.sqrt(0.5))
 

@@ -186,6 +186,8 @@ def linear_schedule_params(m_layers, spec, scale):
 
 def _initial_params(spec, m_layers, config, init):
     if init is not None:
+        if init.M != m_layers:
+            raise ValueError(f"start table has {init.M} layers, need {m_layers}")
         return DqapParams(np.asarray(init.angles, dtype=float).copy())
     if config.init_mode == "linear-schedule":
         return linear_schedule_params(m_layers, spec, config.init_scale)

@@ -382,15 +382,16 @@ def _projector(orbitals):
 
 
 def test_grid_ground_states_match_dense_diagonalization():
-    # the batched grid stack, each slice against eigh and against the
-    # scalar build the refinement uses
+    # the grid's phases, row by row, are the scalar phases the refinement
+    # reads, and each grid point's ground state matches eigh
     spec = LatticeSpec.half_filling(16)
-    stack = lattice._ground_orbitals(spec, adiabatic._GRID_CHIS)
-    assert stack.shape == (151, 16, 8)
-    for chi, orbitals in zip(adiabatic._GRID_CHIS, stack):
+    phases = lattice._ground_phase(spec, adiabatic._GRID_CHIS)
+    assert phases.shape == (151, 8)
+    for chi, row in zip(adiabatic._GRID_CHIS, phases):
+        np.testing.assert_array_equal(row, lattice._ground_phase(spec, float(chi)))
         ref, _ = dense_ramp_ground_state(16, -1, chi)
+        orbitals = lattice._ground_orbitals(spec, float(chi))
         np.testing.assert_allclose(_projector(orbitals), _projector(ref), rtol=0.0, atol=1e-12)
-        np.testing.assert_array_equal(orbitals, lattice._ground_orbitals(spec, float(chi)))
 
 
 @pytest.mark.parametrize("L, gamma", [(8, -1), (12, -1), (10, +1), (30, +1)])
@@ -412,7 +413,7 @@ def test_open_shell_raised_exactly_where_dense_gap_closes(L, gamma, chi):
         with pytest.raises(OpenShellError):
             lattice._ground_orbitals(spec, chi)
         with pytest.raises(OpenShellError):
-            lattice._ground_orbitals(spec, adiabatic._GRID_CHIS)
+            lattice._ground_phase(spec, adiabatic._GRID_CHIS)
     else:
         lattice._ground_orbitals(spec, chi)
 
@@ -581,30 +582,72 @@ def test_partial_prefix_matches_fock_route():
             assert abs(got - expected) < 1e-10
 
 
-@pytest.mark.parametrize("L, M", [(12, 3), (16, 4)])
-def test_batched_scan_equals_scalar_scan(L, M, monkeypatch):
-    spec = LatticeSpec.half_filling(L)
+def _prefix_state(spec, params, m, alpha):
+    table, theta = adiabatic._prefix(spec, params, m)
+    if m:
+        table[m - 1, 0] = alpha * theta
+    return build_dqap_state(spec, DqapParams(table))
+
+
+@pytest.mark.parametrize("L, gamma", [(12, -1), (16, -1), (10, +1), (30, +1)])
+def test_block_overlap_equals_scheduling_overlap(L, gamma):
+    spec = LatticeSpec.half_filling(L, gamma=gamma)
+    params = DqapParams(np.random.default_rng(L).uniform(0.0, 0.6, (3, 2)))
+    phases = lattice._ground_phase(spec, adiabatic._GRID_CHIS)
+    for m in range(params.M + 1):
+        table, theta = adiabatic._prefix(spec, params, m)
+        psi = adiabatic.state_and_derivatives(spec, DqapParams(table))[0]
+        for alpha in (0.0, 0.5, 1.0):
+            got = adiabatic._block_overlap(spec, psi, phases, alpha * theta)
+            ref = [scheduling_overlap(spec, params, m, float(chi), alpha)
+                   for chi in adiabatic._GRID_CHIS]
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("L, gamma, M", [(12, -1, 3), (10, +1, 2)])
+def test_block_grid_matches_scalar_scan(L, gamma, M):
+    # the block grid picks the cell a determinant per grid point picks
+    spec = LatticeSpec.half_filling(L, gamma=gamma)
     params = DqapParams(np.random.default_rng(L).uniform(0.0, 0.3, (M, 2)))
-    batched = [maximize_overlap(spec, params, m, alpha)
-               for m in range(M + 1) for alpha in (None, 1.0)]
-    monkeypatch.setattr(adiabatic, "_grid_scan", scalar_grid_scan)
-    scalar = [maximize_overlap(spec, params, m, alpha)
-              for m in range(M + 1) for alpha in (None, 1.0)]
-    assert batched == scalar
+    chis = adiabatic._GRID_CHIS
+    adjoints = np.array([lattice._ground_orbitals(spec, float(chi)).conj().T for chi in chis])
+    for m in range(M + 1):
+        table, theta = adiabatic._prefix(spec, params, m)
+        psi = adiabatic.state_and_derivatives(spec, DqapParams(table))[0]
+        for alphas in (chis, np.array([1.0])):
+            f, chi, alpha = adiabatic._scan_blocks(spec, psi, theta, alphas)
+            f_ref, chi_ref, alpha_ref = scalar_grid_scan(
+                adjoints, chis, alphas, lambda al: _prefix_state(spec, params, m, al)
+            )
+            assert (chi, alpha) == (chi_ref, alpha_ref)
+            assert abs(f - f_ref) < 1e-12
 
 
-def test_batched_scan_keeps_the_first_maximum():
-    # equal rows (a prefix that ignores alpha) and equal columns (repeated
-    # targets): the first alpha and the first chi win, as in the scalar scan
-    spec = LatticeSpec.half_filling(8)
-    dimer = SlaterState(initial_state(spec))
-    targets = [SlaterState(exact_ground_state(spec)[0]), dimer, dimer, dimer]
-    adjoints = np.array([tgt.orbitals.conj().T for tgt in targets])
-    chis = np.array([1.0, 0.0, 0.5, 0.7])
-    alphas = np.array([0.2, 0.4, 0.6])
-    got = adiabatic._grid_scan(adjoints, chis, alphas, lambda al: dimer)
-    assert got == scalar_grid_scan(adjoints, chis, alphas, lambda al: dimer)
-    assert got[1:] == (0.0, 0.2)
+def test_block_grid_keeps_the_first_alpha():
+    # a zero last odd angle makes every alpha row equal: the first wins
+    spec = LatticeSpec.half_filling(12)
+    table = np.random.default_rng(3).uniform(0.1, 0.3, (2, 2))
+    table[1, 0] = 0.0
+    _, alpha, f = maximize_overlap(spec, DqapParams(table), 2)
+    assert alpha == 0.0
+    assert 0.0 < f <= 1.0
+
+
+def test_maximize_overlap_takes_one_determinant(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return overlap(a, b)
+
+    monkeypatch.setattr(adiabatic, "overlap", counted)
+    spec = LatticeSpec.half_filling(16)
+    params = DqapParams(np.random.default_rng(16).uniform(0.0, 0.3, (3, 2)))
+    for alpha in (None, 1.0):
+        calls.clear()
+        chi, al, f = maximize_overlap(spec, params, 2, alpha)
+        assert len(calls) == 1
+        assert f == scheduling_overlap(spec, params, 2, chi, al)
 
 
 def test_free_alpha_never_loses_to_fixed(ladder16):

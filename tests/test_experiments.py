@@ -5,8 +5,9 @@ import json
 
 import pytest
 
+from dqap_lab import ConfigError
 from dqap_lab.cli import main
-from dqap_lab.experiments import KINDS
+from dqap_lab.experiments import KINDS, ExperimentConfig, run_experiment
 
 _LADDER = {"sizes": [8], "boundary": "apbc", "depths": [1, 2]}
 
@@ -326,6 +327,23 @@ def test_process_pool_writes_what_a_single_process_writes(tmp_path):
     assert manifests[2]["runs"] == manifests[1]["runs"]
     assert [p.name for p in sorted(outs[1].glob("*.csv"))] == ["energy.csv"]
     assert (outs[2] / "energy.csv").read_bytes() == (outs[1] / "energy.csv").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_non_positive_jobs_is_a_config_error(tmp_path, jobs):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiment": "energy-sweep", **_LADDER}))
+    out = tmp_path / "out"
+    assert main(["energy-sweep", "--config", str(path), "--jobs", jobs, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", [1.5, True, "2"])
+def test_non_int_jobs_is_a_config_error(tmp_path, jobs):
+    config = ExperimentConfig.from_dict({"experiment": "energy-sweep", **_LADDER})
+    with pytest.raises(ConfigError, match="jobs"):
+        run_experiment(config, jobs=jobs, out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("mode", ["real", "imag"])

@@ -210,6 +210,18 @@ def test_m_zero_returns_dimer_without_iterating():
     assert res.params.M == 0
 
 
+@pytest.mark.parametrize("run", [optimize, optimize_imaginary])
+def test_wrong_depth_start_table_rejected(run, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("optimizer ran on a wrong-depth start table")
+
+    monkeypatch.setattr(optimizer, "_run", no_run)
+    spec = LatticeSpec.half_filling(8)
+    for m_layers in (0, 2, 5):
+        with pytest.raises(ValueError, match="4 layers"):
+            run(spec, m_layers, init=DqapParams(np.full((4, 2), 0.1)))
+
+
 def test_stop_reason_names_what_ended_the_run():
     spec = LatticeSpec.half_filling(8)
     done = optimize(spec, 2)
