@@ -226,11 +226,12 @@ def find_T_epsilon(
     relative width and returns the upper end.  eps(T) oscillates in T,
     so the result is one crossing of the target, not the smallest ramp
     time reaching it: at L=8 apbc, target 0.05, dtau 0.01 it returns
-    11.3125, while eps(8.25) = 0.0495 and eps(10) = 0.0850.  The slice
-    count tracks T so the step stays at most `dtau`.  Raises
-    ValueError for a non-finite or non-positive target_eps, dtau or
-    t_cap before any ramp runs, and NoConvergence if the cap is hit
-    before the target.
+    11.3125, while eps(8.25) = 0.0495 and eps(10) = 0.0850.  Each ramp
+    has M = max(1, round(T / dtau)) slices, the nearest integer count, so
+    its step T / M may be slightly larger than `dtau`: T = 11.3125 gives
+    M = 1131 and a step of 0.0100022.  Raises ValueError for a
+    non-finite or non-positive target_eps, dtau or t_cap before any ramp
+    runs, and NoConvergence if the cap is hit before the target.
     """
     for name, value in (("target_eps", target_eps), ("dtau", dtau), ("t_cap", t_cap)):
         if not is_finite_positive(value):

@@ -12,6 +12,7 @@ random circuit and prints a small report.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -40,7 +41,7 @@ def _add_experiment_parsers(sub):
 def _cmd_experiment(args):
     config = ExperimentConfig.from_json(args.config, kind=args.kind)
     if args.seed is not None:
-        config.seed = args.seed
+        config = dataclasses.replace(config, seed=args.seed)
     manifest = run_experiment(config, jobs=args.jobs, out_dir=args.out)
     for rec in manifest.runs:
         status = "ok" if rec["ok"] else "FAILED"
@@ -54,8 +55,8 @@ def _cmd_experiment(args):
 
 
 def _cmd_oracle(args):
-    if args.layers < 0 or not 0 < args.t < np.inf:
-        raise ConfigError(f"need --layers >= 0 and finite --t > 0, got {args.layers}, {args.t}")
+    if args.layers < 0 or args.seed < 0:
+        raise ConfigError(f"need --layers >= 0 and --seed >= 0, got {args.layers}, {args.seed}")
     gamma = +1 if args.boundary == "pbc" else -1
     try:
         spec = LatticeSpec.half_filling(args.L, gamma=gamma, t=args.t)

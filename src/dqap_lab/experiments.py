@@ -1,14 +1,16 @@
 """Experiment drivers: JSON config in, CSV tables plus a manifest out.
 
-Each experiment kind expands into independent tasks (one per chain
-size, typically), which run inline or on a process pool.  Tasks return
-named row lists; the driver concatenates them in task order so output
-is deterministic for a fixed config and seed, writes one CSV per name,
-and records a manifest.json describing the invocation next to the
-tables.
+An `ExperimentConfig` checks itself when it is built.  It expands into
+one independent task per chain size: `run_task(config, spec, optimizer)`
+gets the config, that size's `LatticeSpec` and its optimizer keywords,
+whose seed is spawned from the config's seed unless the config sets one.
+Tasks run inline or on a process pool and return named row lists; the
+driver concatenates them in task order so output is deterministic for a
+fixed config and seed, writes one CSV per name, and records a
+manifest.json describing the invocation next to the tables.
 
-Everything `run_task` and `run_experiment` know about a kind is one
-`Kind` record in `KINDS`:
+Everything `ExperimentConfig`, `run_task` and `run_experiment` know
+about a kind is one `Kind` record in `KINDS`:
 
 - `body(spec, depths, results, options)` returns {table: rows}, plus
   an optional "summary" dict for the manifest;
@@ -21,11 +23,12 @@ Everything `run_task` and `run_experiment` know about a kind is one
   top-level, or a value its check rejects, is a config error;
 - `fit`, if set, is (table, column, aggregate key): given three or
   more rows of positive values, `run_experiment` fits column ~ L^p
-  and records p in the manifest's aggregate.
+  and records p in the manifest's aggregate;
+- `min_size` is the shortest chain the kind accepts.
 
-`run_task` builds the chain, resolves the depths and runs the ladder,
-so a body only turns its results into rows.  A ladder task's summary
-records what ended each rung's optimization.
+`run_task` resolves the depths and runs the ladder, so a body only
+turns its results into rows.  A ladder task's summary records what
+ended each rung's optimization.
 
 Every CSV row starts with the full (L, N, gamma, M) context.  Site and
 layer indices in files are 1-based; M = 0 marks rows with no circuit
@@ -85,14 +88,17 @@ _T_GRID = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description.
+    """Validated experiment description; every way of building one checks it.
 
-    `depths` is a list of circuit depths, or "quarter" for the
-    exact-recovery depth (L/4 antiperiodic, (L-2)/4 periodic), or None
-    where the kind has a natural default.  `options` holds the
-    kind-specific keys its `Kind` record declares.
+    `sizes` lists the chain lengths, one task each (`specs` holds their
+    `LatticeSpec`s).  `depths` is a list of circuit depths, or "quarter"
+    for the exact-recovery depth (L/4 antiperiodic, (L-2)/4 periodic), or
+    None where the kind has a natural default.  `optimizer` holds
+    `OptimizerConfig` keywords and `options` the kind-specific keys its
+    `Kind` record declares.  A malformed value raises ConfigError, also
+    through `dataclasses.replace`; `t` is stored as a float.
     """
 
     kind: str
@@ -105,10 +111,60 @@ class ExperimentConfig:
     out: str | None = None
     options: dict = field(default_factory=dict)
 
-    _TOP_KEYS = {"experiment", "sizes", "boundary", "depths", "t", "seed", "optimizer", "out"}
+    # config keys of the fields other than kind and options, in manifest order
+    _FIELD_KEYS = ("sizes", "boundary", "depths", "t", "seed", "optimizer", "out")
+
+    def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
+            raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        kind = KINDS[self.kind]
+        if not isinstance(self.sizes, list) or not self.sizes:
+            raise ConfigError("'sizes' must be a non-empty list of even chain lengths")
+        if self.boundary not in ("apbc", "pbc"):
+            raise ConfigError(f"boundary must be 'apbc' or 'pbc', got {self.boundary!r}")
+        smallest = min(spec.L for spec in self.specs)  # building the chains checks L and t
+        if smallest < kind.min_size:
+            raise ConfigError(f"experiment {self.kind!r} needs chains of L >= {kind.min_size}")
+        object.__setattr__(self, "t", float(self.t))
+        depths = self.depths
+        if depths is not None and depths != "quarter":
+            if not isinstance(depths, list) or not depths:
+                raise ConfigError("'depths' must be a non-empty list or 'quarter'")
+            for m in depths:
+                if not is_int(m) or m < 0:
+                    raise ConfigError(f"invalid depth {m!r}")
+        if depths is None and kind.needs_depths:
+            raise ConfigError(f"experiment {self.kind!r} needs explicit 'depths'")
+        if not isinstance(self.optimizer, dict):
+            raise ConfigError("'optimizer' must be an object")
+        try:
+            OptimizerConfig(**self.optimizer)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad optimizer settings: {exc}") from exc
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a directory path, got {self.out!r}")
+        unknown = sorted(set(self.options) - set(kind.options))
+        if unknown:
+            raise ConfigError(f"unknown config key(s) for {self.kind!r}: {', '.join(unknown)}")
+        for key, value in self.options.items():
+            what, check = kind.options[key]
+            if not check(value, self.sizes):
+                raise ConfigError(f"{key} must be {what}, got {value!r}")
+
+    @property
+    def specs(self) -> list:
+        """One half-filled `LatticeSpec` per entry of `sizes`, in order."""
+        gamma = +1 if self.boundary == "pbc" else -1
+        try:
+            return [LatticeSpec(L, gamma=gamma, t=self.t) for L in self.sizes]
+        except ValueError as exc:
+            raise ConfigError(f"invalid chain: {exc}") from exc
 
     @classmethod
     def from_dict(cls, raw: dict, kind: str | None = None) -> "ExperimentConfig":
+        """Resolve the kind ('experiment' key or `kind`); other keys are fields or options."""
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be an object, got {type(raw).__name__}")
         cfg_kind = raw.get("experiment", kind)
@@ -118,62 +174,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"config says experiment={cfg_kind!r} but {kind!r} was requested"
             )
-        if not isinstance(cfg_kind, str) or cfg_kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {cfg_kind!r}")
-        sizes = raw.get("sizes")
-        if not isinstance(sizes, list) or not sizes:
-            raise ConfigError("'sizes' must be a non-empty list of even chain lengths")
-        for L in sizes:
-            if not is_int(L) or L < 2 or L % 2:
-                raise ConfigError(f"invalid chain length {L!r}")
-        boundary = raw.get("boundary", "apbc")
-        if boundary not in ("apbc", "pbc"):
-            raise ConfigError(f"boundary must be 'apbc' or 'pbc', got {boundary!r}")
-        depths = raw.get("depths")
-        if depths is not None and depths != "quarter":
-            if not isinstance(depths, list) or not depths:
-                raise ConfigError("'depths' must be a non-empty list or 'quarter'")
-            for m in depths:
-                if not is_int(m) or m < 0:
-                    raise ConfigError(f"invalid depth {m!r}")
-        if depths is None and KINDS[cfg_kind].needs_depths:
-            raise ConfigError(f"experiment {cfg_kind!r} needs explicit 'depths'")
-        opt = raw.get("optimizer", {})
-        if not isinstance(opt, dict):
-            raise ConfigError("'optimizer' must be an object")
-        try:
-            OptimizerConfig(**opt)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad optimizer settings: {exc}") from exc
-        seed = raw.get("seed", 0)
-        if not is_int(seed):
-            raise ConfigError(f"seed must be an integer, got {seed!r}")
-        t = raw.get("t", 1.0)
-        if not is_finite_positive(t):
-            raise ConfigError(f"t must be a finite positive number, got {t!r}")
-        out = raw.get("out")
-        if out is not None and not isinstance(out, str):
-            raise ConfigError(f"out must be a directory path, got {out!r}")
-        options = {k: v for k, v in raw.items() if k not in cls._TOP_KEYS}
-        declared = KINDS[cfg_kind].options
-        unknown = sorted(set(options) - set(declared))
-        if unknown:
-            raise ConfigError(f"unknown config key(s) for {cfg_kind!r}: {', '.join(unknown)}")
-        for key, value in options.items():
-            what, check = declared[key]
-            if not check(value, sizes):
-                raise ConfigError(f"{key} must be {what}, got {value!r}")
-        return cls(
-            kind=cfg_kind,
-            sizes=list(sizes),
-            boundary=boundary,
-            depths=depths,
-            t=float(t),
-            seed=seed,
-            optimizer=dict(opt),
-            out=out,
-            options=options,
-        )
+        fields = {k: raw[k] for k in cls._FIELD_KEYS if k in raw}
+        options = {k: v for k, v in raw.items() if k not in ("experiment", *cls._FIELD_KEYS)}
+        return cls(kind=cfg_kind, sizes=fields.pop("sizes", None), options=options, **fields)
 
     @classmethod
     def from_json(cls, path, kind=None) -> "ExperimentConfig":
@@ -201,18 +204,9 @@ class RunManifest:
     aggregate: dict = field(default_factory=dict)
 
 
-def _gamma(boundary):
-    return +1 if boundary == "pbc" else -1
-
-
-def _quarter_depth(L, boundary):
-    return L // 4 if boundary == "apbc" else (L - 2) // 4
-
-
-def _resolve_depths(task):
-    depths = task["depths"]
+def _resolve_depths(depths, spec):
     if depths == "quarter" or depths is None:
-        return [_quarter_depth(task["L"], task["boundary"])]
+        return [spec.L // 4 if spec.boundary == "apbc" else (spec.L - 2) // 4]
     return sorted(set(depths))
 
 
@@ -421,6 +415,7 @@ class Kind:
     needs_depths: bool = False
     options: dict = field(default_factory=dict)
     fit: tuple | None = None
+    min_size: int = 2
 
 
 KINDS = {
@@ -480,6 +475,7 @@ KINDS = {
         _task_qab,
         {"qab": _CONTEXT + ["s", "chi", "gap"]},
         options={"samples": _POSITIVE_INT},
+        min_size=4,  # `adiabatic.qab_schedule` needs L >= 4
     ),
     "schedule-overlap": Kind(
         _task_schedule_overlap,
@@ -499,20 +495,22 @@ KINDS = {
 }
 
 
-def run_task(task: dict) -> dict:
-    """Execute one task; top-level so it can cross a process boundary.
+def run_task(config: ExperimentConfig, spec: LatticeSpec, optimizer: dict) -> dict:
+    """Run one task of `config`; top-level so it can cross a process boundary.
 
-    Builds the chain, runs the kind's ladder over the resolved depths and
-    hands both to the kind's body.  A ladder task's summary records what
-    ended each rung's optimization, plus any keys the body adds.
+    `spec` is one of `config.specs`; `optimizer` is this task's
+    `OptimizerConfig` keywords, the config's with a seed of the task's own
+    where the config sets none.  Runs the kind's ladder over the depths
+    resolved for `spec` and hands both to the kind's body.  A ladder
+    task's summary records what ended each rung's optimization, plus any
+    keys the body adds.
     """
-    kind = KINDS[task["kind"]]
-    spec = LatticeSpec.half_filling(task["L"], gamma=_gamma(task["boundary"]), t=task["t"])
-    depths = _resolve_depths(task)
+    kind = KINDS[config.kind]
+    depths = _resolve_depths(config.depths, spec)
     results = {}
     if kind.ladder is not None:
-        results = _ladder(spec, depths, OptimizerConfig(**task["optimizer"]), kind.ladder)
-    out = kind.body(spec, depths, results, task["options"])
+        results = _ladder(spec, depths, OptimizerConfig(**optimizer), kind.ladder)
+    out = kind.body(spec, depths, results, config.options)
     if kind.ladder is not None:
         out["summary"] = {
             "L": spec.L,
@@ -520,27 +518,6 @@ def run_task(task: dict) -> dict:
             **out.get("summary", {}),
         }
     return out
-
-
-def _build_tasks(config: ExperimentConfig):
-    seeds = np.random.SeedSequence(config.seed).spawn(len(config.sizes))
-    tasks = []
-    for i, L in enumerate(config.sizes):
-        opt = dict(config.optimizer)
-        opt.setdefault("seed", int(seeds[i].generate_state(1)[0]))
-        tasks.append(
-            {
-                "kind": config.kind,
-                "L": L,
-                "boundary": config.boundary,
-                "t": config.t,
-                "depths": config.depths,
-                "optimizer": opt,
-                "options": config.options,
-                "label": f"{config.kind} L={L} {config.boundary}",
-            }
-        )
-    return tasks
 
 
 def _format_cell(v):
@@ -574,20 +551,24 @@ def run_experiment(
     kind = KINDS[config.kind]
     if not (is_int(jobs) and jobs >= 1):
         raise ConfigError(f"jobs must be a positive int, got {jobs!r}")
+    seeds = np.random.SeedSequence(config.seed).spawn(len(config.sizes))
+    tasks = [
+        (spec, {"seed": int(seed.generate_state(1)[0]), **config.optimizer})
+        for spec, seed in zip(config.specs, seeds)
+    ]
     out = out_dir or config.out or os.path.join("runs", config.kind)
     os.makedirs(out, exist_ok=True)
-    tasks = _build_tasks(config)
     t0 = time.monotonic()
     results, run_records = [None] * len(tasks), []
     if jobs == 1 or len(tasks) == 1:
         for i, task in enumerate(tasks):
             try:
-                results[i] = run_task(task)
+                results[i] = run_task(config, *task)
             except Exception:
                 results[i] = {"error": traceback.format_exc()}
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            futures = [pool.submit(run_task, task) for task in tasks]
+            futures = [pool.submit(run_task, config, *task) for task in tasks]
             for i, fut in enumerate(futures):
                 try:
                     results[i] = fut.result()
@@ -595,8 +576,8 @@ def run_experiment(
                     results[i] = {"error": traceback.format_exc()}
 
     tables = {}
-    for task, res in zip(tasks, results):
-        record = {"task": task["label"], "ok": "error" not in res}
+    for (spec, _), res in zip(tasks, results):
+        record = {"task": f"{config.kind} L={spec.L} {spec.boundary}", "ok": "error" not in res}
         if "error" in res:
             record["error"] = res["error"]
         elif "summary" in res:
@@ -626,14 +607,9 @@ def run_experiment(
 
     manifest = RunManifest(
         experiment=config.kind,
-        config={
+        config={  # the config as from_dict reads it, less where this run wrote
             "experiment": config.kind,
-            "sizes": config.sizes,
-            "boundary": config.boundary,
-            "depths": config.depths,
-            "t": config.t,
-            "seed": config.seed,
-            "optimizer": config.optimizer,
+            **{k: getattr(config, k) for k in config._FIELD_KEYS if k != "out"},
             **config.options,
         },
         version=__version__,

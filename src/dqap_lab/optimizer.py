@@ -84,7 +84,7 @@ class OptimizerConfig:
             ("energy_tol", "a finite non-negative real", is_finite_nonnegative),
             ("ridge", "a finite non-negative real", is_finite_nonnegative),
             ("max_iters", "a non-negative int", lambda v: is_int(v) and v >= 0),
-            ("seed", "an int or None", lambda v: v is None or is_int(v)),
+            ("seed", "a non-negative int or None", lambda v: v is None or is_int(v) and v >= 0),
         ]
         for name, what, ok in checks:
             value = getattr(self, name)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -258,9 +259,10 @@ def test_ladder_kind_without_depths_is_a_config_error(tmp_path):
     {"t": float("inf")},
     {"depths": [True]},
     {"seed": False},
+    {"seed": -1},
     {"out": 5},
 ], ids=["typo-key", "foreign-option", "t-string", "t-nan", "t-inf", "bool-depth", "bool-seed",
-        "out-number"])
+        "negative-seed", "out-number"])
 def test_malformed_config_is_a_config_error(tmp_path, override):
     code, out = _run(tmp_path, "energy-sweep", {**_LADDER, **override})
     assert code == 2
@@ -284,6 +286,7 @@ def test_malformed_config_is_a_config_error(tmp_path, override):
     {"seed": "x"},
     {"seed": 1.5},
     {"seed": True},
+    {"seed": -1},
 ])
 def test_malformed_optimizer_settings_are_a_config_error(tmp_path, optimizer):
     code, out = _run(tmp_path, "energy-sweep", {**_LADDER, "optimizer": optimizer})
@@ -305,13 +308,32 @@ def test_malformed_optimizer_settings_are_a_config_error(tmp_path, optimizer):
     ("continuous-time", {"order": 1.0}),
     ("continuous-time", {"T_grid": [1, -2]}),
     ("continuous-time", {"T_grid": 2}),
+    ("qab", {"sizes": [2, 8]}),  # the closed-form ramp needs L >= 4
 ], ids=["samples-string", "samples-zero", "samples-float", "samples-bool", "subsystem-zero",
         "subsystem-too-long", "dtau-negative", "dtau-string", "target-eps-nan", "order-3",
-        "order-float", "T-grid-negative", "T-grid-scalar"])
+        "order-float", "T-grid-negative", "T-grid-scalar", "qab-L-2"])
 def test_malformed_option_value_is_a_config_error(tmp_path, kind, override):
     code, out = _run(tmp_path, kind, {**CASES[kind][0], **override})
     assert code == 2
     assert not out.exists()
+
+
+def test_negative_seed_override_is_a_config_error(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiment": "energy-sweep", **_LADDER}))
+    out = tmp_path / "out"
+    assert main(["energy-sweep", "--config", str(path), "--seed", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_config_is_validated_however_it_is_built():
+    with pytest.raises(ConfigError):
+        ExperimentConfig("energy-sweep", sizes=[7], depths=[1])
+    cfg = ExperimentConfig.from_dict({"experiment": "energy-sweep", **_LADDER})
+    with pytest.raises(ConfigError):
+        replace(cfg, seed=-1)
+    with pytest.raises(FrozenInstanceError):
+        cfg.seed = 3
 
 
 def test_process_pool_writes_what_a_single_process_writes(tmp_path):
@@ -363,7 +385,8 @@ def test_oracle_subcommand_passes(capsys, mode, L, boundary, layers):
     ["--t", "0"],
     ["--t", "nan"],
     ["--L", "14"],
-], ids=["L-odd", "L-zero", "layers-negative", "t-zero", "t-nan", "L-over-cap"])
+    ["--seed", "-1"],
+], ids=["L-odd", "L-zero", "layers-negative", "t-zero", "t-nan", "L-over-cap", "seed-negative"])
 def test_oracle_bad_arguments_are_a_config_error(capsys, argv):
     assert main(["oracle", *argv]) == 2
     assert "config error" in capsys.readouterr().err
