@@ -32,6 +32,7 @@ from .slater import (
 )
 from .ansatz import (
     DqapParams,
+    block_energy,
     build_dqap_state,
     build_imag_state,
     intermediate_states,

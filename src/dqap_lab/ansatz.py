@@ -17,18 +17,22 @@ half-layer, each applied by `slater.apply_bond_layer`.  Its readers are
 `intermediate_states`, which keeps every second one; the partial-layer
 prefixes of `adiabatic` are `build_dqap_state` on a truncated table.
 
-The derivative engine, `state_and_derivatives`, runs on the Bloch blocks
+One block pass, `_block_pass`, runs the circuit on the Bloch blocks
 instead.  The dimer state, both bond families and the boundary twist are
 invariant under translation by two sites, so the circuit state puts one
 fermion in each cell momentum q (`lattice`): an (L/2, 2) spinor array,
 starting from (1, 1)/sqrt 2, the layout `adiabatic.magnus_step` uses.
 Half-layer k multiplies every block by c + s [[0, z], [z*, 0]], with
 (c, s) from `slater._bond_block`, z = e^{-iq} for the even family and
-z = 1 for the odd one.  The same block transports the derivatives
-created so far, and derivative k is seeded with the generator -i V_q
-(real) or -V_q (imag) applied to the rotated spinors, V_q = -t [[0, z],
-[z*, 0]].  Every derivative therefore ends in the final frame, at total
-cost O(M^2 L) without any backward pass.
+z = 1 for the odd one.  The pass has two readers:
+
+- `state_and_derivatives`, the derivative engine.  The same block
+  transports the derivatives created so far, and derivative k is seeded
+  with the generator -i V_q (real) or -V_q (imag) applied to the rotated
+  spinors, V_q = -t [[0, z], [z*, 0]].  Every derivative therefore ends
+  in the final frame, at total cost O(M^2 L) without any backward pass.
+- `block_energy`, the state alone at cost O(M L), and its energy
+  sum_q <psi_q|H_q|psi_q>: the optimizer's line-search energy.
 
 In imaginary mode every half-layer ends by dividing each block, and its
 live derivatives, by the block's norm.  The natural-gradient metric and
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeSpec, _cell_momenta, initial_state
+from .lattice import LatticeSpec, _block_hopping, _cell_momenta, initial_state
 from .slater import SlaterState, _bond_block, apply_bond_layer
 
 _SUPPORT_TOL = 1e-12  # magnitude above which orbital_support counts an entry
@@ -118,6 +122,35 @@ def intermediate_states(spec: LatticeSpec, params: DqapParams):
     return list(_forward_pass(spec, params.angles, "real"))[::2]
 
 
+def _block_pass(spec: LatticeSpec, params: DqapParams, mode: str, rows: int) -> np.ndarray:
+    """Bloch blocks after the circuit, shape (rows, L/2, 2).
+
+    Row 0 is the state; with rows = 2M + 1, row k + 1 is its derivative
+    by flat angle k, and with rows = 1 the pass carries the state alone.
+    Each half-layer rotates the live rows, seeds the derivative it
+    creates where there is a row for it, and in imaginary mode divides
+    the live rows by the state block's norm (module docstring).
+    """
+    emiq = _cell_momenta(spec.L, spec.gamma)[1]
+    # -i (real) or -1 (imag) times the -t of V_q
+    gen = (1j if mode == "real" else 1.0) * spec.t
+    stack = np.zeros((rows, spec.N, 2), dtype=complex)
+    stack[0] = np.sqrt(0.5)
+    psi = stack[0]
+    for k, ang in enumerate(params.flatten()):
+        c, s = _bond_block(spec, ang, mode)
+        z = emiq if k % 2 == 0 else 1.0
+        live = stack[: k + 1]
+        a, b = live[..., 0], live[..., 1]
+        live[..., 0], live[..., 1] = c * a + s * z * b, s * np.conj(z) * a + c * b
+        if k + 1 < rows:
+            stack[k + 1, :, 0] = gen * z * psi[:, 1]
+            stack[k + 1, :, 1] = gen * np.conj(z) * psi[:, 0]
+        if mode == "imag":
+            stack[: k + 2] /= np.hypot(np.abs(psi[:, 0]), np.abs(psi[:, 1]))[:, None]
+    return stack
+
+
 def state_and_derivatives(spec: LatticeSpec, params: DqapParams, mode="real"):
     """Final Bloch spinors plus all K = 2M parameter derivatives in one pass.
 
@@ -135,24 +168,26 @@ def state_and_derivatives(spec: LatticeSpec, params: DqapParams, mode="real"):
     SingularOverlapError
         In imaginary mode, if a block coefficient overflows.
     """
-    emiq = _cell_momenta(spec.L, spec.gamma)[1]
-    # -i (real) or -1 (imag) times the -t of V_q
-    gen = (1j if mode == "real" else 1.0) * spec.t
-    # Row 0 is the state, row k + 1 its derivative by flat angle k.
-    stack = np.zeros((2 * params.M + 1, spec.N, 2), dtype=complex)
-    stack[0] = np.sqrt(0.5)
-    psi = stack[0]
-    for k, ang in enumerate(params.flatten()):
-        c, s = _bond_block(spec, ang, mode)
-        z = emiq if k % 2 == 0 else 1.0
-        live = stack[: k + 1]
-        a, b = live[..., 0], live[..., 1]
-        live[..., 0], live[..., 1] = c * a + s * z * b, s * np.conj(z) * a + c * b
-        stack[k + 1, :, 0] = gen * z * psi[:, 1]
-        stack[k + 1, :, 1] = gen * np.conj(z) * psi[:, 0]
-        if mode == "imag":
-            stack[: k + 2] /= np.hypot(np.abs(psi[:, 0]), np.abs(psi[:, 1]))[:, None]
-    return psi, stack[1:]
+    stack = _block_pass(spec, params, mode, 2 * params.M + 1)
+    return stack[0], stack[1:]
+
+
+def block_energy(spec: LatticeSpec, params: DqapParams, mode="real") -> float:
+    """Hopping energy of the circuit state from its Bloch blocks alone.
+
+    E = sum_q 2 Re(conj(psi_q0) h01_q psi_q1), with h01_q the hopping
+    entry of H_q (`lattice._block_hopping`) and psi_q the unit-norm
+    block of a state-only pass: no derivatives, no real-space orbitals.
+    It equals `slater.energy_expectation` of the built state up to
+    rounding.
+
+    Raises
+    ------
+    SingularOverlapError
+        In imaginary mode, if a block coefficient overflows.
+    """
+    psi = _block_pass(spec, params, mode, 1)[0]
+    return 2.0 * float(np.sum((psi[:, 0].conj() * _block_hopping(spec) * psi[:, 1]).real))
 
 
 def orbital_support(state: SlaterState) -> np.ndarray:

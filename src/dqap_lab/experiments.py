@@ -41,13 +41,17 @@ from __future__ import annotations
 import csv
 import json
 import os
+import platform
 import time
 import traceback
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .adiabatic import (
@@ -82,10 +86,28 @@ _SUBSYSTEM_SIZE = (
     lambda v, sizes: is_int(v) and 0 < v <= min(sizes),
 )
 _ORDER = ("1 or 2", lambda v, sizes: is_int(v) and v in (1, 2))
-_T_GRID = (
+_T_GRID = (  # checked after `ExperimentConfig` stores the list as a tuple
     "a list of finite positive numbers",
-    lambda v, sizes: isinstance(v, list) and all(map(is_finite_positive, v)),
+    lambda v, sizes: isinstance(v, tuple) and all(map(is_finite_positive, v)),
 )
+
+
+def _freeze(value):
+    """Lists and tuples as tuples, mappings as read-only mappings, all the way down."""
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_freeze, value))
+    if isinstance(value, Mapping):
+        return MappingProxyType({k: _freeze(v) for k, v in value.items()})
+    return value
+
+
+def _plain(value):
+    """The inverse of `_freeze`: lists and dicts, as JSON writes them."""
+    if isinstance(value, tuple):
+        return list(map(_plain, value))
+    if isinstance(value, Mapping):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
 
 
 @dataclass(frozen=True)
@@ -99,26 +121,32 @@ class ExperimentConfig:
     `OptimizerConfig` keywords and `options` the kind-specific keys its
     `Kind` record declares.  A malformed value raises ConfigError, also
     through `dataclasses.replace`; `t` is stored as a float.
+
+    Lists are stored as tuples and mappings as read-only mappings, so no
+    field can change after the checks; `dataclasses.replace` takes them
+    back as they are.
     """
 
     kind: str
-    sizes: list
+    sizes: tuple
     boundary: str = "apbc"
     depths: object = None
     t: float = 1.0
     seed: int = 0
-    optimizer: dict = field(default_factory=dict)
+    optimizer: Mapping = field(default_factory=dict)
     out: str | None = None
-    options: dict = field(default_factory=dict)
+    options: Mapping = field(default_factory=dict)
 
     # config keys of the fields other than kind and options, in manifest order
     _FIELD_KEYS = ("sizes", "boundary", "depths", "t", "seed", "optimizer", "out")
 
     def __post_init__(self):
+        for name in ("sizes", "depths", "optimizer", "options"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
         if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         kind = KINDS[self.kind]
-        if not isinstance(self.sizes, list) or not self.sizes:
+        if not isinstance(self.sizes, tuple) or not self.sizes:
             raise ConfigError("'sizes' must be a non-empty list of even chain lengths")
         if self.boundary not in ("apbc", "pbc"):
             raise ConfigError(f"boundary must be 'apbc' or 'pbc', got {self.boundary!r}")
@@ -128,14 +156,14 @@ class ExperimentConfig:
         object.__setattr__(self, "t", float(self.t))
         depths = self.depths
         if depths is not None and depths != "quarter":
-            if not isinstance(depths, list) or not depths:
+            if not isinstance(depths, tuple) or not depths:
                 raise ConfigError("'depths' must be a non-empty list or 'quarter'")
             for m in depths:
                 if not is_int(m) or m < 0:
                     raise ConfigError(f"invalid depth {m!r}")
         if depths is None and kind.needs_depths:
             raise ConfigError(f"experiment {self.kind!r} needs explicit 'depths'")
-        if not isinstance(self.optimizer, dict):
+        if not isinstance(self.optimizer, Mapping):
             raise ConfigError("'optimizer' must be an object")
         try:
             OptimizerConfig(**self.optimizer)
@@ -152,6 +180,9 @@ class ExperimentConfig:
             what, check = kind.options[key]
             if not check(value, self.sizes):
                 raise ConfigError(f"{key} must be {what}, got {value!r}")
+
+    def __reduce__(self):  # a mappingproxy does not pickle: rebuild from plain fields
+        return type(self), tuple(_plain(getattr(self, f.name)) for f in fields(self))
 
     @property
     def specs(self) -> list:
@@ -190,7 +221,12 @@ class ExperimentConfig:
 
 @dataclass
 class RunManifest:
-    """What a driver invocation did; serialized to manifest.json."""
+    """What a driver invocation did; serialized to manifest.json.
+
+    `environment` names the interpreter, library versions, platform and
+    BLAS thread settings the run saw; each record in `runs` carries its
+    task's own `wall_time_s`.
+    """
 
     experiment: str
     config: dict
@@ -202,6 +238,23 @@ class RunManifest:
     runs: list
     ok: bool
     aggregate: dict = field(default_factory=dict)
+    environment: dict = field(default_factory=dict)
+
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@lru_cache(maxsize=None)
+def _environment():
+    """The manifest's environment block, computed once per process."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "system": platform.system(),
+        "machine": platform.machine(),
+        **{var: os.environ.get(var) for var in _BLAS_THREADS},
+    }
 
 
 def _resolve_depths(depths, spec):
@@ -538,6 +591,16 @@ def _write_csv(path, header, rows):
             writer.writerow([_format_cell(v) for v in row])
 
 
+def _timed_task(config, spec, optimizer):
+    """`run_task` and its wall time; a failure becomes {"error": traceback}."""
+    t0 = time.monotonic()
+    try:
+        res = run_task(config, spec, optimizer)
+    except Exception:
+        res = {"error": traceback.format_exc()}
+    return res, time.monotonic() - t0
+
+
 def run_experiment(
     config: ExperimentConfig, jobs: int = 1, out_dir: str | None = None
 ) -> RunManifest:
@@ -559,25 +622,22 @@ def run_experiment(
     out = out_dir or config.out or os.path.join("runs", config.kind)
     os.makedirs(out, exist_ok=True)
     t0 = time.monotonic()
-    results, run_records = [None] * len(tasks), []
     if jobs == 1 or len(tasks) == 1:
-        for i, task in enumerate(tasks):
-            try:
-                results[i] = run_task(config, *task)
-            except Exception:
-                results[i] = {"error": traceback.format_exc()}
+        results = [_timed_task(config, *task) for task in tasks]
     else:
+        results = []
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            futures = [pool.submit(run_task, config, *task) for task in tasks]
-            for i, fut in enumerate(futures):
+            futures = [pool.submit(_timed_task, config, *task) for task in tasks]
+            for fut in futures:
                 try:
-                    results[i] = fut.result()
-                except Exception:
-                    results[i] = {"error": traceback.format_exc()}
+                    results.append(fut.result())
+                except Exception:  # the pool itself failed; the task was not timed
+                    results.append(({"error": traceback.format_exc()}, None))
 
-    tables = {}
-    for (spec, _), res in zip(tasks, results):
-        record = {"task": f"{config.kind} L={spec.L} {spec.boundary}", "ok": "error" not in res}
+    tables, run_records = {}, []
+    for (spec, _), (res, seconds) in zip(tasks, results):
+        record = {"task": f"{config.kind} L={spec.L} {spec.boundary}", "ok": "error" not in res,
+                  "wall_time_s": seconds}
         if "error" in res:
             record["error"] = res["error"]
         elif "summary" in res:
@@ -607,11 +667,11 @@ def run_experiment(
 
     manifest = RunManifest(
         experiment=config.kind,
-        config={  # the config as from_dict reads it, less where this run wrote
+        config=_plain({  # the config as from_dict reads it, less where this run wrote
             "experiment": config.kind,
             **{k: getattr(config, k) for k in config._FIELD_KEYS if k != "out"},
             **config.options,
-        },
+        }),
         version=__version__,
         seed=config.seed,
         jobs=jobs,
@@ -620,6 +680,7 @@ def run_experiment(
         runs=run_records,
         ok=all(r["ok"] for r in run_records),
         aggregate=aggregate,
+        environment=dict(_environment()),
     )
     with open(os.path.join(out, "manifest.json"), "w") as fh:
         json.dump(asdict(manifest), fh, indent=2)

@@ -162,6 +162,14 @@ def _cell_momenta(L, gamma):
     return grid
 
 
+@lru_cache(maxsize=16)
+def _block_hopping(spec):
+    """Hopping entries h01_q = -t (1 + e^{-iq}) of the Bloch blocks H_q, read-only."""
+    h01 = -spec.t * (1.0 + _cell_momenta(spec.L, spec.gamma)[1])
+    h01.flags.writeable = False  # shared by every caller through the cache
+    return h01
+
+
 def _bloch_orbitals(spec, spinors):
     """Real-space (L, L/2) orbitals; column n is the Bloch wave of spinors[n]."""
     q = _cell_momenta(spec.L, spec.gamma)[0]

@@ -5,9 +5,12 @@ is the overlap metric of the parameter derivatives and f the force
 vector.  Both are assembled block by block from the Bloch spinors of the
 circuit state and their derivatives (`ansatz.state_and_derivatives`),
 which are normalized in both modes, at cost O(K^2 L).  The energy the
-run reads is the real-space one, `slater.energy_expectation` of the
-built state, so the start, every line-search trial and the trace share
-one formula.
+run compares is the block energy of the same blocks
+(`ansatz.block_energy`, a state-only pass at cost O(M L)): the start,
+every line-search trial and the trace read it.  The real-space energy,
+`slater.energy_expectation` of the built state, is read once per run,
+for the returned table: it is the energy a run reports, and a
+`SingularOverlapError` of that build is raised, not retried.
 
 Both modes optimize the same table type, `DqapParams`; the mode is
 named by the caller, through `optimize` (real) or `optimize_imaginary`.
@@ -17,7 +20,8 @@ evolution projected onto the variational manifold, so the energy trace
 is non-increasing for small delta_beta.  That bound is first order; at
 finite delta_beta a shift along a soft metric mode can leave the linear
 regime, so the run loop halves any shift that would raise the energy
-(or give a non-finite one, or a singular imaginary-time state).
+(or give a non-finite one, or an imaginary-time block coefficient that
+overflows).
 Well-conditioned steps are taken whole.
 
 delta_beta adapts per run, in both modes.  It starts at the configured
@@ -37,10 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import DqapParams, build_dqap_state, build_imag_state, state_and_derivatives
+from .ansatz import (
+    DqapParams, block_energy, build_dqap_state, build_imag_state, state_and_derivatives,
+)
 from .errors import LinearSolveError, SingularOverlapError
 from .lattice import (
-    LatticeSpec, _cell_momenta, build_hamiltonian, is_finite_nonnegative, is_finite_positive,
+    LatticeSpec, _block_hopping, build_hamiltonian, is_finite_nonnegative, is_finite_positive,
     is_int,
 )
 from .slater import energy_expectation
@@ -106,6 +112,11 @@ class NaturalGradientWorkspace:
 class OptResult:
     """Outcome of a run.
 
+    trace holds the block energies (`ansatz.block_energy`) the run
+    compared: the start and one per accepted step.  energy is the
+    real-space energy of params, `slater.energy_expectation` of the
+    built state; it agrees with trace[-1] up to rounding.
+
     stop_reason is 'energy_tol' (the energy change fell below the
     tolerance), 'no_descent' (no halving of the proposed shift lowers
     the energy, or there are no angles to move) or 'max_iters'.
@@ -136,7 +147,7 @@ def assemble_metric_and_force(
     The cost is O(K^2 L).  K = 0 gives an empty metric and force.
     """
     kdim = derivs.shape[0]
-    h01 = -spec.t * (1.0 + _cell_momenta(spec.L, spec.gamma)[1])
+    h01 = _block_hopping(spec)
     hpsi = np.stack((h01 * spinors[:, 1], h01.conj() * spinors[:, 0]), axis=1)
     e_q = np.sum(spinors.conj() * hpsi, axis=1)
     aflat = derivs.reshape(kdim, spinors.size)
@@ -196,15 +207,11 @@ def _initial_params(spec, m_layers, config, init):
 
 
 def _run(spec, params, mode, config):
-    h = build_hamiltonian(spec)
-    build = build_dqap_state if mode == "real" else build_imag_state
-    trace = [energy_expectation(build(spec, params), h)]
-    if params.M == 0:
-        return OptResult(params, trace[0], np.asarray(trace), 0, True, "no_descent")
-    stop_reason = "max_iters"
+    trace = [block_energy(spec, params, mode)]
+    stop_reason = "no_descent" if params.M == 0 else "max_iters"
     it = 0
     db = config.delta_beta
-    while it < config.max_iters:
+    while params.M and it < config.max_iters:
         ws = assemble_metric_and_force(*state_and_derivatives(spec, params, mode=mode), spec)
         dtheta = _solve_step(ws, db, config.ridge)
         largest = np.max(np.abs(dtheta)) * spec.t
@@ -216,7 +223,7 @@ def _run(spec, params, mode, config):
         for _ in range(_MAX_HALVINGS):
             trial = DqapParams.from_flat(flat + scale * dtheta)
             try:
-                energy = energy_expectation(build(spec, trial), h)
+                energy = block_energy(spec, trial, mode)
             except SingularOverlapError:
                 scale *= 0.5
                 continue
@@ -236,8 +243,10 @@ def _run(spec, params, mode, config):
         if abs(trace[-1] - trace[-2]) / (abs(trace[-1]) + 1.0) < config.energy_tol:
             stop_reason = "energy_tol"
             break
+    build = build_dqap_state if mode == "real" else build_imag_state
+    energy = energy_expectation(build(spec, params), build_hamiltonian(spec))
     converged = stop_reason != "max_iters"
-    return OptResult(params, trace[-1], np.asarray(trace), it, converged, stop_reason)
+    return OptResult(params, energy, np.asarray(trace), it, converged, stop_reason)
 
 
 def optimize(

@@ -13,6 +13,7 @@ from dqap_lab import (
     SlaterState,
     apply_bond_layer,
     assemble_metric_and_force,
+    block_energy,
     build_dqap_state,
     build_imag_state,
     build_v1,
@@ -339,6 +340,57 @@ def test_derivative_engine_needs_no_real_space_kernel(monkeypatch, mode):
     p = random_params(np.random.default_rng(0), 3)
     ws = assemble_metric_and_force(*state_and_derivatives(spec, p, mode=mode), spec)
     assert ws.metric.shape == (6, 6) and np.all(np.isfinite(ws.force))
+
+
+# ---- block energy ----
+
+_NORTH_STAR = [(16, 4), (40, 6), (80, 10), (160, 20)]
+
+
+@pytest.mark.parametrize("mode", ["real", "imag"])
+@pytest.mark.parametrize("gamma", [-1, +1], ids=["apbc", "pbc"])
+@pytest.mark.parametrize("L,m", _NORTH_STAR)
+def test_block_energy_matches_real_space_energy(L, m, gamma, mode):
+    spec = LatticeSpec.half_filling(L, gamma=gamma)
+    p = random_params(np.random.default_rng(L + m), m)
+    builder = build_dqap_state if mode == "real" else build_imag_state
+    ref = energy_expectation(builder(spec, p), build_hamiltonian(spec))
+    assert abs(block_energy(spec, p, mode) - ref) < 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("boundary", ["apbc", "pbc"])
+@pytest.mark.parametrize("L,m", _NORTH_STAR)
+def test_imag_block_energy_matches_forty_digit_block_product(L, m, boundary):
+    spec = LatticeSpec.half_filling(L, gamma=-1 if boundary == "apbc" else +1)
+    table = np.random.default_rng(m).uniform(0.0, 1.0, (m, 2))
+    ref = float(mp_imag_energy(L, boundary, table))
+    assert abs(block_energy(spec, DqapParams(table), "imag") - ref) < 1e-12 * abs(ref)
+
+
+def test_block_energy_of_zero_layers_is_the_dimer_energy():
+    spec = LatticeSpec.half_filling(12, gamma=+1)
+    for mode in ("real", "imag"):
+        assert abs(block_energy(spec, DqapParams(np.zeros((0, 2))), mode) + 0.5 * spec.L) < 1e-12
+
+
+def test_block_energy_overflow_raises_typed_error():
+    spec = LatticeSpec.half_filling(16)
+    with pytest.raises(SingularOverlapError):
+        block_energy(spec, DqapParams([[0.5, 800.0]]), "imag")
+
+
+@pytest.mark.parametrize("mode", ["real", "imag"])
+def test_block_energy_needs_no_real_space_kernel(monkeypatch, mode):
+    def unavailable(*args, **kwargs):
+        raise AssertionError("real-space kernel called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dqap_lab"):
+            for attr in ("apply_bond_layer", "bond_pairs", "energy_expectation"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, unavailable)
+    spec = LatticeSpec.half_filling(16)
+    assert np.isfinite(block_energy(spec, random_params(np.random.default_rng(0), 3), mode))
 
 
 # ---- support growth ----

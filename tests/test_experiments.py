@@ -2,11 +2,13 @@
 
 import csv
 import json
+import platform
 from dataclasses import FrozenInstanceError, replace
 
+import numpy as np
 import pytest
 
-from dqap_lab import ConfigError
+from dqap_lab import ConfigError, SingularOverlapError, optimizer
 from dqap_lab.cli import main
 from dqap_lab.experiments import KINDS, ExperimentConfig, run_experiment
 
@@ -336,6 +338,61 @@ def test_config_is_validated_however_it_is_built():
         cfg.seed = 3
 
 
+def test_config_sizes_cannot_be_edited_in_place():
+    cfg = ExperimentConfig.from_dict({"experiment": "energy-sweep", **_LADDER})
+    with pytest.raises(AttributeError):
+        cfg.sizes.append(7)
+    assert cfg.sizes == (8,) and cfg.depths == (1, 2)
+
+
+def test_config_optimizer_cannot_be_edited_in_place():
+    cfg = ExperimentConfig.from_dict(
+        {"experiment": "energy-sweep", **_LADDER, "optimizer": {"seed": 3}}
+    )
+    with pytest.raises(TypeError):
+        cfg.optimizer["seed"] = -1
+    assert cfg.optimizer == {"seed": 3}
+
+
+def test_replace_takes_frozen_fields_back_and_manifest_stays_plain(tmp_path):
+    raw = {"experiment": "continuous-time", **CASES["continuous-time"][0],
+           "optimizer": {"max_iters": 5}}
+    cfg = ExperimentConfig.from_dict(raw)
+    assert replace(cfg, seed=0) == cfg
+    with pytest.raises(AttributeError):
+        cfg.options["T_grid"].append(-1.0)
+    run_experiment(replace(cfg, seed=4), out_dir=str(tmp_path))
+    written = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert written == {**raw, "boundary": "apbc", "depths": None, "t": 1.0, "seed": 4}
+
+
+def test_manifest_records_environment_and_task_times(tmp_path):
+    code, out = _run(tmp_path, "energy-sweep", {**_LADDER, "sizes": [8, 12]})
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    env = manifest["environment"]
+    assert list(env) == ["python", "numpy", "scipy", "system", "machine",
+                         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+    assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+    seconds = [run["wall_time_s"] for run in manifest["runs"]]
+    assert len(seconds) == 2 and all(s > 0.0 for s in seconds)
+    assert sum(seconds) <= manifest["wall_time_s"]
+
+
+def test_singular_real_space_build_fails_its_task(tmp_path, monkeypatch):
+    # the line search runs on the Bloch blocks; the one real-space build
+    # of the returned table must not swallow its typed error
+    def singular(spec, params):
+        raise SingularOverlapError("orbital columns are linearly dependent to tolerance")
+
+    monkeypatch.setattr(optimizer, "build_imag_state", singular)
+    code, out = _run(tmp_path, "imaginary-sweep", CASES["imaginary-sweep"][0])
+    assert code == 1
+    (run,) = json.loads((out / "manifest.json").read_text())["runs"]
+    assert not run["ok"]
+    assert "dqap_lab.errors.SingularOverlapError" in run["error"]
+
+
 def test_process_pool_writes_what_a_single_process_writes(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"experiment": "energy-sweep", **_LADDER, "sizes": [8, 12]}))
@@ -346,6 +403,9 @@ def test_process_pool_writes_what_a_single_process_writes(tmp_path):
                      "--out", str(out)]) == 0
     manifests = {j: json.loads((out / "manifest.json").read_text()) for j, out in outs.items()}
     assert manifests[2]["jobs"] == 2
+    # every record holds its task's own wall time, which differs between runs
+    seconds = [run.pop("wall_time_s") for m in manifests.values() for run in m["runs"]]
+    assert len(seconds) == 4 and all(isinstance(s, float) and s >= 0.0 for s in seconds)
     assert manifests[2]["runs"] == manifests[1]["runs"]
     assert [p.name for p in sorted(outs[1].glob("*.csv"))] == ["energy.csv"]
     assert (outs[2] / "energy.csv").read_bytes() == (outs[1] / "energy.csv").read_bytes()

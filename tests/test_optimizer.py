@@ -7,7 +7,9 @@ from dqap_lab import (
     DqapParams,
     LatticeSpec,
     OptimizerConfig,
+    ansatz,
     assemble_metric_and_force,
+    block_energy,
     build_dqap_state,
     build_hamiltonian,
     build_imag_state,
@@ -168,7 +170,10 @@ def test_default_run_monotone_and_converged():
     assert res.converged
     assert len(res.trace) == res.iterations + 1
     assert np.all(np.diff(res.trace) <= 1e-12)
-    assert res.energy == res.trace[-1]
+    assert res.trace[-1] == block_energy(spec, res.params, "real")
+    assert res.energy == energy_expectation(build_dqap_state(spec, res.params),
+                                            build_hamiltonian(spec))
+    assert abs(res.energy - res.trace[-1]) <= 1e-12 * abs(res.energy)
 
 
 def test_exact_recovery_at_quarter_depth():
@@ -244,17 +249,41 @@ def test_line_search_rejects_non_finite_energy(monkeypatch):
     # the first call is the start energy; the first trial energy reads
     # -inf, and it must not count as descent
     spec = LatticeSpec.half_filling(8)
-    real_energy = optimizer.energy_expectation
+    real_energy = optimizer.block_energy
     calls = []
 
-    def first_trial_minus_inf(state, h):
-        calls.append(state)
-        return -np.inf if len(calls) == 2 else real_energy(state, h)
+    def first_trial_minus_inf(spec, params, mode):
+        calls.append(params)
+        return -np.inf if len(calls) == 2 else real_energy(spec, params, mode)
 
-    monkeypatch.setattr(optimizer, "energy_expectation", first_trial_minus_inf)
+    monkeypatch.setattr(optimizer, "block_energy", first_trial_minus_inf)
     res = optimize(spec, 2, OptimizerConfig(max_iters=1))
     assert res.iterations == 1
     assert len(calls) >= 3
+    assert np.all(np.isfinite(res.trace))
+    assert res.trace[1] <= res.trace[0]
+
+
+def test_line_search_halves_a_trial_whose_block_overflows(monkeypatch):
+    # the first call is the start energy; in the first trial's block pass
+    # `_bond_block` meets a cosh that overflows, and the shift is halved
+    spec = LatticeSpec.half_filling(8)
+    real_energy, real_block = optimizer.block_energy, ansatz._bond_block
+    calls = []
+
+    def counted(spec, params, mode):
+        calls.append(params)
+        return real_energy(spec, params, mode)
+
+    def overflow_in_first_trial(spec, angle, mode):
+        return real_block(spec, 800.0 / spec.t if len(calls) == 2 else angle, mode)
+
+    monkeypatch.setattr(optimizer, "block_energy", counted)
+    monkeypatch.setattr(ansatz, "_bond_block", overflow_in_first_trial)
+    res = optimize_imaginary(spec, 2, OptimizerConfig(max_iters=1))
+    assert res.iterations == 1
+    assert len(calls) >= 3
+    assert not np.array_equal(res.params.angles, calls[1].angles)
     assert np.all(np.isfinite(res.trace))
     assert res.trace[1] <= res.trace[0]
 
@@ -264,14 +293,16 @@ def test_line_search_rejects_non_finite_energy(monkeypatch):
     (optimize_imaginary, build_imag_state),
 ])
 def test_trace_holds_the_energy_of_the_built_state(run, builder):
-    # one energy formula per run: the trace ends on the real-space
-    # energy of the returned table, bit for bit
+    # the trace ends on the block energy of the returned table and the
+    # reported energy is its real-space energy, each bit for bit
     spec = LatticeSpec.half_filling(16, gamma=+1)
     h = build_hamiltonian(spec)
+    mode = "real" if run is optimize else "imag"
     res = run(spec, 3, OptimizerConfig(init_mode="random", seed=1, max_iters=40))
     assert res.iterations > 0
-    assert res.trace[-1] == energy_expectation(builder(spec, res.params), h)
-    assert res.energy == res.trace[-1]
+    assert res.trace[-1] == block_energy(spec, res.params, mode)
+    assert res.energy == energy_expectation(builder(spec, res.params), h)
+    assert abs(res.energy - res.trace[-1]) <= 1e-12 * abs(res.energy)
 
 
 def test_large_step_imaginary_rung_matches_block_product():
