@@ -60,7 +60,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .ansatz import DqapParams, build_dqap_state, state_and_derivatives
 from .errors import DimensionMismatch, NoConvergence
@@ -73,8 +72,8 @@ from .slater import SlaterState, _bond_block, overlap
 # slice x cell entries per magnus_step call of a ramp: about 1 MB per temporary
 _CHUNK_ELEMENTS = 1 << 16
 _T_START = 1.0  # first ramp time tried by find_T_epsilon
-# maximize_overlap's grid step, upper end of chi and alpha, and refinement tolerance
-_GRID_STEP, _GRID_BOUND, _REFINE_XTOL = 0.01, 1.5, 1e-4
+# maximize_overlap's coarse step and upper end of chi and alpha, its window steps and half-width
+_GRID_STEP, _GRID_BOUND, _REFINE_STEPS, _WINDOW = 0.01, 1.5, (1e-3, 1e-4, 1e-5), 10
 _GRID_CHIS = np.arange(0.0, _GRID_BOUND + _GRID_STEP / 2, _GRID_STEP)
 _GRID_CHIS.flags.writeable = False
 
@@ -346,57 +345,45 @@ def _block_overlap(spec, psi, u, angle):
     return np.prod(0.5 * np.abs(amp) ** 2, axis=-1)
 
 
-def _scan_blocks(spec, psi, theta, alphas):
+def _scan_blocks(spec, psi, theta, chis, alphas):
     """(f, chi, alpha) at the first maximum of `_block_overlap` on the alpha-major grid."""
-    u = _ground_phase(spec, _GRID_CHIS)
+    u = _ground_phase(spec, chis)
     grid = np.array([_block_overlap(spec, psi, u, al * theta) for al in alphas])
     i, j = np.unravel_index(np.argmax(grid), grid.shape)
-    return float(grid[i, j]), float(_GRID_CHIS[j]), float(alphas[i])
+    return float(grid[i, j]), float(chis[j]), float(alphas[i])
+
+
+def _window(centre, step):
+    """`_WINDOW` steps either side of centre, clipped to [0, `_GRID_BOUND`]."""
+    return np.clip(centre + step * np.arange(-_WINDOW, _WINDOW + 1), 0.0, _GRID_BOUND)
 
 
 def maximize_overlap(spec: LatticeSpec, params: DqapParams, m: int, alpha: float | None = None):
-    """Best (chi, alpha) for the m-layer prefix by grid scan plus refinement.
+    """Best (chi, alpha) for the m-layer prefix by a grid scan and finer windows.
 
     Scans chi (and alpha unless fixed) over [0, 1.5] in steps of 0.01,
-    then runs a bounded scalar refinement (xtol 1e-4) around the best cell,
-    one axis at a time.  As in `scheduling_overlap`, alpha scales the
-    last odd-family angle after its reduction to angle*t in
-    (-pi/2, pi/2], so tables whose odd angles differ by multiples of
-    pi/t give the same result.  At m = 0 the prefix is the dimer state,
-    which no alpha changes; a free alpha is then reported as 1.  The
-    search runs on the blocks; overlap_sq is `scheduling_overlap` at the
-    optimum.  Returns (chi, alpha, overlap_sq).
+    then 10 steps either side of the best point, clipped to [0, 1.5], at
+    steps 1e-3, 1e-4 and 1e-5, a free alpha together with chi.  Every
+    alpha ties at chi = 0 (the dimer target), so a free alpha's grid
+    starts at 0.01.  As in `scheduling_overlap`, alpha scales the last
+    odd-family angle reduced to angle*t in (-pi/2, pi/2], so tables whose
+    odd angles differ by multiples of pi/t agree.  At m = 0 the prefix is
+    the dimer state, which no alpha changes; a free alpha is then
+    reported as 1.  The search runs on the blocks; overlap_sq is
+    `scheduling_overlap` at the optimum.  Returns (chi, alpha, overlap_sq).
     """
     if m == 0 and alpha is None:
         alpha = 1.0  # the dimer prefix does not depend on alpha
-    alphas = np.array([alpha]) if alpha is not None else _GRID_CHIS
     table, theta = _prefix(spec, params, m)
     psi = state_and_derivatives(spec, DqapParams(table))[0]
-
-    def value(chi, al):
-        return float(_block_overlap(spec, psi, _ground_phase(spec, chi), al * theta))
-
-    def refine(fun, centre):
-        res = minimize_scalar(
-            lambda x: -fun(x),
-            bounds=(max(0.0, centre - _GRID_STEP), min(_GRID_BOUND, centre + _GRID_STEP)),
-            method="bounded",
-            options={"xatol": _REFINE_XTOL},
-        )
-        return float(res.x), float(-res.fun)
-
-    f_best, chi_best, al_best = _scan_blocks(spec, psi, theta, alphas)
-    # Bounded refinement never evaluates its endpoints, so a refined
-    # point replaces the current one only when it is strictly better.
-    for _ in range(2):
-        chi_new, f_new = refine(lambda c: value(c, al_best), chi_best)
-        if f_new > f_best:
-            chi_best, f_best = chi_new, f_new
+    alphas = _GRID_CHIS if alpha is None else np.array([alpha])
+    chis = _GRID_CHIS[1:] if alpha is None else _GRID_CHIS
+    _, chi, al = _scan_blocks(spec, psi, theta, chis, alphas)
+    for step in _REFINE_STEPS:
         if alpha is None:
-            al_new, f_new = refine(lambda a_: value(chi_best, a_), al_best)
-            if f_new > f_best:
-                al_best, f_best = al_new, f_new
-    return chi_best, al_best, scheduling_overlap(spec, params, m, chi_best, al_best)
+            alphas = _window(al, step)
+        _, chi, al = _scan_blocks(spec, psi, theta, _window(chi, step), alphas)
+    return chi, al, scheduling_overlap(spec, params, m, chi, al)
 
 
 def aggregate_times(params: DqapParams, mode: str = "real") -> float:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, xlogy
 
 from .slater import SlaterState
 
@@ -84,6 +83,11 @@ def correlation_spectrum(state: SlaterState, subsystem: Subsystem) -> np.ndarray
     return np.linalg.eigvalsh(one_particle_dm(state, subsystem))
 
 
+def _xlogx(x):
+    """x log x elementwise, 0 at x = 0."""
+    return x * np.log(np.where(x > 0.0, x, 1.0))
+
+
 def entropy_from_levels(levels) -> float:
     """Binary-entropy sum over correlation eigenvalues.
 
@@ -94,21 +98,22 @@ def entropy_from_levels(levels) -> float:
     if d.min(initial=0.0) < -_LEVEL_TOL or d.max(initial=1.0) > 1.0 + _LEVEL_TOL:
         raise ValueError(f"correlation levels outside [0,1]: {d.min()}, {d.max()}")
     d = np.clip(d, 0.0, 1.0)
-    return float(-(xlogy(d, d) + xlogy(1.0 - d, 1.0 - d)).sum())
+    return float(-(_xlogx(d) + _xlogx(1.0 - d)).sum())
 
 
 def entropy_mode_form(levels) -> float:
     """Same entropy through the mode-energy parametrization.
 
     Each eigenvalue strictly inside (0, 1) maps to lam = ln((1-d)/d) and
-    contributes lam/(1+e^lam) + ln(1+e^-lam), evaluated so that nothing
-    overflows; only levels at exactly 0 or 1 contribute nothing.  Used
-    as an internal consistency check of the spectrum.
+    contributes lam/(1+e^lam) + ln(1+e^-lam), with 1/(1+e^lam) taken as
+    exp(-logaddexp(0, lam)) so that nothing overflows; only levels at
+    exactly 0 or 1 contribute nothing.  Used as an internal consistency
+    check of the spectrum.
     """
     d = np.asarray(levels, dtype=float)
     d = d[(d > 0.0) & (d < 1.0)]
     lam = np.log1p(-d) - np.log(d)
-    return float((lam * expit(-lam) + np.logaddexp(0.0, -lam)).sum())
+    return float((lam * np.exp(-np.logaddexp(0.0, lam)) + np.logaddexp(0.0, -lam)).sum())
 
 
 def entanglement_entropy(state: SlaterState, subsystem: Subsystem) -> float:
@@ -121,10 +126,8 @@ def mutual_information(state: SlaterState, x: int, xp: int) -> float:
     if x == xp:
         raise ValueError("mutual information needs two distinct sites")
     d2 = one_particle_dm(state, Subsystem((x, xp)))
-    s_pair = entropy_from_levels(np.linalg.eigvalsh(d2))
-    s_x = entropy_from_levels([d2[0, 0].real])
-    s_xp = entropy_from_levels([d2[1, 1].real])
-    return s_x + s_xp - s_pair
+    s_sites = entropy_from_levels(d2.diagonal().real)  # S_x + S_xp in one call
+    return s_sites - entropy_from_levels(np.linalg.eigvalsh(d2))
 
 
 def boundary_rank_diagnostic(state: SlaterState, subsystem: Subsystem) -> SpectrumDiagnostic:

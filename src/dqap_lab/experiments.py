@@ -24,7 +24,9 @@ about a kind is one `Kind` record in `KINDS`:
 - `fit`, if set, is (table, column, aggregate key): given three or
   more rows of positive values, `run_experiment` fits column ~ L^p
   and records p in the manifest's aggregate;
-- `min_size` is the shortest chain the kind accepts.
+- `min_size` is the shortest chain the kind accepts;
+- `closed_shell` rejects a chain whose ground state at the end of the
+  ramp is not unique, for kinds that read the exact state or the ramp.
 
 `run_task` resolves the depths and runs the ladder, so a body only
 turns its results into rows.  A ladder task's summary records what
@@ -51,7 +53,6 @@ from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .adiabatic import (
@@ -70,8 +71,8 @@ from .entanglement import (
     mutual_information,
     scaling_exponents,
 )
-from .errors import ConfigError
-from .lattice import LatticeSpec, exact_ground_state, is_finite_positive, is_int
+from .errors import ConfigError, OpenShellError
+from .lattice import LatticeSpec, _ground_phase, exact_ground_state, is_finite_positive, is_int
 from .optimizer import OptimizerConfig, optimize, optimize_imaginary, warm_start
 from .slater import SlaterState, overlap
 
@@ -150,9 +151,15 @@ class ExperimentConfig:
             raise ConfigError("'sizes' must be a non-empty list of even chain lengths")
         if self.boundary not in ("apbc", "pbc"):
             raise ConfigError(f"boundary must be 'apbc' or 'pbc', got {self.boundary!r}")
-        smallest = min(spec.L for spec in self.specs)  # building the chains checks L and t
-        if smallest < kind.min_size:
+        specs = self.specs  # building the chains checks L and t
+        if min(spec.L for spec in specs) < kind.min_size:
             raise ConfigError(f"experiment {self.kind!r} needs chains of L >= {kind.min_size}")
+        if kind.closed_shell:
+            try:
+                for spec in specs:
+                    _ground_phase(spec, 1.0)  # the end of the ramp: the exact state
+            except OpenShellError as exc:
+                raise ConfigError(f"experiment {self.kind!r} needs a closed shell: {exc}") from exc
         object.__setattr__(self, "t", float(self.t))
         depths = self.depths
         if depths is not None and depths != "quarter":
@@ -250,7 +257,6 @@ def _environment():
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "system": platform.system(),
         "machine": platform.machine(),
         **{var: os.environ.get(var) for var in _BLAS_THREADS},
@@ -469,6 +475,7 @@ class Kind:
     options: dict = field(default_factory=dict)
     fit: tuple | None = None
     min_size: int = 2
+    closed_shell: bool = False
 
 
 KINDS = {
@@ -477,6 +484,7 @@ KINDS = {
         {"energy": _CONTEXT + ["E", "E_exact", "dE", "dEps", "iterations", "converged"]},
         ladder="real",
         needs_depths=True,
+        closed_shell=True,
     ),
     "entanglement-sweep": Kind(
         _task_entanglement_sweep,
@@ -485,6 +493,7 @@ KINDS = {
         ladder="real",
         needs_depths=True,
         options={"subsystem_size": _SUBSYSTEM_SIZE},
+        closed_shell=True,
     ),
     "mutual-info": Kind(
         _task_mutual_info,
@@ -515,6 +524,7 @@ KINDS = {
                              "iterations", "converged"]},
         ladder="imag",
         needs_depths=True,
+        closed_shell=True,
     ),
     "continuous-time": Kind(
         _task_continuous_time,
@@ -523,6 +533,7 @@ KINDS = {
         options={"T_grid": _T_GRID, "dtau": _FINITE_POSITIVE, "order": _ORDER,
                  "target_eps": _FINITE_POSITIVE},
         fit=("teps", "T_eps", "T_eps_vs_L"),
+        closed_shell=True,
     ),
     "qab": Kind(
         _task_qab,
@@ -535,6 +546,7 @@ KINDS = {
         {"schedule": _CONTEXT + ["m", "chi_free", "alpha_free", "overlap_free",
                                  "chi_fixed_alpha", "overlap_fixed_alpha"]},
         ladder="real",
+        closed_shell=True,
     ),
     "spectrum-diagnostic": Kind(
         _task_spectrum_diagnostic,

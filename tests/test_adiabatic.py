@@ -615,7 +615,7 @@ def test_block_grid_matches_scalar_scan(L, gamma, M):
         table, theta = adiabatic._prefix(spec, params, m)
         psi = adiabatic.state_and_derivatives(spec, DqapParams(table))[0]
         for alphas in (chis, np.array([1.0])):
-            f, chi, alpha = adiabatic._scan_blocks(spec, psi, theta, alphas)
+            f, chi, alpha = adiabatic._scan_blocks(spec, psi, theta, chis, alphas)
             f_ref, chi_ref, alpha_ref = scalar_grid_scan(
                 adjoints, chis, alphas, lambda al: _prefix_state(spec, params, m, al)
             )
@@ -701,6 +701,30 @@ def test_partial_layer_ignores_pi_shift_of_odd_angles(ladder16):
             np.testing.assert_allclose(
                 maximize_overlap(spec, shifted, m), ref, rtol=0.0, atol=1e-9
             )
+
+
+
+def test_free_alpha_is_not_pinned_by_the_chi_zero_tie():
+    # every alpha ties at chi = 0; the best point lies inside the first
+    # coarse chi step, at the upper alpha bound
+    spec = LatticeSpec.half_filling(64)
+    params = DqapParams(np.random.default_rng(643).uniform(0.0, 0.6, (3, 2)))
+    chi, alpha, f = maximize_overlap(spec, params, 1)
+    assert f >= 0.967508
+    assert 0.0 < chi < 0.01 and alpha == 1.5
+
+
+@pytest.mark.parametrize("L, gamma", [(10, +1), (12, -1), (16, -1)])
+@pytest.mark.parametrize("fixed", [None, 1.0])
+def test_refined_point_is_a_local_optimum_of_the_determinant_route(L, gamma, fixed):
+    spec = LatticeSpec.half_filling(L, gamma=gamma)
+    params = DqapParams(np.random.default_rng(L).uniform(0.0, 0.6, (3, 2)))
+    chi, alpha, f = maximize_overlap(spec, params, 2, fixed)
+    offsets = 2e-5 * np.arange(-10, 11)
+    alphas = [alpha] if fixed is not None else np.clip(alpha + offsets, 0.0, 1.5)
+    best = max(scheduling_overlap(spec, params, 2, float(c), float(a))
+               for a in alphas for c in np.clip(chi + offsets, 0.0, 1.5))
+    assert best <= f + 1e-10
 
 
 # ---- aggregate schedule weight ----
