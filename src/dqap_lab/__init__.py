@@ -18,8 +18,6 @@ from .lattice import (
     LatticeSpec,
     bond_pairs,
     build_hamiltonian,
-    build_v1,
-    build_v2,
     exact_ground_state,
     initial_state,
 )
@@ -40,10 +38,10 @@ from .ansatz import (
     state_and_derivatives,
 )
 from .optimizer import (
-    NaturalGradientWorkspace,
     OptResult,
     OptimizerConfig,
     assemble_metric_and_force,
+    ladder,
     linear_schedule_params,
     optimize,
     optimize_imaginary,
@@ -63,21 +61,18 @@ from .entanglement import (
 )
 from .adiabatic import (
     EvolutionPlan,
-    ScheduleSample,
     aggregate_times,
     evolve_linear_schedule,
     find_T_epsilon,
     magnus_step,
     maximize_overlap,
     qab_gap,
-    qab_samples,
     qab_schedule,
     scheduling_overlap,
 )
 from .fock import (
     FockBasis,
     FockVector,
-    fock_apply_hamiltonian,
     fock_entropy,
     fock_evolve,
     fock_expectation,

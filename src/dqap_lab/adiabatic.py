@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import DqapParams, build_dqap_state, state_and_derivatives
+from .ansatz import DqapParams, _block_pass, build_dqap_state
 from .errors import DimensionMismatch, NoConvergence
 from .lattice import (
     LatticeSpec, _bloch_orbitals, _cell_momenta, _ground_orbitals, _ground_phase,
@@ -277,21 +277,6 @@ def qab_gap(L: int, chi, t: float = 1.0):
     return 2.0 * t * np.sqrt((chi - np.cos(g)) ** 2 + np.sin(g) ** 2)
 
 
-@dataclass(frozen=True)
-class ScheduleSample:
-    s: float
-    chi: float
-    gap: float
-
-
-def qab_samples(L: int, n: int = 1001, t: float = 1.0):
-    """Uniform sampling of the closed-form ramp and its gap."""
-    s = np.linspace(0.0, 1.0, n)
-    chi = qab_schedule(L, s)
-    gap = qab_gap(L, chi, t)
-    return [ScheduleSample(float(a), float(b), float(c)) for a, b, c in zip(s, chi, gap)]
-
-
 def _reduced_odd_angle(spec, angle):
     """Odd-family angle shifted by a multiple of pi/t so that angle*t is in (-pi/2, pi/2].
 
@@ -375,7 +360,7 @@ def maximize_overlap(spec: LatticeSpec, params: DqapParams, m: int, alpha: float
     if m == 0 and alpha is None:
         alpha = 1.0  # the dimer prefix does not depend on alpha
     table, theta = _prefix(spec, params, m)
-    psi = state_and_derivatives(spec, DqapParams(table))[0]
+    psi = _block_pass(spec, DqapParams(table), "real", 1)[0]
     alphas = _GRID_CHIS if alpha is None else np.array([alpha])
     chis = _GRID_CHIS[1:] if alpha is None else _GRID_CHIS
     _, chi, al = _scan_blocks(spec, psi, theta, chis, alphas)

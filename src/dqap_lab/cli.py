@@ -1,12 +1,14 @@
 """Command-line entry point.
 
     dqap-lab <experiment> --config <file> [--jobs N] [--out DIR] [--seed S]
-    dqap-lab oracle --L 6 [--layers 2] [--mode real] [--boundary apbc]
+    dqap-lab oracle [--L 8] [--layers 2] [--mode real] [--boundary apbc]
 
 The first form runs an experiment described by a JSON config and writes
 CSV tables plus manifest.json.  The second form cross-checks the
 determinant algebra against the brute-force occupation-basis route on a
-random circuit and prints a small report.
+random circuit and prints a small report.  The oracle reads the exact
+ground state, so it needs a closed shell: --L 6 with apbc, or --L 8
+with pbc, is a config error.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import numpy as np
 
 from .ansatz import DqapParams, build_dqap_state, build_imag_state
 from .entanglement import Subsystem, entanglement_entropy
-from .errors import ConfigError, DqapError, SizeLimitExceeded
+from .errors import ConfigError, DqapError, OpenShellError, SizeLimitExceeded
 from .experiments import KINDS, ExperimentConfig, run_experiment
 from .fock import FockBasis, fock_entropy, fock_expectation, slater_to_fock
-from .lattice import LatticeSpec, build_hamiltonian, exact_ground_state
+from .lattice import LatticeSpec, _ground_phase, build_hamiltonian, exact_ground_state
 from .slater import SlaterState, energy_expectation, overlap
 
 _ORACLE_TOL = 1e-10
@@ -60,7 +62,10 @@ def _cmd_oracle(args):
     gamma = +1 if args.boundary == "pbc" else -1
     try:
         spec = LatticeSpec.half_filling(args.L, gamma=gamma, t=args.t)
+        _ground_phase(spec, 1.0)
         basis = FockBasis.build(spec.L, spec.N)
+    except OpenShellError as exc:
+        raise ConfigError(f"the oracle reads the exact state: {exc}") from exc
     except (ValueError, SizeLimitExceeded) as exc:
         raise ConfigError(str(exc)) from exc
     rng = np.random.default_rng(args.seed)
@@ -104,7 +109,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     _add_experiment_parsers(sub)
     p = sub.add_parser("oracle", help="cross-check against the occupation-basis route")
-    p.add_argument("--L", type=int, default=6, help="chain length (even, <= 12)")
+    p.add_argument("--L", type=int, default=8,
+                   help="chain length (even, <= 12, closed shell; default: 8)")
     p.add_argument("--layers", type=int, default=2, help="circuit depth")
     p.add_argument("--boundary", choices=("apbc", "pbc"), default="apbc")
     p.add_argument("--mode", choices=("real", "imag"), default="real")

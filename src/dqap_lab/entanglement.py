@@ -43,9 +43,6 @@ class Subsystem:
     def half_chain(cls, L):
         return cls.contiguous(0, L // 2, L)
 
-    def __len__(self):
-        return len(self.sites)
-
     @property
     def bond_preserving(self) -> bool:
         sset = set(self.sites)

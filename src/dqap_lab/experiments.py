@@ -16,7 +16,8 @@ about a kind is one `Kind` record in `KINDS`:
   an optional "summary" dict for the manifest;
 - `tables` maps each CSV name the body may write to its header;
 - `ladder` is "real" or "imag" for kinds that first optimize a
-  warm-start ladder over the depths in that mode, else None;
+  warm-start ladder (`optimizer.ladder`) over the depths in that mode,
+  else None, and then the config sets neither 'depths' nor 'optimizer';
 - `needs_depths` rejects a config without explicit 'depths';
 - `options` maps each kind-specific config key to (what a valid value
   is, check(value, sizes)); a key that is neither declared nor
@@ -61,7 +62,8 @@ from .adiabatic import (
     evolve_linear_schedule,
     find_T_epsilon,
     maximize_overlap,
-    qab_samples,
+    qab_gap,
+    qab_schedule,
 )
 from .ansatz import build_dqap_state, build_imag_state, intermediate_states, orbital_support
 from .entanglement import (
@@ -73,7 +75,7 @@ from .entanglement import (
 )
 from .errors import ConfigError, OpenShellError
 from .lattice import LatticeSpec, _ground_phase, exact_ground_state, is_finite_positive, is_int
-from .optimizer import OptimizerConfig, optimize, optimize_imaginary, warm_start
+from .optimizer import OptimizerConfig, ladder
 from .slater import SlaterState, overlap
 
 EPS_INF_COEFF = 2.0 / np.pi  # per-site energy of the infinite chain, in units of t
@@ -120,7 +122,8 @@ class ExperimentConfig:
     for the exact-recovery depth (L/4 antiperiodic, (L-2)/4 periodic), or
     None where the kind has a natural default.  `optimizer` holds
     `OptimizerConfig` keywords and `options` the kind-specific keys its
-    `Kind` record declares.  A malformed value raises ConfigError, also
+    `Kind` record declares.  A kind that runs no ladder takes neither
+    `depths` nor `optimizer`.  A malformed value raises ConfigError, also
     through `dataclasses.replace`; `t` is stored as a float.
 
     Lists are stored as tuples and mappings as read-only mappings, so no
@@ -172,6 +175,9 @@ class ExperimentConfig:
             raise ConfigError(f"experiment {self.kind!r} needs explicit 'depths'")
         if not isinstance(self.optimizer, Mapping):
             raise ConfigError("'optimizer' must be an object")
+        if kind.ladder is None and (depths is not None or self.optimizer):
+            raise ConfigError(f"experiment {self.kind!r} runs no ladder: drop 'depths' and "
+                              "'optimizer'")
         try:
             OptimizerConfig(**self.optimizer)
         except (TypeError, ValueError) as exc:
@@ -267,31 +273,6 @@ def _resolve_depths(depths, spec):
     if depths == "quarter" or depths is None:
         return [spec.L // 4 if spec.boundary == "apbc" else (spec.L - 2) // 4]
     return sorted(set(depths))
-
-
-def _ladder(spec, depths, cfg, mode):
-    """Optimize at each depth, warm-starting every rung from the last.
-
-    `mode` is "real" or "imag".  Depth 0 is allowed and returns the bare
-    dimer result.  Returns {depth: OptResult} for the requested depths.
-    """
-    # looked up at call time, so that rebinding the module's names (as a
-    # tracer does) reaches every ladder
-    run = optimize if mode == "real" else optimize_imaginary
-    out = {}
-    top = max(depths)
-    params = None
-    for m in range(0, top + 1):
-        if m == 0:
-            if 0 in depths:
-                out[0] = run(spec, 0, cfg)
-            continue
-        init = warm_start(params) if params is not None and m > 1 else None
-        res = run(spec, m, cfg, init=init)
-        params = res.params
-        if m in depths:
-            out[m] = res
-    return out
 
 
 _CONTEXT = ["L", "N", "gamma", "M"]
@@ -428,12 +409,10 @@ def _task_continuous_time(spec, depths, results, options):
 
 
 def _task_qab(spec, depths, results, options):
-    n = int(options.get("samples", 1001))
-    rows = [
-        _context(spec, 0) + [smp.s, smp.chi, smp.gap]
-        for smp in qab_samples(spec.L, n, spec.t)
-    ]
-    return {"qab": rows}
+    s = np.linspace(0.0, 1.0, int(options.get("samples", 1001)))
+    chi = qab_schedule(spec.L, s)
+    gap = qab_gap(spec.L, chi, spec.t)
+    return {"qab": [_context(spec, 0) + list(row) for row in zip(s, chi, gap)]}
 
 
 def _task_schedule_overlap(spec, depths, results, options):
@@ -574,7 +553,7 @@ def run_task(config: ExperimentConfig, spec: LatticeSpec, optimizer: dict) -> di
     depths = _resolve_depths(config.depths, spec)
     results = {}
     if kind.ladder is not None:
-        results = _ladder(spec, depths, OptimizerConfig(**optimizer), kind.ladder)
+        results = ladder(spec, depths, OptimizerConfig(**optimizer), kind.ladder)
     out = kind.body(spec, depths, results, config.options)
     if kind.ladder is not None:
         out["summary"] = {

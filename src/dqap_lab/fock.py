@@ -4,7 +4,7 @@ Everything here is deliberately naive: states are dense vectors over
 all C(L, N) fermion configurations, operators are dense matrices, and
 evolution goes through a full eigendecomposition.  The point is an
 independent route to every quantity the determinant algebra produces,
-usable as a cross-check at small sizes.
+usable as a cross-check at small sizes: a basis takes L <= 12 sites.
 
 Conventions: bit x of a basis mask is site x (0-based); a mask encodes
 the state c+_{x1} ... c+_{xN} |0> with x1 < ... < xN; basis vectors are
@@ -22,8 +22,8 @@ import numpy as np
 from .errors import DimensionMismatch, SizeLimitExceeded
 from .slater import SlaterState
 
+# L <= 12 bounds the basis at C(12, 6) = 924 masks, so no dimension cap is needed
 _MAX_SITES = 12
-_MAX_DIM = 1000
 _MAX_SUBSYSTEM = 8
 
 
@@ -36,17 +36,14 @@ class FockBasis:
     masks: np.ndarray
 
     @classmethod
-    def build(cls, L, N, max_sites=_MAX_SITES, max_dim=_MAX_DIM):
-        if L > max_sites:
-            raise SizeLimitExceeded(f"L={L} exceeds the oracle cap of {max_sites}")
-        dim = math.comb(L, N)
-        if dim > max_dim:
-            raise SizeLimitExceeded(f"C({L},{N})={dim} exceeds the cap of {max_dim}")
+    def build(cls, L, N):
+        if L > _MAX_SITES:
+            raise SizeLimitExceeded(f"L={L} exceeds the oracle cap of {_MAX_SITES}")
         masks = np.sort(
             np.fromiter(
                 (sum(1 << x for x in c) for c in itertools.combinations(range(L), N)),
                 dtype=np.int64,
-                count=dim,
+                count=math.comb(L, N),
             )
         )
         return cls(L=L, N=N, masks=masks)
@@ -134,15 +131,10 @@ def many_body_matrix(basis: FockBasis, h: np.ndarray) -> np.ndarray:
     return out
 
 
-def fock_apply_hamiltonian(vec: FockVector, h: np.ndarray) -> FockVector:
-    """Apply the quadratic operator with one-body matrix h."""
-    return FockVector(vec.basis, many_body_matrix(vec.basis, h) @ vec.amplitudes)
-
-
 def fock_expectation(vec: FockVector, h: np.ndarray) -> float:
     """Normalized expectation of the quadratic operator with matrix h."""
-    hv = fock_apply_hamiltonian(vec, h)
-    return float(np.vdot(vec.amplitudes, hv.amplitudes).real / vec.norm_sq)
+    hv = many_body_matrix(vec.basis, h) @ vec.amplitudes
+    return float(np.vdot(vec.amplitudes, hv).real / vec.norm_sq)
 
 
 def fock_evolve(vec: FockVector, h: np.ndarray, z: complex) -> FockVector:

@@ -1,4 +1,4 @@
-"""Free-fermion chain geometry, quadratic Hamiltonians and the exact ground state.
+"""Free-fermion chain geometry, its hopping matrix and the exact ground state.
 
 The chain has L sites (L even) holding N = L/2 fermions, hopping
 amplitude t, and a boundary phase gamma: +1 for periodic, -1 for
@@ -127,27 +127,18 @@ def bond_pairs(spec: LatticeSpec, family: int):
     return a, b, w
 
 
-def _bond_matrix(spec, family):
-    a, b, w = bond_pairs(spec, family)
-    h = np.zeros((spec.L, spec.L))
-    h[a, b] = -spec.t * w
-    h[b, a] = -spec.t * w
-    return h
-
-
-def build_v1(spec: LatticeSpec) -> np.ndarray:
-    """Hopping matrix of the odd bond family (dimer pattern)."""
-    return _bond_matrix(spec, 1)
-
-
-def build_v2(spec: LatticeSpec) -> np.ndarray:
-    """Hopping matrix of the even bond family, including the boundary bond."""
-    return _bond_matrix(spec, 2)
-
-
 def build_hamiltonian(spec: LatticeSpec) -> np.ndarray:
-    """Full nearest-neighbour hopping matrix, the sum of both families."""
-    return build_v1(spec) + build_v2(spec)
+    """Full nearest-neighbour hopping matrix, the sum of both bond families.
+
+    Each family's pairs are subtracted in place: at L = 2 both families
+    hold the pair (0, 1), and their weights add.
+    """
+    h = np.zeros((spec.L, spec.L))
+    for family in (1, 2):
+        a, b, w = bond_pairs(spec, family)
+        h[a, b] -= spec.t * w
+        h[b, a] -= spec.t * w
+    return h
 
 
 @lru_cache(maxsize=16)

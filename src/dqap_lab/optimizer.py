@@ -14,6 +14,9 @@ for the returned table: it is the energy a run reports, and a
 
 Both modes optimize the same table type, `DqapParams`; the mode is
 named by the caller, through `optimize` (real) or `optimize_imaginary`.
+`ladder` runs either one depth by depth, the paper's warm-start ladder:
+each depth M + 1 starts from the optimized M-layer table grown by
+`warm_start`.
 
 With the metric on the left this flow is a discretized imaginary-time
 evolution projected onto the variational manifold, so the energy trace
@@ -58,7 +61,7 @@ _STEP_GROWTH = 1.5  # delta_beta factor after a step taken whole
 _INIT_MODES = ("linear-schedule", "random")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs for the natural-gradient loop.
 
@@ -72,7 +75,9 @@ class OptimizerConfig:
     init_mode is 'linear-schedule' or 'random' (a uniform draw seeded by
     seed); init_scale is the base step of the schedule and the upper bound
     of the draw, in units of 1/t.  An explicit table passed to `optimize`
-    replaces either.  A value of the wrong type or range raises ValueError.
+    replaces either.  A value of the wrong type or range raises ValueError,
+    also through `dataclasses.replace`; the fields cannot be assigned
+    after the checks.
     """
 
     max_iters: int = 200_000
@@ -101,14 +106,6 @@ class OptimizerConfig:
 
 
 @dataclass
-class NaturalGradientWorkspace:
-    """Assembled metric S (K, K) and force f (K,)."""
-
-    metric: np.ndarray
-    force: np.ndarray
-
-
-@dataclass
 class OptResult:
     """Outcome of a run.
 
@@ -133,8 +130,8 @@ class OptResult:
 
 def assemble_metric_and_force(
     spinors: np.ndarray, derivs: np.ndarray, spec: LatticeSpec
-) -> NaturalGradientWorkspace:
-    """Metric and force from Bloch spinors (L/2, 2) and their derivatives (K, L/2, 2).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Metric S (K, K) and force f (K,) from Bloch spinors (L/2, 2) and derivatives (K, L/2, 2).
 
     Every block psi_q has unit norm and the blocks of different cell
     momenta are orthogonal, so the real-space traces of the metric and
@@ -154,10 +151,10 @@ def assemble_metric_and_force(
     proj = np.einsum("qs,kqs->kq", spinors.conj(), derivs)
     metric = aflat.conj() @ aflat.T - proj.conj() @ proj.T
     force = aflat.conj() @ (hpsi - spinors * e_q[:, None]).ravel()
-    return NaturalGradientWorkspace(metric, force)
+    return metric, force
 
 
-def _solve_step(workspace: NaturalGradientWorkspace, delta_beta: float, ridge: float):
+def _solve_step(metric, force, delta_beta: float, ridge: float):
     """Proposed angle shift: pseudo-solve of the regularized real system.
 
     The symmetrized metric is PSD up to rounding and factorized
@@ -167,9 +164,9 @@ def _solve_step(workspace: NaturalGradientWorkspace, delta_beta: float, ridge: f
     parameter jumps; those modes are truncated, the rest inverted with
     the ridge shift.
     """
-    a = (workspace.metric + workspace.metric.conj()).real
+    a = (metric + metric.conj()).real
     a = 0.5 * (a + a.T)
-    b = -2.0 * delta_beta * workspace.force.real
+    b = -2.0 * delta_beta * force.real
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -212,8 +209,10 @@ def _run(spec, params, mode, config):
     it = 0
     db = config.delta_beta
     while params.M and it < config.max_iters:
-        ws = assemble_metric_and_force(*state_and_derivatives(spec, params, mode=mode), spec)
-        dtheta = _solve_step(ws, db, config.ridge)
+        metric, force = assemble_metric_and_force(
+            *state_and_derivatives(spec, params, mode=mode), spec
+        )
+        dtheta = _solve_step(metric, force, db, config.ridge)
         largest = np.max(np.abs(dtheta)) * spec.t
         if largest > _TRUST_CAP:
             dtheta *= _TRUST_CAP / largest
@@ -290,3 +289,33 @@ def warm_start(params: DqapParams) -> DqapParams:
         j = m // 2
         new = np.insert(table, j, 0.5 * (table[j - 1] + table[j]), axis=0)
     return DqapParams(new)
+
+
+def ladder(
+    spec: LatticeSpec, depths, config: OptimizerConfig | None = None, mode: str = "real"
+) -> dict:
+    """Optimize at each depth, warm-starting every rung from the last.
+
+    Runs every depth from 1 to max(depths) in `mode` ("real" or
+    "imag"); depth M + 1 starts from `warm_start` of the optimized
+    M-layer table, depth 1 from `config`'s initialization.  Depth 0 is
+    allowed and returns the bare dimer result.  Returns {depth: OptResult}
+    for the requested depths.
+    """
+    # looked up at call time, so that rebinding the module's names (as a
+    # tracer does) reaches every ladder
+    run = optimize if mode == "real" else optimize_imaginary
+    out = {}
+    top = max(depths)
+    params = None
+    for m in range(0, top + 1):
+        if m == 0:
+            if 0 in depths:
+                out[0] = run(spec, 0, config)
+            continue
+        init = warm_start(params) if params is not None and m > 1 else None
+        res = run(spec, m, config, init=init)
+        params = res.params
+        if m in depths:
+            out[m] = res
+    return out

@@ -14,8 +14,6 @@ from dqap_lab import (
     aggregate_times,
     build_dqap_state,
     build_hamiltonian,
-    build_v1,
-    build_v2,
     energy_expectation,
     evolve_linear_schedule,
     exact_ground_state,
@@ -29,12 +27,13 @@ from dqap_lab import (
     maximize_overlap,
     overlap,
     qab_gap,
-    qab_samples,
     qab_schedule,
     scheduling_overlap,
     slater_to_fock,
+    state_and_derivatives,
 )
 from dqap_lab import adiabatic, lattice
+from dqap_lab.experiments import ExperimentConfig, run_task
 
 from .oracles import (
     bloch_frame,
@@ -47,6 +46,7 @@ from .oracles import (
     random_orthonormal,
     scalar_grid_scan,
     sequential_ramp,
+    spinor_orbitals,
 )
 
 
@@ -80,12 +80,6 @@ def test_plan_rejects_malformed_fields(fields):
 
 def _dimer_spinors(spec):
     return np.full((spec.L // 2, 2), np.sqrt(0.5), dtype=complex)
-
-
-def _spinor_orbitals(spec, spinors):
-    # column n: the Bloch wave of cell momentum q_n with sublattice amplitudes spinors[n]
-    frame = bloch_frame(spec.L, spec.boundary).reshape(spec.L, spec.L // 2, 2)
-    return np.einsum("lns,ns->ln", frame, spinors)
 
 
 def _step_real_space(orbitals, spec, plan, m):
@@ -154,7 +148,8 @@ def test_chunked_ramp_matches_sequential_slices(L, gamma, order):
     state, _ = evolve_linear_schedule(spec, plan)
     ref = sequential_ramp(_dimer_spinors(spec), L, spec.boundary, plan.T, plan.M,
                           range(1, plan.M + 1), order)
-    np.testing.assert_allclose(state.orbitals, _spinor_orbitals(spec, ref), rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(state.orbitals, spinor_orbitals(L, spec.boundary, ref),
+                               rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("L, M", [(8, 10), (32, 3740), (64, 5000), (256, 1100)])
@@ -209,12 +204,12 @@ def test_single_step_against_fine_grained_reference():
     dt = 0.02
     out = magnus_step(_dimer_spinors(spec), spec, EvolutionPlan(T=dt, M=1, order=1), 1)
     vec = slater_to_fock(SlaterState(initial_state(spec).astype(complex)))
-    v1, v2 = build_v1(spec), build_v2(spec)
+    v1, v2 = hopping_families(spec.L, spec.gamma)
     n_sub = 400
     for j in range(n_sub):
         s_mid = (j + 0.5) / n_sub
         vec = fock_evolve(vec, v1 + s_mid * v2, 1j * dt / n_sub)
-    state = SlaterState(_spinor_orbitals(spec, out))
+    state = SlaterState(spinor_orbitals(spec.L, spec.boundary, out))
     ov = np.vdot(vec.amplitudes, slater_to_fock(state).amplitudes)
     assert abs(ov) > 1.0 - 1e-8
 
@@ -508,13 +503,15 @@ def test_gap_at_endpoint_matches_spectrum():
 
 
 def test_samples_cover_unit_interval():
-    samples = qab_samples(12, n=101)
+    # the rows of the qab kind: (L, N, gamma, M, s, chi, gap)
+    config = ExperimentConfig("qab", sizes=[12], options={"samples": 101})
+    samples = [row[4:] for row in run_task(config, config.specs[0], {})["qab"]]
     assert len(samples) == 101
-    assert samples[0].s == 0.0 and samples[-1].s == 1.0
-    assert abs(samples[0].chi) < 1e-12
-    assert abs(samples[-1].chi - 1.0) < 1e-12
-    for smp in samples[:: 20]:
-        assert abs(smp.gap - float(qab_gap(12, smp.chi))) < 1e-12
+    assert samples[0][0] == 0.0 and samples[-1][0] == 1.0
+    assert abs(samples[0][1]) < 1e-12
+    assert abs(samples[-1][1] - 1.0) < 1e-12
+    for _, chi, gap in samples[:: 20]:
+        assert abs(gap - float(qab_gap(12, chi))) < 1e-12
 
 
 # ---- scheduling overlap ----
@@ -559,7 +556,7 @@ def test_zero_prefix_optimum_is_the_dimer_point():
 def test_partial_prefix_matches_fock_route():
     spec = LatticeSpec.half_filling(8)
     params = DqapParams(np.random.default_rng(5).uniform(0.1, 1.0, (3, 2)))
-    v1, v2 = build_v1(spec), build_v2(spec)
+    v1, v2 = hopping_families(spec.L, spec.gamma)
     basis = FockBasis.build(spec.L, spec.N)
     dimer = slater_to_fock(SlaterState(initial_state(spec)), basis)
     layer1 = fock_evolve(fock_evolve(dimer, v2, 1j * params.angles[0, 1]),
@@ -596,7 +593,7 @@ def test_block_overlap_equals_scheduling_overlap(L, gamma):
     phases = lattice._ground_phase(spec, adiabatic._GRID_CHIS)
     for m in range(params.M + 1):
         table, theta = adiabatic._prefix(spec, params, m)
-        psi = adiabatic.state_and_derivatives(spec, DqapParams(table))[0]
+        psi = state_and_derivatives(spec, DqapParams(table))[0]
         for alpha in (0.0, 0.5, 1.0):
             got = adiabatic._block_overlap(spec, psi, phases, alpha * theta)
             ref = [scheduling_overlap(spec, params, m, float(chi), alpha)
@@ -613,7 +610,7 @@ def test_block_grid_matches_scalar_scan(L, gamma, M):
     adjoints = np.array([lattice._ground_orbitals(spec, float(chi)).conj().T for chi in chis])
     for m in range(M + 1):
         table, theta = adiabatic._prefix(spec, params, m)
-        psi = adiabatic.state_and_derivatives(spec, DqapParams(table))[0]
+        psi = state_and_derivatives(spec, DqapParams(table))[0]
         for alphas in (chis, np.array([1.0])):
             f, chi, alpha = adiabatic._scan_blocks(spec, psi, theta, chis, alphas)
             f_ref, chi_ref, alpha_ref = scalar_grid_scan(

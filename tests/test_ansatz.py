@@ -16,8 +16,6 @@ from dqap_lab import (
     block_energy,
     build_dqap_state,
     build_imag_state,
-    build_v1,
-    build_v2,
     build_hamiltonian,
     energy_expectation,
     fock_evolve,
@@ -34,6 +32,7 @@ from .oracles import (
     dense_circuit,
     dimer_orbitals,
     gauge_invariant_metric_and_force,
+    hopping_families,
     mp_imag_energy,
     random_orthonormal,
     spinor_orbitals,
@@ -44,18 +43,13 @@ def random_params(rng, m, scale=1.0):
     return DqapParams(scale * rng.uniform(0.1, 1.0, size=(m, 2)))
 
 
-def real_space(spec, spinors):
-    """Real-space orbitals (..., L, N) of the engine's Bloch spinors (..., N, 2)."""
-    return spinor_orbitals(spec.L, spec.boundary, spinors)
-
-
 def dimer_frame(spec):
-    """Unitary X with real_space(dimer spinors) = dimer orbitals @ X.
+    """Unitary X with spinor_orbitals(dimer spinors) = dimer orbitals @ X.
 
     A unitary circuit acts on the left, so in real mode the engine's
     state and derivatives are the dimer-frame ones times X.
     """
-    bloch = real_space(spec, np.full((spec.N, 2), np.sqrt(0.5)))
+    bloch = spinor_orbitals(spec.L, spec.boundary, np.full((spec.N, 2), np.sqrt(0.5)))
     return dimer_orbitals(spec.L).conj().T @ bloch
 
 
@@ -123,7 +117,7 @@ def test_real_circuit_energy_matches_fock(gamma):
     p = random_params(rng, 2)
     st = build_dqap_state(spec, p)
     vec = slater_to_fock(SlaterState(initial_state(spec).astype(complex)))
-    v1, v2 = build_v1(spec), build_v2(spec)
+    v1, v2 = hopping_families(spec.L, spec.gamma)
     for m in range(2):
         vec = fock_evolve(vec, v2, 1j * p.angles[m, 1])
         vec = fock_evolve(vec, v1, 1j * p.angles[m, 0])
@@ -137,7 +131,7 @@ def test_imag_circuit_energy_matches_fock():
     p = random_params(rng, 2)
     st = build_imag_state(spec, p)
     vec = slater_to_fock(SlaterState(initial_state(spec).astype(complex)))
-    v1, v2 = build_v1(spec), build_v2(spec)
+    v1, v2 = hopping_families(spec.L, spec.gamma)
     for m in range(2):
         vec = fock_evolve(vec, v2, p.angles[m, 1])
         vec = fock_evolve(vec, v1, p.angles[m, 0])
@@ -203,7 +197,7 @@ def test_real_derivatives_match_finite_differences():
     rng = np.random.default_rng(5)
     p = random_params(rng, 2)
     _, derivs = state_and_derivatives(spec, p, mode="real")
-    derivs = real_space(spec, derivs) @ dimer_frame(spec).conj().T
+    derivs = spinor_orbitals(spec.L, spec.boundary, derivs) @ dimer_frame(spec).conj().T
     flat = p.flatten()
     h = 1e-6
     for k in range(flat.size):
@@ -220,11 +214,12 @@ def test_real_derivatives_match_finite_differences():
 def test_derivative_seeds_at_zero_angles():
     spec = LatticeSpec.half_filling(8)
     spinors, derivs = state_and_derivatives(spec, DqapParams(np.zeros((1, 2))))
-    psi = real_space(spec, spinors)
+    psi = spinor_orbitals(spec.L, spec.boundary, spinors)
     np.testing.assert_allclose(psi, initial_state(spec) @ dimer_frame(spec), atol=1e-15)
-    derivs = real_space(spec, derivs)
-    np.testing.assert_allclose(derivs[0], -1j * build_v2(spec) @ psi, atol=1e-14)
-    np.testing.assert_allclose(derivs[1], -1j * build_v1(spec) @ psi, atol=1e-14)
+    derivs = spinor_orbitals(spec.L, spec.boundary, derivs)
+    v1, v2 = hopping_families(spec.L, spec.gamma)
+    np.testing.assert_allclose(derivs[0], -1j * v2 @ psi, atol=1e-14)
+    np.testing.assert_allclose(derivs[1], -1j * v1 @ psi, atol=1e-14)
 
 
 def test_imag_derivatives_match_fd_of_normalized_overlap():
@@ -243,7 +238,8 @@ def test_imag_derivatives_match_fd_of_normalized_overlap():
         return float(np.log(abs(num) ** 2 / den))
 
     spinors, derivs = state_and_derivatives(spec, p, mode="imag")
-    phi, derivs = real_space(spec, spinors), real_space(spec, derivs)
+    phi = spinor_orbitals(spec.L, spec.boundary, spinors)
+    derivs = spinor_orbitals(spec.L, spec.boundary, derivs)
     flat = p.flatten()
     rphi = ref.conj().T @ phi
     gram = phi.conj().T @ phi
@@ -285,8 +281,8 @@ def test_real_derivatives_match_dense_route(L, gamma, m):
     p, (g, dg) = dense_case(L, gamma, m, "real")
     spinors, derivs = state_and_derivatives(spec, p, mode="real")
     x = dimer_frame(spec)
-    assert_close_to_largest(real_space(spec, spinors), g @ x)
-    assert_close_to_largest(real_space(spec, derivs), dg @ x)
+    assert_close_to_largest(spinor_orbitals(spec.L, spec.boundary, spinors), g @ x)
+    assert_close_to_largest(spinor_orbitals(spec.L, spec.boundary, derivs), dg @ x)
 
 
 @pytest.mark.parametrize(
@@ -299,10 +295,10 @@ def test_metric_and_force_match_dense_route(L, gamma, m, mode):
     # through the column-basis invariant formulas
     spec = LatticeSpec.half_filling(L, gamma=gamma)
     p, (g, dg) = dense_case(L, gamma, m, mode)
-    ws = assemble_metric_and_force(*state_and_derivatives(spec, p, mode=mode), spec)
-    metric, force = gauge_invariant_metric_and_force(g, dg, build_hamiltonian(spec))
-    assert_close_to_largest(ws.metric, metric)
-    assert_close_to_largest(ws.force, force)
+    metric, force = assemble_metric_and_force(*state_and_derivatives(spec, p, mode=mode), spec)
+    ref_metric, ref_force = gauge_invariant_metric_and_force(g, dg, build_hamiltonian(spec))
+    assert_close_to_largest(metric, ref_metric)
+    assert_close_to_largest(force, ref_force)
 
 
 @pytest.mark.parametrize("L,gamma,m", _WIDE_CASES + [(16, +1, 4)])
@@ -311,7 +307,7 @@ def test_imag_spinors_span_the_built_state(L, gamma, m):
     # builder pins the state: equal projectors, whatever the column basis
     spec = LatticeSpec.half_filling(L, gamma=gamma)
     p = random_params(np.random.default_rng(L), m)
-    phi = real_space(spec, state_and_derivatives(spec, p, mode="imag")[0])
+    phi = spinor_orbitals(spec.L, spec.boundary, state_and_derivatives(spec, p, mode="imag")[0])
     ref = build_imag_state(spec, p).projector
     np.testing.assert_allclose(phi @ phi.conj().T, ref, rtol=0, atol=1e-12)
 
@@ -338,8 +334,8 @@ def test_derivative_engine_needs_no_real_space_kernel(monkeypatch, mode):
                     monkeypatch.setattr(module, attr, unavailable)
     spec = LatticeSpec.half_filling(16)
     p = random_params(np.random.default_rng(0), 3)
-    ws = assemble_metric_and_force(*state_and_derivatives(spec, p, mode=mode), spec)
-    assert ws.metric.shape == (6, 6) and np.all(np.isfinite(ws.force))
+    metric, force = assemble_metric_and_force(*state_and_derivatives(spec, p, mode=mode), spec)
+    assert metric.shape == (6, 6) and np.all(np.isfinite(force))
 
 
 # ---- block energy ----

@@ -15,7 +15,7 @@ import pytest
 import dqap_lab
 from dqap_lab import ConfigError, SingularOverlapError, optimizer
 from dqap_lab.cli import main
-from dqap_lab.experiments import KINDS, ExperimentConfig, run_experiment
+from dqap_lab.experiments import KINDS, ExperimentConfig, fit_power_law, run_experiment
 
 _LADDER = {"sizes": [8], "boundary": "apbc", "depths": [1, 2]}
 
@@ -252,7 +252,12 @@ def test_imaginary_distance_is_finite_for_large_scale_factors(tmp_path):
     assert 0.0 <= float(row["distance"]) <= 1.0
 
 
-_OPEN_SHELL = {"sizes": [12], "boundary": "pbc", "depths": [1]}  # N = 6 is even
+def _open_shell(kind):
+    """The kind's case on the L=12 pbc chain, whose N = 6 is even; a ladder stops at depth 1."""
+    depths = {"depths": [1]} if KINDS[kind].ladder else {}
+    return {**CASES[kind][0], "sizes": [12], "boundary": "pbc", **depths}
+
+
 # the kinds that read the exact ground state or the ramp's phases
 _EXACT_KINDS = ["energy-sweep", "entanglement-sweep", "imaginary-sweep", "continuous-time",
                 "schedule-overlap"]
@@ -260,14 +265,14 @@ _EXACT_KINDS = ["energy-sweep", "entanglement-sweep", "imaginary-sweep", "contin
 
 @pytest.mark.parametrize("kind", _EXACT_KINDS)
 def test_open_shell_is_a_config_error_where_the_exact_state_is_read(tmp_path, kind):
-    code, out = _run(tmp_path, kind, {**CASES[kind][0], **_OPEN_SHELL})
+    code, out = _run(tmp_path, kind, _open_shell(kind))
     assert code == 2
     assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", [k for k in KINDS if k not in _EXACT_KINDS])
 def test_open_shell_runs_where_the_exact_state_is_not_read(tmp_path, kind):
-    code, out = _run(tmp_path, kind, {**CASES[kind][0], **_OPEN_SHELL})
+    code, out = _run(tmp_path, kind, _open_shell(kind))
     assert code == 0
     assert json.loads((out / "manifest.json").read_text())["ok"]
 
@@ -307,6 +312,15 @@ def test_package_runs_without_scipy(tmp_path):
 
 def test_ladder_kind_without_depths_is_a_config_error(tmp_path):
     code, out = _run(tmp_path, "energy-sweep", {"sizes": [8]})
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("depths", [1]), ("optimizer", {"max_iters": 5})],
+                         ids=["depths", "optimizer"])
+@pytest.mark.parametrize("kind", [k for k, v in KINDS.items() if v.ladder is None])
+def test_ladder_keys_are_a_config_error_where_no_ladder_runs(tmp_path, kind, key, value):
+    code, out = _run(tmp_path, kind, {**CASES[kind][0], key: value})
     assert code == 2
     assert not out.exists()
 
@@ -413,15 +427,19 @@ def test_config_optimizer_cannot_be_edited_in_place():
 
 
 def test_replace_takes_frozen_fields_back_and_manifest_stays_plain(tmp_path):
-    raw = {"experiment": "continuous-time", **CASES["continuous-time"][0],
-           "optimizer": {"max_iters": 5}}
-    cfg = ExperimentConfig.from_dict(raw)
-    assert replace(cfg, seed=0) == cfg
+    # a list option on the ramp kind, an optimizer mapping on a ladder kind
+    ramp = {"experiment": "continuous-time", **CASES["continuous-time"][0]}
+    sweep = {"experiment": "energy-sweep", **_LADDER, "optimizer": {"max_iters": 5}}
     with pytest.raises(AttributeError):
-        cfg.options["T_grid"].append(-1.0)
-    run_experiment(replace(cfg, seed=4), out_dir=str(tmp_path))
-    written = json.loads((tmp_path / "manifest.json").read_text())["config"]
-    assert written == {**raw, "boundary": "apbc", "depths": None, "t": 1.0, "seed": 4}
+        ExperimentConfig.from_dict(ramp).options["T_grid"].append(-1.0)
+    for raw in (ramp, sweep):
+        cfg = ExperimentConfig.from_dict(raw)
+        assert replace(cfg, seed=0) == cfg
+        out = tmp_path / raw["experiment"]
+        run_experiment(replace(cfg, seed=4), out_dir=str(out))
+        written = json.loads((out / "manifest.json").read_text())["config"]
+        defaults = {"boundary": "apbc", "depths": None, "t": 1.0, "optimizer": {}}
+        assert written == {**defaults, **raw, "seed": 4}
 
 
 def test_manifest_records_environment_and_task_times(tmp_path):
@@ -504,7 +522,49 @@ def test_oracle_subcommand_passes(capsys, mode, L, boundary, layers):
     ["--t", "nan"],
     ["--L", "14"],
     ["--seed", "-1"],
-], ids=["L-odd", "L-zero", "layers-negative", "t-zero", "t-nan", "L-over-cap", "seed-negative"])
+    ["--L", "6"],
+    ["--L", "8", "--boundary", "pbc"],
+], ids=["L-odd", "L-zero", "layers-negative", "t-zero", "t-nan", "L-over-cap", "seed-negative",
+        "open-shell-apbc", "open-shell-pbc"])
 def test_oracle_bad_arguments_are_a_config_error(capsys, argv):
     assert main(["oracle", *argv]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_oracle_defaults_pass(capsys):
+    assert main(["oracle"]) == 0
+    assert "(PASS)" in capsys.readouterr().out
+
+
+def test_power_law_fit_recovers_an_exact_exponent():
+    x = np.array([2.0, 5.0, 11.0])
+    exponent, stderr = fit_power_law(x, 3.0 * x**1.5)
+    assert abs(exponent - 1.5) < 1e-12 and stderr < 1e-12
+
+
+@pytest.mark.parametrize("x,y", [
+    ([8, 12], [1.0, 2.0]),
+    ([8, 12, 16], [1.0, 0.0, 2.0]),
+    ([8, 12, -16], [1.0, 2.0, 3.0]),
+    ([8, 12, 16], [1.0, 2.0]),
+], ids=["two-points", "zero-value", "negative-size", "unequal-lengths"])
+def test_power_law_fit_rejects_unusable_data(x, y):
+    with pytest.raises(ValueError):
+        fit_power_law(x, y)
+
+
+def test_teff_manifest_records_the_fit_of_its_table(tmp_path):
+    code, out = _run(tmp_path, "teff", {"sizes": [8, 12, 16]})
+    assert code == 0
+    with open(out / "teff.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    exponent, stderr = fit_power_law([int(r["L"]) for r in rows],
+                                     [float(r["t_eff"]) for r in rows])
+    aggregate = json.loads((out / "manifest.json").read_text())["aggregate"]
+    assert aggregate == {"t_eff_vs_L": {"exponent": exponent, "stderr": stderr}}
+
+
+def test_teff_manifest_records_no_fit_of_two_sizes(tmp_path):
+    code, out = _run(tmp_path, "teff", {"sizes": [8, 12]})
+    assert code == 0
+    assert json.loads((out / "manifest.json").read_text())["aggregate"] == {}

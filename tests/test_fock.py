@@ -12,7 +12,6 @@ from dqap_lab import (
     Subsystem,
     build_hamiltonian,
     entanglement_entropy,
-    fock_apply_hamiltonian,
     fock_entropy,
     fock_evolve,
     fock_expectation,
@@ -37,8 +36,6 @@ def test_basis_dimension_and_mask_order():
 def test_basis_size_caps():
     with pytest.raises(SizeLimitExceeded):
         FockBasis.build(14, 7)
-    with pytest.raises(SizeLimitExceeded):
-        FockBasis.build(10, 5, max_dim=100)
     assert FockBasis.build(12, 6).dim == 924
 
 
@@ -88,18 +85,6 @@ def test_dimer_energy_L8():
     spec = LatticeSpec.half_filling(8, t=1.0)
     vec = slater_to_fock(SlaterState(initial_state(spec).astype(complex)))
     assert abs(fock_expectation(vec, build_hamiltonian(spec)) + 4.0) < 1e-12
-
-
-def test_apply_hamiltonian_matches_dense_matrix():
-    spec = LatticeSpec.half_filling(6, gamma=+1)
-    h = build_hamiltonian(spec)
-    basis = FockBasis.build(6, 3)
-    rng = np.random.default_rng(3)
-    vec = FockVector(basis, rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim))
-    out = fock_apply_hamiltonian(vec, h)
-    np.testing.assert_allclose(
-        out.amplitudes, many_body_matrix(basis, h) @ vec.amplitudes, atol=1e-12
-    )
 
 
 def test_evolution_unitary_roundtrip():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dqap_lab import (
@@ -10,13 +10,11 @@ from dqap_lab import (
     OpenShellError,
     bond_pairs,
     build_hamiltonian,
-    build_v1,
-    build_v2,
     exact_ground_state,
     initial_state,
 )
 
-from .oracles import kspace_gap, kspace_ground_energy, kspace_levels
+from .oracles import hopping_families, kspace_gap, kspace_ground_energy, kspace_levels
 
 
 @pytest.mark.parametrize(
@@ -74,17 +72,21 @@ def test_bond_pairs_rejects_unknown_family():
 
 @settings(deadline=None, max_examples=20)
 @given(
-    L=st.sampled_from([4, 6, 8, 10, 12, 16]),
+    L=st.sampled_from([2, 4, 6, 8, 10, 12, 16]),
     gamma=st.sampled_from([-1, +1]),
     t=st.floats(0.1, 3.0),
 )
+@example(L=2, gamma=-1, t=1.0)
+@example(L=2, gamma=+1, t=0.7)
 def test_families_sum_to_hamiltonian(L, gamma, t):
     spec = LatticeSpec(L=L, gamma=gamma, t=t)
     h = build_hamiltonian(spec)
-    np.testing.assert_allclose(build_v1(spec) + build_v2(spec), h, atol=0)
+    v1, v2 = hopping_families(L, gamma, t)
+    np.testing.assert_allclose(h, v1 + v2, atol=0)
     np.testing.assert_allclose(h, h.T, atol=0)
-    # every site touches exactly two bonds
-    assert np.all(np.sum(h != 0.0, axis=0) == 2)
+    # every site touches exactly two bonds; at L = 2 both are the pair (0, 1)
+    if L > 2:
+        assert np.all(np.sum(h != 0.0, axis=0) == 2)
 
 
 @pytest.mark.parametrize("L", [4, 6, 8, 14, 20])
@@ -151,6 +153,6 @@ def test_dimer_state_energy_and_gram(t):
     h = build_hamiltonian(spec)
     assert abs(np.trace(psi.T @ h @ psi) - (-t * spec.L / 2)) < 1e-12
     # the dimer state is the odd-family ground state
-    v1 = build_v1(spec)
+    v1, _ = hopping_families(spec.L, spec.gamma, t)
     np.testing.assert_allclose(v1 @ psi, -t * psi, atol=1e-12)
 

@@ -1,5 +1,7 @@
 """Natural-gradient machinery: metric, force, update, and full runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from dqap_lab import (
     build_imag_state,
     energy_expectation,
     exact_ground_state,
+    ladder,
     linear_schedule_params,
     optimize,
     optimize_imaginary,
@@ -26,7 +29,7 @@ from dqap_lab import (
 from .oracles import cell_momenta, central_difference, mp_imag_energy
 
 
-def workspace_at(spec, params, mode="real"):
+def metric_and_force(spec, params, mode="real"):
     return assemble_metric_and_force(*state_and_derivatives(spec, params, mode=mode), spec)
 
 
@@ -34,9 +37,9 @@ def random_point(rng, m):
     return DqapParams(rng.uniform(0.1, 1.0, size=(m, 2)))
 
 
-def natural_gradient_step(workspace, params, config):
+def natural_gradient_step(metric, force, params, config):
     """One unscaled update at the configured step: solve and shift the angles."""
-    dtheta = optimizer._solve_step(workspace, config.delta_beta, config.ridge)
+    dtheta = optimizer._solve_step(metric, force, config.delta_beta, config.ridge)
     return DqapParams.from_flat(params.flatten() + dtheta)
 
 
@@ -48,8 +51,7 @@ def test_metric_hermitian_and_psd(mode):
     spec = LatticeSpec.half_filling(8)
     rng = np.random.default_rng(0)
     for _ in range(25):
-        ws = workspace_at(spec, random_point(rng, 2), mode)
-        s = ws.metric
+        s, _ = metric_and_force(spec, random_point(rng, 2), mode)
         np.testing.assert_allclose(s, s.conj().T, atol=1e-10)
         sym = (s + s.conj()).real
         assert np.linalg.eigvalsh(0.5 * (sym + sym.T)).min() > -1e-10
@@ -61,7 +63,7 @@ def test_metric_diagonal_is_fidelity_curvature():
     spec = LatticeSpec.half_filling(8)
     rng = np.random.default_rng(1)
     params = random_point(rng, 1)
-    ws = workspace_at(spec, params)
+    metric, _ = metric_and_force(spec, params)
     base = build_dqap_state(spec, params)
     flat = params.flatten()
 
@@ -79,7 +81,7 @@ def test_metric_diagonal_is_fidelity_curvature():
     for k in range(flat.size):
         d = 1e-3
         richardson = (4.0 * gap(d / 2, k) - gap(d, k)) / 3.0
-        assert abs(ws.metric[k, k].real - richardson) < 1e-6
+        assert abs(metric[k, k].real - richardson) < 1e-6
 
 
 def test_force_vanishes_at_exact_ground_state():
@@ -90,14 +92,15 @@ def test_force_vanishes_at_exact_ground_state():
     spinors = np.stack([np.ones(5), z / np.abs(z)], axis=1) / np.sqrt(2.0)
     rng = np.random.default_rng(2)
     derivs = rng.normal(size=(4, 5, 2)) + 1j * rng.normal(size=(4, 5, 2))
-    ws = assemble_metric_and_force(spinors, derivs, spec)
-    assert np.max(np.abs(ws.force)) < 1e-8
+    _, force = assemble_metric_and_force(spinors, derivs, spec)
+    assert np.max(np.abs(force)) < 1e-8
 
 
 @pytest.mark.parametrize("mode", ["real", "imag"])
 def test_zero_layer_assembly_is_empty(mode):
-    ws = workspace_at(LatticeSpec.half_filling(8), DqapParams(np.zeros((0, 2))), mode)
-    assert ws.metric.shape == (0, 0) and ws.force.shape == (0,)
+    metric, force = metric_and_force(LatticeSpec.half_filling(8), DqapParams(np.zeros((0, 2))),
+                                     mode)
+    assert metric.shape == (0, 0) and force.shape == (0,)
 
 
 @pytest.mark.parametrize("mode,builder", [
@@ -109,8 +112,8 @@ def test_energy_gradient_matches_finite_differences(mode, builder):
     h = build_hamiltonian(spec)
     rng = np.random.default_rng(3)
     params = random_point(rng, 2)
-    ws = workspace_at(spec, params, mode)
-    grad = 2.0 * ws.force.real
+    _, force = metric_and_force(spec, params, mode)
+    grad = 2.0 * force.real
 
     def energy(flat):
         return energy_expectation(builder(spec, DqapParams.from_flat(flat)), h)
@@ -126,9 +129,8 @@ def test_zero_force_gives_zero_step():
     spec = LatticeSpec.half_filling(8)
     rng = np.random.default_rng(5)
     params = random_point(rng, 2)
-    ws = workspace_at(spec, params)
-    ws.force[:] = 0.0
-    out = natural_gradient_step(ws, params, OptimizerConfig())
+    metric, force = metric_and_force(spec, params)
+    out = natural_gradient_step(metric, np.zeros_like(force), params, OptimizerConfig())
     np.testing.assert_allclose(out.flatten(), params.flatten(), atol=1e-15)
 
 
@@ -137,8 +139,8 @@ def test_one_step_lowers_energy_from_random_point():
     h = build_hamiltonian(spec)
     rng = np.random.default_rng(6)
     params = random_point(rng, 2)
-    ws = workspace_at(spec, params)
-    stepped = natural_gradient_step(ws, params, OptimizerConfig())
+    metric, force = metric_and_force(spec, params)
+    stepped = natural_gradient_step(metric, force, params, OptimizerConfig())
     start = energy_expectation(build_dqap_state(spec, params), h)
     assert energy_expectation(build_dqap_state(spec, stepped), h) < start
 
@@ -147,9 +149,9 @@ def test_step_insensitive_to_ridge_at_generic_points():
     spec = LatticeSpec.half_filling(8)
     rng = np.random.default_rng(7)
     params = random_point(rng, 2)
-    ws = workspace_at(spec, params)
-    a = natural_gradient_step(ws, params, OptimizerConfig(ridge=0.0)).flatten()
-    b = natural_gradient_step(ws, params, OptimizerConfig(ridge=1e-10)).flatten()
+    metric, force = metric_and_force(spec, params)
+    a = natural_gradient_step(metric, force, params, OptimizerConfig(ridge=0.0)).flatten()
+    b = natural_gradient_step(metric, force, params, OptimizerConfig(ridge=1e-10)).flatten()
     assert np.linalg.norm(a - b) < 1e-6
 
 
@@ -157,7 +159,7 @@ def test_step_is_real():
     spec = LatticeSpec.half_filling(8)
     rng = np.random.default_rng(8)
     params = random_point(rng, 3)
-    out = natural_gradient_step(workspace_at(spec, params), params, OptimizerConfig())
+    out = natural_gradient_step(*metric_and_force(spec, params), params, OptimizerConfig())
     assert out.angles.dtype == np.float64
 
 
@@ -309,9 +311,7 @@ def test_large_step_imaginary_rung_matches_block_product():
     # at delta_beta = 0.1 the warm-started L=30 pbc depth-2 rung used to
     # reach a state whose inverse Gram matrix was not positive definite
     spec = LatticeSpec.half_filling(30, gamma=+1)
-    cfg = OptimizerConfig(delta_beta=0.1)
-    first = optimize_imaginary(spec, 1, cfg)
-    res = optimize_imaginary(spec, 2, cfg, init=warm_start(first.params))
+    res = ladder(spec, [2], OptimizerConfig(delta_beta=0.1), "imag")[2]
     assert res.stop_reason == "energy_tol"
     assert abs(res.energy - float(mp_imag_energy(30, "pbc", res.params.angles))) < 1e-12
 
@@ -321,15 +321,12 @@ def test_imaginary_ladder_l64_is_monotone_and_exact():
     # and M=4 ended above M=3
     spec = LatticeSpec.half_filling(64)
     _, e_exact = exact_ground_state(spec)
-    params, energies = None, []
-    for m in range(1, 5):
-        init = warm_start(params) if params is not None else None
-        res = optimize_imaginary(spec, m, init=init)
+    energies = []
+    for res in ladder(spec, range(1, 5), mode="imag").values():
         assert res.stop_reason == "energy_tol"
         assert abs(res.energy - float(mp_imag_energy(64, "apbc", res.params.angles))) < (
             1e-12 * abs(res.energy)
         )
-        params = res.params
         energies.append(res.energy)
     assert np.all(np.diff(energies) < 0)
     assert energies[-1] - e_exact < 1e-8
@@ -352,14 +349,10 @@ def test_first_step_respects_trust_cap():
 def test_warm_start_ladder_reaches_quarter_depth_in_few_iterations():
     spec = LatticeSpec.half_filling(40)
     _, e_exact = exact_ground_state(spec)
-    cfg = OptimizerConfig(energy_tol=1e-15, max_iters=60000)
-    params, total = None, 0
-    for m in range(1, 11):
-        init = warm_start(params) if params is not None else None
-        res = optimize(spec, m, cfg, init=init)
-        assert res.stop_reason == "energy_tol"
-        params, total = res.params, total + res.iterations
-    assert res.energy - e_exact < 1e-10
+    rungs = ladder(spec, range(1, 11), OptimizerConfig(energy_tol=1e-15, max_iters=60000))
+    assert all(res.stop_reason == "energy_tol" for res in rungs.values())
+    total = sum(res.iterations for res in rungs.values())
+    assert rungs[10].energy - e_exact < 1e-10
     assert total < 1000
 
 
@@ -422,6 +415,21 @@ def test_unknown_init_mode_rejected():
         OptimizerConfig(init_mode="bogus")
 
 
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(OptimizerConfig)])
+def test_config_fields_cannot_be_assigned(field):
+    # an assignment would skip the checks: init_mode = "bogus" used to
+    # start from random angles, max_iters = -5 to stop after 0 iterations
+    cfg = OptimizerConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, field, getattr(cfg, field))
+
+
+@pytest.mark.parametrize("field,value", [("init_mode", "bogus"), ("max_iters", -5)])
+def test_replace_validates(field, value):
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(OptimizerConfig(), **{field: value})
+
+
 # ---- warm start ----
 
 
@@ -442,12 +450,7 @@ def test_warm_start_single_layer_duplicates():
 
 def test_warm_start_beats_random_init():
     spec = LatticeSpec.half_filling(40)
-    cfg = OptimizerConfig(energy_tol=1e-15, max_iters=60000)
-    params = None
-    for m in (1, 2, 3):
-        init = warm_start(params) if params is not None else None
-        res = optimize(spec, m, cfg, init=init)
-        params = res.params
+    res = ladder(spec, [3], OptimizerConfig(energy_tol=1e-15, max_iters=60000))[3]
     rand = optimize(
         spec,
         3,

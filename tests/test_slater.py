@@ -18,8 +18,6 @@ from dqap_lab import (
     build_dqap_state,
     build_hamiltonian,
     build_imag_state,
-    build_v1,
-    build_v2,
     energy_expectation,
     evolve_linear_schedule,
     exact_ground_state,
@@ -32,7 +30,7 @@ from dqap_lab import (
     transition_density,
 )
 
-from .oracles import kspace_ground_energy, random_orthonormal
+from .oracles import hopping_families, kspace_ground_energy, random_orthonormal
 
 
 def random_state(rng, L, N):
@@ -158,7 +156,7 @@ def test_real_bond_layer_matches_fock(family, gamma):
     rng = np.random.default_rng(8)
     st = random_state(rng, L, N)
     theta = 0.83
-    v = build_v1(spec) if family == 1 else build_v2(spec)
+    v = hopping_families(L, spec.gamma)[family - 1]
     out = apply_bond_layer(st, family, theta, spec)
     target = fock_evolve(slater_to_fock(st), v, 1j * theta)
     got = slater_to_fock(out)
@@ -176,7 +174,7 @@ def check_imag_layer_against_fock(family, seed):
     rng = np.random.default_rng(seed)
     st = random_state(rng, L, N)
     tau = 0.41
-    v = build_v1(spec) if family == 1 else build_v2(spec)
+    v = hopping_families(L, spec.gamma)[family - 1]
     out = apply_bond_layer(st, family, tau, spec, mode="imag")
     gram = out.orbitals.conj().T @ out.orbitals
     np.testing.assert_allclose(gram, np.eye(N), atol=1e-12)
