@@ -62,8 +62,8 @@ def _cmd_oracle(args):
     gamma = +1 if args.boundary == "pbc" else -1
     try:
         spec = LatticeSpec.half_filling(args.L, gamma=gamma, t=args.t)
+        basis = FockBasis.build(spec.L, spec.N)  # the L <= 12 cap is named before the shell
         _ground_phase(spec, 1.0)
-        basis = FockBasis.build(spec.L, spec.N)
     except OpenShellError as exc:
         raise ConfigError(f"the oracle reads the exact state: {exc}") from exc
     except (ValueError, SizeLimitExceeded) as exc:

@@ -1,10 +1,10 @@
 """Entanglement diagnostics from the one-particle density matrix.
 
 For a determinant state all reduced-state spectra follow from the
-correlation block D_A restricted to the subsystem: the entanglement
-entropy is the free-fermion binary-entropy sum over its eigenvalues,
-and deviations of D_A from a projector measure how many correlation
-modes straddle the cut.
+correlation block D_A of the subsystem's orbital rows (Peschel, J. Phys.
+A 36, L205 (2003)): the entanglement entropy is the free-fermion
+binary-entropy sum over its eigenvalues, and deviations of D_A from a
+projector measure how many correlation modes straddle the cut.
 
 A subsystem is "bond preserving" when it severs no odd-family dimer
 bond, i.e. every site's dimer partner is inside as well.  Cuts of this
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .slater import SlaterState
+from .slater import SlaterState, transition_density
 
 _LEVEL_TOL = 1e-8  # eigenvalues may stray this far outside [0, 1]
 _PAIR_TOL = 1e-6  # pairwise-degeneracy comparison
@@ -64,15 +64,13 @@ class SpectrumDiagnostic:
 def one_particle_dm(state: SlaterState, subsystem: Subsystem) -> np.ndarray:
     """Correlation block D[i, j] = <c+_{s_i} c_{s_j}> on the subsystem sites.
 
-    The block is a fresh array sliced from the state's cached, read-only
-    `projector`: the L x L product behind it runs once per state (the state
-    is frozen and its orbitals read-only), however many subsystems are
-    asked for.
+    A fresh |A| x |A| array from the subsystem's orbital rows, at cost
+    O(|A|^2 N).
     """
     sites = list(subsystem.sites)
     if any(not 0 <= x < state.L for x in sites):
         raise ValueError(f"subsystem {sites} out of range for L={state.L}")
-    return state.projector[np.ix_(sites, sites)].T
+    return transition_density(state, sites).T
 
 
 def correlation_spectrum(state: SlaterState, subsystem: Subsystem) -> np.ndarray:
@@ -136,7 +134,7 @@ def boundary_rank_diagnostic(state: SlaterState, subsystem: Subsystem) -> Spectr
     Hermitian, so the singular values of D^2 - D are |l^2 - l| over its
     eigenvalues l.
     """
-    levels = np.linalg.eigvalsh(one_particle_dm(state, subsystem))
+    levels = correlation_spectrum(state, subsystem)
     rank = int((np.abs(levels * levels - levels) > _LEVEL_TOL).sum())
     n_zero = int((np.abs(levels) <= _LEVEL_TOL).sum())
     n_one = int((np.abs(levels - 1.0) <= _LEVEL_TOL).sum())

@@ -19,6 +19,8 @@ about a kind is one `Kind` record in `KINDS`:
   warm-start ladder (`optimizer.ladder`) over the depths in that mode,
   else None, and then the config sets neither 'depths' nor 'optimizer';
 - `needs_depths` rejects a config without explicit 'depths';
+- `needs_one_of` names option keys of which a config must set at
+  least one, for kinds that do no work without them;
 - `options` maps each kind-specific config key to (what a valid value
   is, check(value, sizes)); a key that is neither declared nor
   top-level, or a value its check rejects, is a config error;
@@ -90,8 +92,8 @@ _SUBSYSTEM_SIZE = (
 )
 _ORDER = ("1 or 2", lambda v, sizes: is_int(v) and v in (1, 2))
 _T_GRID = (  # checked after `ExperimentConfig` stores the list as a tuple
-    "a list of finite positive numbers",
-    lambda v, sizes: isinstance(v, tuple) and all(map(is_finite_positive, v)),
+    "a non-empty list of finite positive numbers",
+    lambda v, sizes: isinstance(v, tuple) and len(v) > 0 and all(map(is_finite_positive, v)),
 )
 
 
@@ -193,6 +195,9 @@ class ExperimentConfig:
             what, check = kind.options[key]
             if not check(value, self.sizes):
                 raise ConfigError(f"{key} must be {what}, got {value!r}")
+        if kind.needs_one_of and not set(kind.needs_one_of) & set(self.options):
+            raise ConfigError(f"experiment {self.kind!r} does no work without one of: "
+                              f"{', '.join(kind.needs_one_of)}")
 
     def __reduce__(self):  # a mappingproxy does not pickle: rebuild from plain fields
         return type(self), tuple(_plain(getattr(self, f.name)) for f in fields(self))
@@ -451,6 +456,7 @@ class Kind:
     tables: dict
     ladder: str | None = None
     needs_depths: bool = False
+    needs_one_of: tuple = ()
     options: dict = field(default_factory=dict)
     fit: tuple | None = None
     min_size: int = 2
@@ -509,6 +515,7 @@ KINDS = {
         _task_continuous_time,
         {"conttime": _CONTEXT + ["T", "eps"],
          "teps": _CONTEXT + ["target_eps", "T_eps"]},
+        needs_one_of=("T_grid", "target_eps"),
         options={"T_grid": _T_GRID, "dtau": _FINITE_POSITIVE, "order": _ORDER,
                  "target_eps": _FINITE_POSITIVE},
         fit=("teps", "T_eps", "T_eps_vs_L"),

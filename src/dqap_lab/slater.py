@@ -23,7 +23,6 @@ builder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -40,13 +39,8 @@ class SlaterState:
     """Normalized determinant state: its orthonormal orbitals (L, N).
 
     The columns of `orbitals` are orthonormal (module docstring), so the
-    state has unit norm.
-
-    A state is immutable: the field cannot be reassigned, and the
-    orbital array is made read-only (a complex input array is taken over,
-    not copied, so the caller's array becomes read-only too).  Operations
-    that evolve a state, such as `apply_bond_layer`, return a new one.
-    This keeps the cached `projector` valid for the life of the state.
+    state has unit norm.  The field cannot be reassigned; operations that
+    evolve a state, such as `apply_bond_layer`, return a new one.
     """
 
     orbitals: np.ndarray
@@ -57,19 +51,7 @@ class SlaterState:
             raise DimensionMismatch(f"orbitals must be 2d, got {orbitals.shape}")
         if orbitals.shape[0] < orbitals.shape[1]:
             raise DimensionMismatch(f"more orbitals than sites: {orbitals.shape}")
-        orbitals.setflags(write=False)
         object.__setattr__(self, "orbitals", orbitals)
-
-    @cached_property
-    def projector(self) -> np.ndarray:
-        """The L x L one-particle projector `transition_density(self)`, read-only.
-
-        Computed on first access and kept, so every correlation block of
-        one state shares one product.
-        """
-        p = transition_density(self)
-        p.setflags(write=False)
-        return p
 
     @property
     def L(self) -> int:
@@ -92,13 +74,16 @@ def overlap(psi: SlaterState, phi: SlaterState) -> complex:
     return complex(np.linalg.det(psi.orbitals.conj().T @ phi.orbitals))
 
 
-def transition_density(state: SlaterState) -> np.ndarray:
-    """One-particle density matrix P = Psi Psi+ of a normalized state.
+def transition_density(state: SlaterState, sites) -> np.ndarray:
+    """One-particle density matrix P = Psi_A Psi_A+ on the given sites.
 
-    P[i, j] = <c+_j c_i>: the projector onto the occupied orbitals
-    (Hermitian, idempotent, trace N).
+    Psi_A holds the orbital rows of `sites`, in their order, so
+    P[i, j] = <c+_{s_j} c_{s_i}> costs O(|A|^2 N) and no L x L array is
+    formed.  With `range(state.L)` it is the full L x L matrix: Hermitian,
+    idempotent, trace N.
     """
-    return state.orbitals @ state.orbitals.conj().T
+    rows = state.orbitals[list(sites)]
+    return rows @ rows.conj().T
 
 
 def _bond_block(spec, angle, mode):

@@ -26,6 +26,7 @@ from dqap_lab import (
     overlap,
     slater_to_fock,
     state_and_derivatives,
+    transition_density,
 )
 
 from .oracles import (
@@ -308,7 +309,7 @@ def test_imag_spinors_span_the_built_state(L, gamma, m):
     spec = LatticeSpec.half_filling(L, gamma=gamma)
     p = random_params(np.random.default_rng(L), m)
     phi = spinor_orbitals(spec.L, spec.boundary, state_and_derivatives(spec, p, mode="imag")[0])
-    ref = build_imag_state(spec, p).projector
+    ref = transition_density(build_imag_state(spec, p), range(spec.L))
     np.testing.assert_allclose(phi @ phi.conj().T, ref, rtol=0, atol=1e-12)
 
 

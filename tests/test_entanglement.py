@@ -26,7 +26,6 @@ from dqap_lab import (
     scaling_exponents,
     slater_to_fock,
 )
-from dqap_lab import entanglement, slater
 
 LN2 = np.log(2.0)
 
@@ -67,29 +66,6 @@ def test_one_particle_dm_range_checked():
     st_ = SlaterState(initial_state(LatticeSpec.half_filling(8)))
     with pytest.raises(ValueError):
         one_particle_dm(st_, Subsystem((0, 9)))
-
-
-def test_one_projector_per_state(monkeypatch):
-    state = circuit_state(24, 3, 21)
-    calls = []
-    solve = slater.transition_density
-
-    def counting(st):
-        calls.append(1)
-        return solve(st)
-
-    monkeypatch.setattr(slater, "transition_density", counting)
-    monkeypatch.setattr(entanglement, "transition_density", counting, raising=False)
-    for x in range(24):
-        for xp in range(x + 1, 24):
-            mutual_information(state, x, xp)
-    half = Subsystem.half_chain(24)
-    boundary_rank_diagnostic(state, half)
-    entanglement_entropy(state, half)
-    assert len(calls) == 1
-    assert np.array_equal(state.projector, solve(state))
-    with pytest.raises(ValueError):
-        state.projector[0, 0] = 0.0
 
 
 # ---- entropies on closed-form states ----

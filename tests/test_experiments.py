@@ -382,12 +382,20 @@ def test_malformed_optimizer_settings_are_a_config_error(tmp_path, optimizer):
     ("continuous-time", {"order": 1.0}),
     ("continuous-time", {"T_grid": [1, -2]}),
     ("continuous-time", {"T_grid": 2}),
+    ("continuous-time", {"T_grid": []}),
     ("qab", {"sizes": [2, 8]}),  # the closed-form ramp needs L >= 4
 ], ids=["samples-string", "samples-zero", "samples-float", "samples-bool", "subsystem-zero",
         "subsystem-too-long", "dtau-negative", "dtau-string", "target-eps-nan", "order-3",
-        "order-float", "T-grid-negative", "T-grid-scalar", "qab-L-2"])
+        "order-float", "T-grid-negative", "T-grid-scalar", "T-grid-empty", "qab-L-2"])
 def test_malformed_option_value_is_a_config_error(tmp_path, kind, override):
     code, out = _run(tmp_path, kind, {**CASES[kind][0], **override})
+    assert code == 2
+    assert not out.exists()
+
+
+def test_ramp_config_without_work_is_a_config_error(tmp_path):
+    # neither a T grid to tabulate nor a target eps to search for
+    code, out = _run(tmp_path, "continuous-time", {"sizes": [8, 12]})
     assert code == 2
     assert not out.exists()
 
@@ -529,6 +537,12 @@ def test_oracle_subcommand_passes(capsys, mode, L, boundary, layers):
 def test_oracle_bad_arguments_are_a_config_error(capsys, argv):
     assert main(["oracle", *argv]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_oracle_over_cap_names_the_cap(capsys):
+    # L=14 apbc is also an open shell; the cap is the reason a user can act on
+    assert main(["oracle", "--L", "14"]) == 2
+    assert "cap of 12" in capsys.readouterr().err
 
 
 def test_oracle_defaults_pass(capsys):
