@@ -18,7 +18,7 @@ Over slice m the first-order generator is dt H_q(s_mid).  The
 second-order commutator term (dt^2/6) [H_q(s_m), H_q(s_{m-1})] is
 diagonal in each block,
 
-    -(dt^2 / 3) t^2 sin q (s_{m-1} - s_m) sigma_z,
+    -(dt^2 / 3) sin q (s_{m-1} - s_m) sigma_z,
 
 because [sigma_x, cos q sigma_x + sin q sigma_y] = 2i sin q sigma_z.
 Either generator is n . sigma for a real 3-vector n per block, and
@@ -40,7 +40,7 @@ The closed-form optimal ramp keeps the adiabaticity rate uniform along
 the path.  Writing g for 2 pi / L, the ramp and instantaneous gap are
 
     ramp(s) = cos g - sin g * tan(a s + b),     s in [0, 1]
-    gap(x)  = 2 t sqrt((x - cos g)^2 + sin^2 g)
+    gap(x)  = 2 sqrt((x - cos g)^2 + sin^2 g)
 
 with a = -atan(sin g / (1 - cos g)), b = atan(cos g / sin g); the
 coefficients satisfy ramp(0) = 0 and ramp(1) = 1 identically, and the
@@ -102,23 +102,22 @@ def _slice_blocks(spec, plan, slices):
 
     A block is [[alpha, beta], [-conj(beta), conj(alpha)]] with
     alpha = c - i k w_z (alpha = c at order 1) and beta = -i k w, where
-    the generator is n . sigma = t dt [[w_z, w], [conj(w), -w_z]],
-    c = cos|n| and k = t dt sin|n| / |n|.
+    the generator is n . sigma = dt [[w_z, w], [conj(w), -w_z]],
+    c = cos|n| and k = dt sin|n| / |n|.
     """
     _, emiq, sin_q = _cell_momenta(spec.L, spec.gamma)
     dt = plan.delta_tau
     m = np.arange(slices.start, slices.stop)[:, None]
     s_prev, s_next = (m - 1) * dt / plan.T, m * dt / plan.T
-    tdt = spec.t * dt
     # |w| >= 1 - s_mid > 0
     w = -1.0 - 0.5 * (s_prev + s_next) * emiq
     if plan.order == 2:
-        w_z = (tdt / 3.0 * (s_next - s_prev)) * sin_q
+        w_z = (dt / 3.0 * (s_next - s_prev)) * sin_q
         r = np.sqrt(w.real**2 + w.imag**2 + w_z**2)
     else:
         r = np.abs(w)
-    c = np.cos(tdt * r)
-    k = np.sin(tdt * r) / r  # sin|n| / |n| times t dt
+    c = np.cos(dt * r)
+    k = np.sin(dt * r) / r  # sin|n| / |n| times dt
     alpha = c - 1j * k * w_z if plan.order == 2 else c
     return alpha, -1j * k * w
 
@@ -270,23 +269,22 @@ def qab_schedule(L: int, s):
     return np.cos(g) - np.sin(g) * np.tan(a * np.asarray(s, dtype=float) + b)
 
 
-def qab_gap(L: int, chi, t: float = 1.0):
-    """Instantaneous spectral gap along the ramp, 2t sqrt((x-cos g)^2 + sin^2 g)."""
+def qab_gap(L: int, chi):
+    """Instantaneous spectral gap along the ramp, 2 sqrt((x-cos g)^2 + sin^2 g)."""
     g = 2.0 * np.pi / L
     chi = np.asarray(chi, dtype=float)
-    return 2.0 * t * np.sqrt((chi - np.cos(g)) ** 2 + np.sin(g) ** 2)
+    return 2.0 * np.sqrt((chi - np.cos(g)) ** 2 + np.sin(g) ** 2)
 
 
-def _reduced_odd_angle(spec, angle):
-    """Odd-family angle shifted by a multiple of pi/t so that angle*t is in (-pi/2, pi/2].
+def _reduced_odd_angle(angle):
+    """Odd-family angle shifted by a multiple of pi into (-pi/2, pi/2].
 
-    The odd family covers every site, so shifting its angle by pi/t
+    The odd family covers every site, so shifting its angle by pi
     multiplies the state by the global phase (-1)^N.  Scaling the reduced
     representative makes the partial layer independent of which one an
     optimized table holds.
     """
-    period = np.pi / spec.t
-    return angle - period * np.ceil(angle / period - 0.5)
+    return angle - np.pi * np.ceil(angle / np.pi - 0.5)
 
 
 def _prefix(spec, params, m):
@@ -299,7 +297,7 @@ def _prefix(spec, params, m):
     if not 0 <= m <= params.M:
         raise ValueError(f"prefix depth {m} outside 0..{params.M}")
     table = params.angles[:m].copy()
-    theta = _reduced_odd_angle(spec, table[-1, 0]) if m else 0.0
+    theta = _reduced_odd_angle(table[-1, 0]) if m else 0.0
     table[-1:, 0] = 0.0  # no row at m = 0
     return table, theta
 
@@ -311,8 +309,8 @@ def scheduling_overlap(
 
     The prefix applies layers 1..m-1 in full and scales the odd-family
     angle of layer m by alpha (m = 0 is the bare dimer state).  That
-    angle is first reduced modulo pi/t to its representative with
-    angle*t in (-pi/2, pi/2], which changes the state only by a global
+    angle is first reduced modulo pi to its representative in
+    (-pi/2, pi/2], which changes the state only by a global
     phase.  Used to read off which ramp point the circuit has reached
     after m layers.
     """
@@ -322,9 +320,9 @@ def scheduling_overlap(
     return float(abs(overlap(SlaterState(_ground_orbitals(spec, chi)), prefix)) ** 2)
 
 
-def _block_overlap(spec, psi, u, angle):
+def _block_overlap(psi, u, angle):
     """The module docstring's block product: spinors psi, odd angle, phases u (..., L/2)."""
-    c, s = _bond_block(spec, angle, "real")
+    c, s = _bond_block(angle, "real")
     a, b = psi[:, 0], psi[:, 1]
     amp = c * (a + u.conj() * b) + s * (b + u.conj() * a)
     return np.prod(0.5 * np.abs(amp) ** 2, axis=-1)
@@ -333,7 +331,7 @@ def _block_overlap(spec, psi, u, angle):
 def _scan_blocks(spec, psi, theta, chis, alphas):
     """(f, chi, alpha) at the first maximum of `_block_overlap` on the alpha-major grid."""
     u = _ground_phase(spec, chis)
-    grid = np.array([_block_overlap(spec, psi, u, al * theta) for al in alphas])
+    grid = np.array([_block_overlap(psi, u, al * theta) for al in alphas])
     i, j = np.unravel_index(np.argmax(grid), grid.shape)
     return float(grid[i, j]), float(chis[j]), float(alphas[i])
 
@@ -351,8 +349,8 @@ def maximize_overlap(spec: LatticeSpec, params: DqapParams, m: int, alpha: float
     steps 1e-3, 1e-4 and 1e-5, a free alpha together with chi.  Every
     alpha ties at chi = 0 (the dimer target), so a free alpha's grid
     starts at 0.01.  As in `scheduling_overlap`, alpha scales the last
-    odd-family angle reduced to angle*t in (-pi/2, pi/2], so tables whose
-    odd angles differ by multiples of pi/t agree.  At m = 0 the prefix is
+    odd-family angle reduced to (-pi/2, pi/2], so tables whose
+    odd angles differ by multiples of pi agree.  At m = 0 the prefix is
     the dimer state, which no alpha changes; a free alpha is then
     reported as 1.  The search runs on the blocks; overlap_sq is
     `scheduling_overlap` at the optimum.  Returns (chi, alpha, overlap_sq).

@@ -29,7 +29,7 @@ z = 1 for the odd one.  The pass has two readers:
 - `state_and_derivatives`, the derivative engine.  The same block
   transports the derivatives created so far, and derivative k is seeded
   with the generator -i V_q (real) or -V_q (imag) applied to the rotated
-  spinors, V_q = -t [[0, z], [z*, 0]].  Every derivative therefore ends
+  spinors, V_q = -[[0, z], [z*, 0]].  Every derivative therefore ends
   in the final frame, at total cost O(M^2 L) without any backward pass.
 - `block_energy`, the state alone at cost O(M L), and its energy
   sum_q <psi_q|H_q|psi_q>: the optimizer's line-search energy.
@@ -132,13 +132,12 @@ def _block_pass(spec: LatticeSpec, params: DqapParams, mode: str, rows: int) -> 
     the live rows by the state block's norm (module docstring).
     """
     emiq = _cell_momenta(spec.L, spec.gamma)[1]
-    # -i (real) or -1 (imag) times the -t of V_q
-    gen = (1j if mode == "real" else 1.0) * spec.t
+    gen = 1j if mode == "real" else 1.0  # -i V_q (real) or -V_q (imag), per [[0, z], [z*, 0]]
     stack = np.zeros((rows, spec.N, 2), dtype=complex)
     stack[0] = np.sqrt(0.5)
     psi = stack[0]
     for k, ang in enumerate(params.flatten()):
-        c, s = _bond_block(spec, ang, mode)
+        c, s = _bond_block(ang, mode)
         z = emiq if k % 2 == 0 else 1.0
         live = stack[: k + 1]
         a, b = live[..., 0], live[..., 1]

@@ -61,7 +61,7 @@ def _cmd_oracle(args):
         raise ConfigError(f"need --layers >= 0 and --seed >= 0, got {args.layers}, {args.seed}")
     gamma = +1 if args.boundary == "pbc" else -1
     try:
-        spec = LatticeSpec.half_filling(args.L, gamma=gamma, t=args.t)
+        spec = LatticeSpec.half_filling(args.L, gamma=gamma)
         basis = FockBasis.build(spec.L, spec.N)  # the L <= 12 cap is named before the shell
         _ground_phase(spec, 1.0)
     except OpenShellError as exc:
@@ -115,7 +115,6 @@ def build_parser():
     p.add_argument("--boundary", choices=("apbc", "pbc"), default="apbc")
     p.add_argument("--mode", choices=("real", "imag"), default="real")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t", type=float, default=1.0)
     p.set_defaults(func=_cmd_oracle)
     return parser
 

@@ -6,8 +6,9 @@ gets the config, that size's `LatticeSpec` and its optimizer keywords,
 whose seed is spawned from the config's seed unless the config sets one.
 Tasks run inline or on a process pool and return named row lists; the
 driver concatenates them in task order so output is deterministic for a
-fixed config and seed, writes one CSV per name, and records a
-manifest.json describing the invocation next to the tables.
+fixed config and seed, writes one CSV per name that holds at least one
+row, and records a manifest.json describing the invocation, with each
+task's seed, next to the tables.
 
 Everything `ExperimentConfig`, `run_task` and `run_experiment` know
 about a kind is one `Kind` record in `KINDS`:
@@ -80,7 +81,7 @@ from .lattice import LatticeSpec, _ground_phase, exact_ground_state, is_finite_p
 from .optimizer import OptimizerConfig, ladder
 from .slater import SlaterState, overlap
 
-EPS_INF_COEFF = 2.0 / np.pi  # per-site energy of the infinite chain, in units of t
+EPS_INF = -2.0 / np.pi  # per-site energy of the infinite chain
 
 
 # Value rules of the declared kind options: (what a valid value is, check(value, sizes)).
@@ -126,7 +127,7 @@ class ExperimentConfig:
     `OptimizerConfig` keywords and `options` the kind-specific keys its
     `Kind` record declares.  A kind that runs no ladder takes neither
     `depths` nor `optimizer`.  A malformed value raises ConfigError, also
-    through `dataclasses.replace`; `t` is stored as a float.
+    through `dataclasses.replace`.
 
     Lists are stored as tuples and mappings as read-only mappings, so no
     field can change after the checks; `dataclasses.replace` takes them
@@ -137,14 +138,13 @@ class ExperimentConfig:
     sizes: tuple
     boundary: str = "apbc"
     depths: object = None
-    t: float = 1.0
     seed: int = 0
     optimizer: Mapping = field(default_factory=dict)
     out: str | None = None
     options: Mapping = field(default_factory=dict)
 
     # config keys of the fields other than kind and options, in manifest order
-    _FIELD_KEYS = ("sizes", "boundary", "depths", "t", "seed", "optimizer", "out")
+    _FIELD_KEYS = ("sizes", "boundary", "depths", "seed", "optimizer", "out")
 
     def __post_init__(self):
         for name in ("sizes", "depths", "optimizer", "options"):
@@ -156,7 +156,7 @@ class ExperimentConfig:
             raise ConfigError("'sizes' must be a non-empty list of even chain lengths")
         if self.boundary not in ("apbc", "pbc"):
             raise ConfigError(f"boundary must be 'apbc' or 'pbc', got {self.boundary!r}")
-        specs = self.specs  # building the chains checks L and t
+        specs = self.specs  # building the chains checks L
         if min(spec.L for spec in specs) < kind.min_size:
             raise ConfigError(f"experiment {self.kind!r} needs chains of L >= {kind.min_size}")
         if kind.closed_shell:
@@ -165,7 +165,6 @@ class ExperimentConfig:
                     _ground_phase(spec, 1.0)  # the end of the ramp: the exact state
             except OpenShellError as exc:
                 raise ConfigError(f"experiment {self.kind!r} needs a closed shell: {exc}") from exc
-        object.__setattr__(self, "t", float(self.t))
         depths = self.depths
         if depths is not None and depths != "quarter":
             if not isinstance(depths, tuple) or not depths:
@@ -207,7 +206,7 @@ class ExperimentConfig:
         """One half-filled `LatticeSpec` per entry of `sizes`, in order."""
         gamma = +1 if self.boundary == "pbc" else -1
         try:
-            return [LatticeSpec(L, gamma=gamma, t=self.t) for L in self.sizes]
+            return [LatticeSpec(L, gamma=gamma) for L in self.sizes]
         except ValueError as exc:
             raise ConfigError(f"invalid chain: {exc}") from exc
 
@@ -292,13 +291,12 @@ def _context(spec, m):
 
 def _task_energy_sweep(spec, depths, results, options):
     e_exact = exact_ground_state(spec)[1]
-    eps_inf = -EPS_INF_COEFF * spec.t
     rows = []
     for m in depths:
         r = results[m]
         rows.append(
             _context(spec, m)
-            + [r.energy, e_exact, r.energy - e_exact, r.energy / spec.L - eps_inf,
+            + [r.energy, e_exact, r.energy - e_exact, r.energy / spec.L - EPS_INF,
                r.iterations, int(r.converged)]
         )
     return {"energy": rows}
@@ -309,13 +307,12 @@ def _task_entanglement_sweep(spec, depths, results, options):
     cut = Subsystem.contiguous(0, la, spec.L)
     exact_orb, e_exact = exact_ground_state(spec)
     s_exact = entanglement_entropy(SlaterState(exact_orb), cut)
-    eps_inf = -EPS_INF_COEFF * spec.t
     rows, ms, svals, evals = [], [], [], []
     for m in depths:
         r = results[m]
         state = build_dqap_state(spec, r.params)
         s = entanglement_entropy(state, cut)
-        deps = r.energy / spec.L - eps_inf
+        deps = r.energy / spec.L - EPS_INF
         rows.append(_context(spec, m) + [la, s, s_exact, r.energy, deps])
         ms.append(m)
         svals.append(s)
@@ -407,16 +404,13 @@ def _task_continuous_time(spec, depths, results, options):
             _context(spec, max(1, round(t_eps / dtau))) + [target, t_eps]
         )
         summary["T_eps"] = t_eps
-    out = {"conttime": rows, "summary": summary}
-    if teps_rows:
-        out["teps"] = teps_rows
-    return out
+    return {"conttime": rows, "teps": teps_rows, "summary": summary}
 
 
 def _task_qab(spec, depths, results, options):
     s = np.linspace(0.0, 1.0, int(options.get("samples", 1001)))
     chi = qab_schedule(spec.L, s)
-    gap = qab_gap(spec.L, chi, spec.t)
+    gap = qab_gap(spec.L, chi)
     return {"qab": [_context(spec, 0) + list(row) for row in zip(s, chi, gap)]}
 
 
@@ -605,7 +599,8 @@ def run_experiment(
     """Run all tasks of an experiment and write CSVs plus manifest.json.
 
     Tasks run on a process pool when jobs > 1; failures are recorded in
-    the manifest without aborting sibling tasks.  Returns the manifest
+    the manifest without aborting sibling tasks.  A table with no rows is
+    not written.  Returns the manifest
     (ok = True only if every task succeeded).  A jobs that is not a
     positive int is a ConfigError, raised before any task runs.
     """
@@ -633,9 +628,9 @@ def run_experiment(
                     results.append(({"error": traceback.format_exc()}, None))
 
     tables, run_records = {}, []
-    for (spec, _), (res, seconds) in zip(tasks, results):
-        record = {"task": f"{config.kind} L={spec.L} {spec.boundary}", "ok": "error" not in res,
-                  "wall_time_s": seconds}
+    for (spec, optimizer), (res, seconds) in zip(tasks, results):
+        record = {"task": f"{config.kind} L={spec.L} {spec.boundary}", "seed": optimizer["seed"],
+                  "ok": "error" not in res, "wall_time_s": seconds}
         if "error" in res:
             record["error"] = res["error"]
         elif "summary" in res:
@@ -648,6 +643,8 @@ def run_experiment(
 
     outputs = []
     for name, rows in tables.items():
+        if not rows:
+            continue
         path = os.path.join(out, f"{name}.csv")
         _write_csv(path, kind.tables[name], rows)
         outputs.append(path)

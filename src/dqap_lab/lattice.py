@@ -1,8 +1,9 @@
 """Free-fermion chain geometry, its hopping matrix and the exact ground state.
 
-The chain has L sites (L even) holding N = L/2 fermions, hopping
-amplitude t, and a boundary phase gamma: +1 for periodic, -1 for
-antiperiodic closure.  The full hopping operator splits into two
+The chain has L sites (L even) holding N = L/2 fermions and a boundary
+phase gamma: +1 for periodic, -1 for antiperiodic closure.  The hopping
+amplitude is the unit of energy, t = 1, so every angle and ramp time is
+in units of 1/t.  The full hopping operator splits into two
 checkerboard bond families,
 
     odd family   : bonds (1,2), (3,4), ..., (L-1,L)     [1-based]
@@ -17,14 +18,14 @@ Both families are invariant under translation by two sites, so V1 + chi V2
 splits into L/2 independent 2 x 2 Bloch blocks.  Cell j holds sites
 (2j, 2j+1); an orbital with amplitudes e^{iqj} (a, b) / sqrt(L/2) on them sees
 
-    H_q(chi) = -t [[0, 1 + chi e^{-iq}], [1 + chi e^{iq}, 0]],
+    H_q(chi) = -[[0, 1 + chi e^{-iq}], [1 + chi e^{iq}, 0]],
 
 where the boundary bond closes the chain with e^{iq L/2} = gamma, so
 q = (2 pi n + phi) / (L/2), n = 0..L/2-1, with phi = 0 for periodic and
-phi = pi for antiperiodic closure.  H_q(chi) has levels -+t|z|,
+phi = pi for antiperiodic closure.  H_q(chi) has levels -+|z|,
 z = 1 + chi e^{iq}, so the ground state of V1 + chi V2 puts every block in
-its lower-band spinor (1, z/|z|)/sqrt 2 and has energy -t sum_q |z|.  Its
-shell is closed when every block gap 2t|z| is at least 1e-10 t.  The exact
+its lower-band spinor (1, z/|z|)/sqrt 2 and has energy -sum_q |z|.  Its
+shell is closed when every block gap 2|z| is at least 1e-10.  The exact
 ground state is the chi = 1 case, closed for gamma = -1 when N is even and
 for gamma = +1 when N is odd; the ramp in `adiabatic` reads the other chi.
 No ground state comes from a dense diagonalization.
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import OpenShellError
 
-# Degeneracy threshold for the shell check, in units of t.
+# Degeneracy threshold for the shell check.
 _GAP_TOL = 1e-10
 
 
@@ -61,24 +62,21 @@ def is_finite_positive(v):
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Chain geometry: site count L, boundary phase gamma, hopping t; half filled."""
+    """Chain geometry: site count L and boundary phase gamma; half filled."""
 
     L: int
     gamma: int = -1
-    t: float = 1.0
 
     def __post_init__(self):
         if not (is_int(self.L) and self.L >= 2 and self.L % 2 == 0):
             raise ValueError(f"L must be an even int >= 2, got {self.L!r}")
         if not (is_int(self.gamma) and self.gamma in (+1, -1)):
             raise ValueError(f"gamma must be +1 or -1, got {self.gamma!r}")
-        if not is_finite_positive(self.t):
-            raise ValueError(f"t must be finite and positive, got {self.t!r}")
 
     @classmethod
-    def half_filling(cls, L, gamma=-1, t=1.0):
-        """The spec LatticeSpec(L, gamma, t); every chain is half filled."""
-        return cls(L=L, gamma=gamma, t=t)
+    def half_filling(cls, L, gamma=-1):
+        """The spec LatticeSpec(L, gamma); every chain is half filled."""
+        return cls(L=L, gamma=gamma)
 
     @property
     def N(self) -> int:
@@ -105,7 +103,7 @@ def bond_pairs(spec: LatticeSpec, family: int):
     Returns
     -------
     (a, b, w) : int arrays of left/right sites and float weight array.
-        Each pair contributes -t * w * (c+_a c_b + c+_b c_a).  The
+        Each pair contributes -w * (c+_a c_b + c+_b c_a).  The
         arrays are cached per (spec, family) and read-only.
     """
     L = spec.L
@@ -136,8 +134,8 @@ def build_hamiltonian(spec: LatticeSpec) -> np.ndarray:
     h = np.zeros((spec.L, spec.L))
     for family in (1, 2):
         a, b, w = bond_pairs(spec, family)
-        h[a, b] -= spec.t * w
-        h[b, a] -= spec.t * w
+        h[a, b] -= w
+        h[b, a] -= w
     return h
 
 
@@ -155,8 +153,8 @@ def _cell_momenta(L, gamma):
 
 @lru_cache(maxsize=16)
 def _block_hopping(spec):
-    """Hopping entries h01_q = -t (1 + e^{-iq}) of the Bloch blocks H_q, read-only."""
-    h01 = -spec.t * (1.0 + _cell_momenta(spec.L, spec.gamma)[1])
+    """Hopping entries h01_q = -(1 + e^{-iq}) of the Bloch blocks H_q, read-only."""
+    h01 = -(1.0 + _cell_momenta(spec.L, spec.gamma)[1])
     h01.flags.writeable = False  # shared by every caller through the cache
     return h01
 
@@ -175,13 +173,13 @@ def _ground_phase(spec, chi):
 
     The lower-band spinor of every block is (1, u_q)/sqrt 2.  `chi` is a
     scalar or an array; the result has shape shape(chi) + (L/2,).
-    Raises OpenShellError where a block gap 2t|z| is below 1e-10 t.
+    Raises OpenShellError where a block gap 2|z| is below 1e-10.
     """
     _, emiq, _ = _cell_momenta(spec.L, spec.gamma)
     z = 1.0 + np.multiply.outer(chi, emiq.conj())
     r = np.abs(z)
-    if 2.0 * r.min() < _GAP_TOL:
-        gap = 2.0 * spec.t * r.min()
+    gap = 2.0 * r.min()
+    if gap < _GAP_TOL:
         raise OpenShellError(f"block gap {gap:.3e} for L={spec.L}, {spec.boundary}")
     return z / r
 
@@ -196,9 +194,9 @@ def exact_ground_state(spec: LatticeSpec):
     """Ground-state orbitals and energy of the chain at half filling.
 
     The chi = 1 case of `_ground_orbitals`: one lower-band Bloch orbital
-    per cell momentum, with energy -t sum_q |1 + e^{iq}| (module
+    per cell momentum, with energy -sum_q |1 + e^{iq}| (module
     docstring).  Raises OpenShellError when a block gap is below
-    1e-10 * t, since the determinant state is then not unique.
+    1e-10, since the determinant state is then not unique.
 
     Returns
     -------
@@ -206,7 +204,7 @@ def exact_ground_state(spec: LatticeSpec):
     """
     orbitals = _ground_orbitals(spec, 1.0)
     z = 1.0 + _cell_momenta(spec.L, spec.gamma)[1].conj()
-    return orbitals, -spec.t * float(np.abs(z).sum())
+    return orbitals, -float(np.abs(z).sum())
 
 
 def initial_state(spec: LatticeSpec) -> np.ndarray:
@@ -214,7 +212,7 @@ def initial_state(spec: LatticeSpec) -> np.ndarray:
 
     Column n holds amplitude 1/sqrt(2) on the two sites of the n-th odd
     bond, so the state is the ground state of the odd bond family alone
-    with energy -t * L/2.
+    with energy -L/2.
     """
     psi = np.zeros((spec.L, spec.N))
     n = np.arange(spec.N)

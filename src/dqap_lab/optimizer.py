@@ -31,7 +31,7 @@ delta_beta adapts per run, in both modes.  It starts at the configured
 value; a step taken whole multiplies it by 1.5, and a step that needed
 halvings sets it to its accepted fraction, never below the configured
 value.  A trust cap scales every proposed shift so that no angle moves
-by more than 0.1/t in one iteration, which keeps the grown step inside
+by more than 0.1 in one iteration, which keeps the grown step inside
 the region where the line search finds descent.  Without the floor,
 runs of halvings can shrink delta_beta until a random start stalls far
 above its minimum; without the cap, grown steps can throw a random
@@ -56,7 +56,7 @@ from .slater import energy_expectation
 
 _LSTSQ_CUTOFF = 1e-12
 _MAX_HALVINGS = 60
-_TRUST_CAP = 0.1  # largest angle shift per iteration, in units of 1/t
+_TRUST_CAP = 0.1  # largest angle shift per iteration
 _STEP_GROWTH = 1.5  # delta_beta factor after a step taken whole
 _INIT_MODES = ("linear-schedule", "random")
 
@@ -66,7 +66,7 @@ class OptimizerConfig:
     """Knobs for the natural-gradient loop.
 
     delta_beta is the initial and minimum step of a run, which grows it
-    after every step taken whole under a trust cap of 0.1/t per angle
+    after every step taken whole under a trust cap of 0.1 per angle
     (see the module docstring); real- and imaginary-time runs share
     this rule.  A run stops when the relative energy change of one
     iteration falls below energy_tol, when no halving of the proposed
@@ -74,7 +74,7 @@ class OptimizerConfig:
 
     init_mode is 'linear-schedule' or 'random' (a uniform draw seeded by
     seed); init_scale is the base step of the schedule and the upper bound
-    of the draw, in units of 1/t.  An explicit table passed to `optimize`
+    of the draw.  An explicit table passed to `optimize`
     replaces either.  A value of the wrong type or range raises ValueError,
     also through `dataclasses.replace`; the fields cannot be assigned
     after the checks.
@@ -140,7 +140,7 @@ def assemble_metric_and_force(
         S_kk' = sum_q [a_kq+ a_k'q - conj(psi_q+ a_kq) (psi_q+ a_k'q)]
         f_k   = sum_q a_kq+ (H_q psi_q - psi_q E_q),   E_q = psi_q+ H_q psi_q,
 
-    with H_q = -t [[0, 1 + e^{-iq}], [1 + e^{iq}, 0]] and a_kq = derivs[k, q].
+    with H_q = -[[0, 1 + e^{-iq}], [1 + e^{iq}, 0]] and a_kq = derivs[k, q].
     The cost is O(K^2 L).  K = 0 gives an empty metric and force.
     """
     kdim = derivs.shape[0]
@@ -182,25 +182,24 @@ def _solve_step(metric, force, delta_beta: float, ridge: float):
     return dtheta
 
 
-def linear_schedule_params(m_layers, spec, scale):
+def linear_schedule_params(m_layers, scale):
     """Angles of the discretized interpolation: odd family constant at
-    scale / t, even family ramping linearly to it over the M layers."""
-    dtau = scale / spec.t
+    scale, even family ramping linearly to it over the M layers."""
     table = np.empty((m_layers, 2))
-    table[:, 0] = dtau
-    table[:, 1] = dtau * np.arange(1, m_layers + 1) / max(m_layers, 1)
+    table[:, 0] = scale
+    table[:, 1] = scale * np.arange(1, m_layers + 1) / max(m_layers, 1)
     return DqapParams(table)
 
 
-def _initial_params(spec, m_layers, config, init):
+def _initial_params(m_layers, config, init):
     if init is not None:
         if init.M != m_layers:
             raise ValueError(f"start table has {init.M} layers, need {m_layers}")
         return DqapParams(np.asarray(init.angles, dtype=float).copy())
     if config.init_mode == "linear-schedule":
-        return linear_schedule_params(m_layers, spec, config.init_scale)
+        return linear_schedule_params(m_layers, config.init_scale)
     rng = np.random.default_rng(config.seed)
-    return DqapParams(rng.uniform(0.0, config.init_scale / spec.t, (m_layers, 2)))
+    return DqapParams(rng.uniform(0.0, config.init_scale, (m_layers, 2)))
 
 
 def _run(spec, params, mode, config):
@@ -213,7 +212,7 @@ def _run(spec, params, mode, config):
             *state_and_derivatives(spec, params, mode=mode), spec
         )
         dtheta = _solve_step(metric, force, db, config.ridge)
-        largest = np.max(np.abs(dtheta)) * spec.t
+        largest = np.max(np.abs(dtheta))
         if largest > _TRUST_CAP:
             dtheta *= _TRUST_CAP / largest
         flat = params.flatten()
@@ -256,7 +255,7 @@ def optimize(
 ) -> OptResult:
     """Minimize the hopping energy over an M-layer real-time circuit."""
     config = config or OptimizerConfig()
-    params = _initial_params(spec, m_layers, config, init)
+    params = _initial_params(m_layers, config, init)
     return _run(spec, params, "real", config)
 
 
@@ -268,7 +267,7 @@ def optimize_imaginary(
 ) -> OptResult:
     """Minimize the hopping energy over an M-layer imaginary-time circuit."""
     config = config or OptimizerConfig()
-    params = _initial_params(spec, m_layers, config, init)
+    params = _initial_params(m_layers, config, init)
     return _run(spec, params, "imag", config)
 
 
@@ -300,8 +299,11 @@ def ladder(
     "imag"); depth M + 1 starts from `warm_start` of the optimized
     M-layer table, depth 1 from `config`'s initialization.  Depth 0 is
     allowed and returns the bare dimer result.  Returns {depth: OptResult}
-    for the requested depths.
+    for the requested depths.  Any other mode raises ValueError before
+    the first rung runs.
     """
+    if mode not in ("real", "imag"):
+        raise ValueError(f"mode must be 'real' or 'imag', got {mode!r}")
     # looked up at call time, so that rebinding the module's names (as a
     # tracer does) reaches every ladder
     run = optimize if mode == "real" else optimize_imaginary

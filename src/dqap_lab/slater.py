@@ -86,7 +86,7 @@ def transition_density(state: SlaterState, sites) -> np.ndarray:
     return rows @ rows.conj().T
 
 
-def _bond_block(spec, angle, mode):
+def _bond_block(angle, mode):
     """Scalars (c, s) of the 2x2 bond blocks [[c, s w], [s w*, c]] of one angle.
 
     w is the bond's weight, or the cell phase of a Bloch block; both
@@ -98,16 +98,15 @@ def _bond_block(spec, angle, mode):
     SingularOverlapError
         If an imaginary-mode coefficient is not finite (cosh overflows).
     """
-    th = angle * spec.t
     if mode == "real":
-        return np.cos(th), 1j * np.sin(th)
+        return np.cos(angle), 1j * np.sin(angle)
     if mode != "imag":
         raise ValueError(f"mode must be 'real' or 'imag', got {mode!r}")
     with np.errstate(over="ignore"):
-        c = np.cosh(th)
+        c = np.cosh(angle)
     if not np.isfinite(c):
-        raise SingularOverlapError(f"imaginary bond coefficient cosh({float(th):.6g}) overflows")
-    return c, np.sinh(th)
+        raise SingularOverlapError(f"imaginary bond coefficient cosh({float(angle):.6g}) overflows")
+    return c, np.sinh(angle)
 
 
 def _rotate_rows(arr, a, b, c, s):
@@ -148,10 +147,10 @@ def apply_bond_layer(
 
     Each bond of the family mixes exactly one pair of sites, so the
     exponential acts as independent 2x2 blocks.  With the bond operator
-    -t*w*(c+_a c_b + h.c.) the block on (a, b) is
+    -w*(c+_a c_b + h.c.) the block on (a, b) is
 
-        real:  [[cos(angle*t), i*w*sin(angle*t)], [i*w*sin(angle*t), cos(angle*t)]]
-        imag:  [[cosh(angle*t), w*sinh(angle*t)], [w*sinh(angle*t), cosh(angle*t)]]
+        real:  [[cos(angle), i*w*sin(angle)], [i*w*sin(angle), cos(angle)]]
+        imag:  [[cosh(angle), w*sinh(angle)], [w*sinh(angle), cosh(angle)]]
 
     where w = +1 in the bulk and w = gamma on the boundary bond.
     Real mode is unitary; imaginary mode re-orthonormalizes the columns,
@@ -168,7 +167,7 @@ def apply_bond_layer(
     if state.L != spec.L:
         raise DimensionMismatch(f"state has L={state.L}, spec has L={spec.L}")
     a, b, w = bond_pairs(spec, family)
-    c, s = _bond_block(spec, angle, mode)
+    c, s = _bond_block(angle, mode)
     orb = state.orbitals.copy()
     _rotate_rows(orb, a, b, c, s * w[:, None])
     if mode == "imag":

@@ -595,7 +595,7 @@ def test_block_overlap_equals_scheduling_overlap(L, gamma):
         table, theta = adiabatic._prefix(spec, params, m)
         psi = state_and_derivatives(spec, DqapParams(table))[0]
         for alpha in (0.0, 0.5, 1.0):
-            got = adiabatic._block_overlap(spec, psi, phases, alpha * theta)
+            got = adiabatic._block_overlap(psi, phases, alpha * theta)
             ref = [scheduling_overlap(spec, params, m, float(chi), alpha)
                    for chi in adiabatic._GRID_CHIS]
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)

@@ -179,12 +179,12 @@ def test_imag_coefficient_overflow_raises_typed_error():
 
 
 def test_real_circuit_angle_periodicity():
-    # each angle is pi/t periodic up to a global phase
+    # each angle is pi periodic up to a global phase
     spec = LatticeSpec.half_filling(8)
     rng = np.random.default_rng(4)
     p = random_params(rng, 2)
     shifted = p.angles.copy()
-    shifted[1, 0] += np.pi / spec.t
+    shifted[1, 0] += np.pi
     a = build_dqap_state(spec, p)
     b = build_dqap_state(spec, DqapParams(shifted))
     assert abs(abs(overlap(a, b)) - 1.0) < 1e-12
@@ -317,7 +317,7 @@ def test_imag_spinors_span_the_built_state(L, gamma, m):
 def test_every_block_has_unit_norm(mode):
     # the metric and force assembly reads psi_q+ psi_q = 1 without checking it
     spec = LatticeSpec.half_filling(160, gamma=+1)
-    p = DqapParams(np.full((20, 2), 3.0 / spec.t))  # unnormalized block norms near e^240
+    p = DqapParams(np.full((20, 2), 3.0))  # unnormalized block norms near e^240
     spinors, _ = state_and_derivatives(spec, p, mode=mode)
     np.testing.assert_allclose(np.linalg.norm(spinors, axis=1), 1.0, rtol=0, atol=1e-13)
 

@@ -207,6 +207,28 @@ def test_every_kind_has_a_case():
     assert set(CASES) == set(KINDS)
 
 
+def _readme_tables():
+    """{kind: {file stem: columns after the context}} from README's Outputs table."""
+    readme = Path(__file__).parents[1] / "README.md"
+    tables, kind = {}, None
+    for line in readme.read_text().splitlines():
+        cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+        if not line.startswith("| ") or len(cells) != 3 or not cells[1].endswith(".csv"):
+            continue
+        kind = cells[0] or kind
+        columns = [c.strip() for c in cells[2].split(",")]
+        tables.setdefault(kind, {})[cells[1].removesuffix(".csv")] = columns
+    return tables
+
+
+def test_readme_outputs_match_the_kinds():
+    documented = _readme_tables()
+    assert set(documented) == set(KINDS)
+    for name, kind in KINDS.items():
+        assert all(header[:4] == ["L", "N", "gamma", "M"] for header in kind.tables.values())
+        assert documented[name] == {table: header[4:] for table, header in kind.tables.items()}
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_kind_writes_its_tables(tmp_path, kind):
     config, tables = CASES[kind]
@@ -241,7 +263,7 @@ def test_sweep_manifest_records_stop_reason_per_rung(tmp_path, kind):
 
 
 def test_imaginary_distance_is_finite_for_large_scale_factors(tmp_path):
-    # unoptimized angles of 3/t: the unnormalized state's norm is far
+    # unoptimized angles of 3: the unnormalized state's norm is far
     # beyond the float range, and the distance must still be finite
     config = {"sizes": [64], "boundary": "apbc", "depths": [4],
               "optimizer": {"init_scale": 3.0, "max_iters": 0}}
@@ -328,14 +350,12 @@ def test_ladder_keys_are_a_config_error_where_no_ladder_runs(tmp_path, kind, key
 @pytest.mark.parametrize("override", [
     {"typo_key": 3},
     {"samples": 11},  # an option of another kind
-    {"t": "abc"},
-    {"t": float("nan")},
-    {"t": float("inf")},
+    {"t": 1.0},  # t = 1 is the unit of energy, not a setting
     {"depths": [True]},
     {"seed": False},
     {"seed": -1},
     {"out": 5},
-], ids=["typo-key", "foreign-option", "t-string", "t-nan", "t-inf", "bool-depth", "bool-seed",
+], ids=["typo-key", "foreign-option", "t-not-a-key", "bool-depth", "bool-seed",
         "negative-seed", "out-number"])
 def test_malformed_config_is_a_config_error(tmp_path, override):
     code, out = _run(tmp_path, "energy-sweep", {**_LADDER, **override})
@@ -446,7 +466,7 @@ def test_replace_takes_frozen_fields_back_and_manifest_stays_plain(tmp_path):
         out = tmp_path / raw["experiment"]
         run_experiment(replace(cfg, seed=4), out_dir=str(out))
         written = json.loads((out / "manifest.json").read_text())["config"]
-        defaults = {"boundary": "apbc", "depths": None, "t": 1.0, "optimizer": {}}
+        defaults = {"boundary": "apbc", "depths": None, "optimizer": {}}
         assert written == {**defaults, **raw, "seed": 4}
 
 
@@ -461,6 +481,38 @@ def test_manifest_records_environment_and_task_times(tmp_path):
     seconds = [run["wall_time_s"] for run in manifest["runs"]]
     assert len(seconds) == 2 and all(s > 0.0 for s in seconds)
     assert sum(seconds) <= manifest["wall_time_s"]
+
+
+def test_manifest_seed_reruns_its_task(tmp_path):
+    # a random start depends on the task's seed; the recorded one reproduces the task alone
+    config = {"sizes": [8, 12], "depths": [1, 2],
+              "optimizer": {"init_mode": "random", "max_iters": 3}}
+    for name in ("both", "one"):
+        (tmp_path / name).mkdir()
+    code, out = _run(tmp_path / "both", "params-trace", config)
+    assert code == 0
+    runs = json.loads((out / "manifest.json").read_text())["runs"]
+    seeds = [run["seed"] for run in runs]
+    assert len(set(seeds)) == 2 and all(isinstance(seed, int) for seed in seeds)
+    with open(out / "params.csv", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row[0] == "12"]
+    assert len(rows) == 3  # layer 1 of depth 1, layers 1-2 of depth 2
+    rerun = {**config, "sizes": [12], "optimizer": {**config["optimizer"], "seed": seeds[1]}}
+    code, out = _run(tmp_path / "one", "params-trace", rerun)
+    assert code == 0
+    with open(out / "params.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == rows
+    assert json.loads((out / "manifest.json").read_text())["runs"][0]["seed"] == seeds[1]
+
+
+def test_table_without_rows_is_not_written(tmp_path):
+    # a target with no T grid fills teps and leaves conttime empty
+    config = {"sizes": [8], "target_eps": 0.2, "dtau": 0.1}
+    code, out = _run(tmp_path, "continuous-time", config)
+    assert code == 0
+    assert [p.name for p in out.glob("*.csv")] == ["teps.csv"]
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert [Path(path).name for path in outputs] == ["teps.csv"]
 
 
 def test_singular_real_space_build_fails_its_task(tmp_path, monkeypatch):
@@ -526,13 +578,11 @@ def test_oracle_subcommand_passes(capsys, mode, L, boundary, layers):
     ["--L", "13"],
     ["--L", "0"],
     ["--layers", "-1"],
-    ["--t", "0"],
-    ["--t", "nan"],
     ["--L", "14"],
     ["--seed", "-1"],
     ["--L", "6"],
     ["--L", "8", "--boundary", "pbc"],
-], ids=["L-odd", "L-zero", "layers-negative", "t-zero", "t-nan", "L-over-cap", "seed-negative",
+], ids=["L-odd", "L-zero", "layers-negative", "L-over-cap", "seed-negative",
         "open-shell-apbc", "open-shell-pbc"])
 def test_oracle_bad_arguments_are_a_config_error(capsys, argv):
     assert main(["oracle", *argv]) == 2

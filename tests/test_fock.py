@@ -82,7 +82,7 @@ def test_column_swap_flips_all_amplitudes():
 
 
 def test_dimer_energy_L8():
-    spec = LatticeSpec.half_filling(8, t=1.0)
+    spec = LatticeSpec.half_filling(8)
     vec = slater_to_fock(SlaterState(initial_state(spec).astype(complex)))
     assert abs(fock_expectation(vec, build_hamiltonian(spec)) + 4.0) < 1e-12
 

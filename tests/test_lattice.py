@@ -24,10 +24,6 @@ from .oracles import hopping_families, kspace_gap, kspace_ground_energy, kspace_
         dict(L=0),
         dict(L=8.0),
         dict(L=8, gamma=2),
-        dict(L=8, t=0.0),
-        dict(L=8, t=-1.0),
-        dict(L=8, t=float("nan")),
-        dict(L=8, t=float("inf")),
         dict(L=8, gamma=True),
     ],
 )
@@ -74,14 +70,13 @@ def test_bond_pairs_rejects_unknown_family():
 @given(
     L=st.sampled_from([2, 4, 6, 8, 10, 12, 16]),
     gamma=st.sampled_from([-1, +1]),
-    t=st.floats(0.1, 3.0),
 )
-@example(L=2, gamma=-1, t=1.0)
-@example(L=2, gamma=+1, t=0.7)
-def test_families_sum_to_hamiltonian(L, gamma, t):
-    spec = LatticeSpec(L=L, gamma=gamma, t=t)
+@example(L=2, gamma=-1)
+@example(L=2, gamma=+1)
+def test_families_sum_to_hamiltonian(L, gamma):
+    spec = LatticeSpec(L=L, gamma=gamma)
     h = build_hamiltonian(spec)
-    v1, v2 = hopping_families(L, gamma, t)
+    v1, v2 = hopping_families(L, gamma)
     np.testing.assert_allclose(h, v1 + v2, atol=0)
     np.testing.assert_allclose(h, h.T, atol=0)
     # every site touches exactly two bonds; at L = 2 both are the pair (0, 1)
@@ -92,10 +87,10 @@ def test_families_sum_to_hamiltonian(L, gamma, t):
 @pytest.mark.parametrize("L", [4, 6, 8, 14, 20])
 @pytest.mark.parametrize("gamma", [-1, +1])
 def test_spectrum_matches_momentum_oracle(L, gamma):
-    spec = LatticeSpec.half_filling(L, gamma=gamma, t=1.3)
+    spec = LatticeSpec.half_filling(L, gamma=gamma)
     np.testing.assert_allclose(
         np.linalg.eigvalsh(build_hamiltonian(spec)),
-        kspace_levels(L, spec.boundary, t=1.3),
+        kspace_levels(L, spec.boundary),
         atol=1e-10,
     )
 
@@ -134,7 +129,7 @@ def test_open_shell_raises(L, gamma):
 
 
 def test_energy_density_approaches_thermodynamic_value():
-    # finite-size error of e = E/L against -2t/pi falls by ~4x per doubling
+    # finite-size error of e = E/L against -2/pi falls by ~4x per doubling
     errs = []
     for L in (20, 40, 80, 160):
         _, e = exact_ground_state(LatticeSpec.half_filling(L))
@@ -145,14 +140,13 @@ def test_energy_density_approaches_thermodynamic_value():
     np.testing.assert_allclose(ratios, 4.0, rtol=0.05)
 
 
-@pytest.mark.parametrize("t", [1.0, 2.5])
-def test_dimer_state_energy_and_gram(t):
-    spec = LatticeSpec.half_filling(12, t=t)
+def test_dimer_state_energy_and_gram():
+    spec = LatticeSpec.half_filling(12)
     psi = initial_state(spec)
     np.testing.assert_allclose(psi.T @ psi, np.eye(6), atol=1e-14)
     h = build_hamiltonian(spec)
-    assert abs(np.trace(psi.T @ h @ psi) - (-t * spec.L / 2)) < 1e-12
+    assert abs(np.trace(psi.T @ h @ psi) - (-spec.L / 2)) < 1e-12
     # the dimer state is the odd-family ground state
-    v1, _ = hopping_families(spec.L, spec.gamma, t)
-    np.testing.assert_allclose(v1 @ psi, -t * psi, atol=1e-12)
+    v1, _ = hopping_families(spec.L, spec.gamma)
+    np.testing.assert_allclose(v1 @ psi, -psi, atol=1e-12)
 

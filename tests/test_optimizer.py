@@ -277,8 +277,8 @@ def test_line_search_halves_a_trial_whose_block_overflows(monkeypatch):
         calls.append(params)
         return real_energy(spec, params, mode)
 
-    def overflow_in_first_trial(spec, angle, mode):
-        return real_block(spec, 800.0 / spec.t if len(calls) == 2 else angle, mode)
+    def overflow_in_first_trial(angle, mode):
+        return real_block(800.0 if len(calls) == 2 else angle, mode)
 
     monkeypatch.setattr(optimizer, "block_energy", counted)
     monkeypatch.setattr(ansatz, "_bond_block", overflow_in_first_trial)
@@ -337,13 +337,13 @@ def test_imaginary_ladder_l64_is_monotone_and_exact():
 
 def test_first_step_respects_trust_cap():
     # small random angles sit where the metric is nearly singular, so the
-    # uncapped first step moves an angle by about 0.33/t
-    spec = LatticeSpec.half_filling(8, t=2.0)
+    # uncapped first step moves an angle by about 0.33
+    spec = LatticeSpec.half_filling(8)
     start = optimize(spec, 3, OptimizerConfig(init_mode="random", seed=0, max_iters=0))
     one = optimize(spec, 3, OptimizerConfig(init_mode="random", seed=0, max_iters=1))
     assert one.iterations == 1
     shift = np.max(np.abs(one.params.angles - start.params.angles))
-    assert 0.0 < shift * spec.t <= 0.1 * (1.0 + 1e-12)
+    assert 0.0 < shift <= 0.1 * (1.0 + 1e-12)
 
 
 def test_warm_start_ladder_reaches_quarter_depth_in_few_iterations():
@@ -354,6 +354,16 @@ def test_warm_start_ladder_reaches_quarter_depth_in_few_iterations():
     total = sum(res.iterations for res in rungs.values())
     assert rungs[10].energy - e_exact < 1e-10
     assert total < 1000
+
+
+def test_ladder_rejects_an_unknown_mode_before_any_rung(monkeypatch):
+    def no_rung(*args, **kwargs):
+        raise AssertionError("a rung ran")
+
+    monkeypatch.setattr(optimizer, "optimize", no_rung)
+    monkeypatch.setattr(optimizer, "optimize_imaginary", no_rung)
+    with pytest.raises(ValueError, match="mode"):
+        ladder(LatticeSpec.half_filling(8), [1, 2], mode="bogus")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -388,15 +398,9 @@ def test_malformed_settings_rejected(field, value):
 
 
 def test_linear_schedule_values():
-    p = linear_schedule_params(4, LatticeSpec.half_filling(8), 0.02)
+    p = linear_schedule_params(4, 0.02)
     np.testing.assert_allclose(p.angles[:, 0], 0.02)
     np.testing.assert_allclose(p.angles[:, 1], 0.02 * np.array([1, 2, 3, 4]) / 4)
-
-
-def test_linear_schedule_scales_with_hopping():
-    spec = LatticeSpec.half_filling(8, t=2.0)
-    p = linear_schedule_params(2, spec, scale=0.01)
-    np.testing.assert_allclose(p.angles[:, 0], 0.005)
 
 
 def test_random_init_bounded_and_reproducible():

@@ -74,10 +74,10 @@ def test_overlap_matches_fock(L, N):
 
 
 def test_overlap_of_steep_imaginary_circuit_is_finite():
-    # angles of 3/t at L=64, M=4: the unnormalized norm is far beyond the
+    # angles of 3 at L=64, M=4: the unnormalized norm is far beyond the
     # float range, but the state is stored normalized
     spec = LatticeSpec.half_filling(64)
-    st = build_imag_state(spec, DqapParams(np.full((4, 2), 3.0 / spec.t)))
+    st = build_imag_state(spec, DqapParams(np.full((4, 2), 3.0)))
     assert abs(overlap(st, st) - 1.0) < 1e-12
     assert np.isfinite(overlap(SlaterState(exact_ground_state(spec)[0]), st))
 
@@ -256,9 +256,9 @@ def test_translation_by_two_sites_preserves_energy():
 
 # ---- the orthonormal-orbital invariant ----
 
-_SPEC = LatticeSpec.half_filling(12, t=1.5)
-_ANGLES = DqapParams(np.random.default_rng(15).uniform(0.0, 1.5, (3, 2)))
-_STEEP = DqapParams(np.full((3, 2), 3.0 / _SPEC.t))  # unnormalized norm about e^88
+_SPEC = LatticeSpec.half_filling(12)
+_ANGLES = DqapParams(np.random.default_rng(15).uniform(0.0, 2.25, (3, 2)))
+_STEEP = DqapParams(np.full((3, 2), 3.0))  # unnormalized norm about e^88
 
 # builder name -> the states it returns for _SPEC
 _BUILDERS = {
@@ -266,7 +266,7 @@ _BUILDERS = {
     "build_imag_state": lambda: [build_imag_state(_SPEC, _STEEP)],
     "intermediate_states": lambda: intermediate_states(_SPEC, _ANGLES),
     "evolve_linear_schedule": lambda: [
-        evolve_linear_schedule(_SPEC, EvolutionPlan(T=4.0, M=40))[0]
+        evolve_linear_schedule(_SPEC, EvolutionPlan(T=6.0, M=40))[0]
     ],
     "exact_ground_state": lambda: [SlaterState(exact_ground_state(_SPEC)[0])],
 }
