@@ -24,6 +24,10 @@ from .oracles import hopping_families, kspace_gap, kspace_ground_energy, kspace_
         dict(L=0),
         dict(L=8.0),
         dict(L=8, gamma=2),
+        dict(L=-8),
+        dict(L="8"),
+        dict(L=8, gamma=0),
+        dict(L=8, gamma=-1.0),
         dict(L=8, gamma=True),
     ],
 )
