@@ -23,8 +23,10 @@ invariant under translation by two sites, so the circuit state puts one
 fermion in each cell momentum q (`lattice`): an (L/2, 2) spinor array,
 starting from (1, 1)/sqrt 2, the layout `adiabatic.magnus_step` uses.
 Half-layer k multiplies every block by c + s [[0, z], [z*, 0]], with
-(c, s) from `slater._bond_block`, z = e^{-iq} for the even family and
-z = 1 for the odd one.  The pass has two readers:
+(c, s) from one `slater._bond_block` call on all angles, z = e^{-iq}
+for the even family and z = 1 for the odd one.  The pass holds its rows
+component-major, (2, rows, L/2), so a half-layer is one in-place swap
+rotation, psi <- c psi + s (z, z*) psi[::-1].  The pass has two readers:
 
 - `state_and_derivatives`, the derivative engine.  The same block
   transports the derivatives created so far, and derivative k is seeded
@@ -127,27 +129,26 @@ def _block_pass(spec: LatticeSpec, params: DqapParams, mode: str, rows: int) -> 
 
     Row 0 is the state; with rows = 2M + 1, row k + 1 is its derivative
     by flat angle k, and with rows = 1 the pass carries the state alone.
-    Each half-layer rotates the live rows, seeds the derivative it
-    creates where there is a row for it, and in imaginary mode divides
-    the live rows by the state block's norm (module docstring).
+    Each half-layer swap-rotates the live rows in place, seeds the
+    derivative it creates where there is a row for it, and in imaginary
+    mode divides the live rows by the state block's norm (module docstring).
     """
     emiq = _cell_momenta(spec.L, spec.gamma)[1]
+    zs = (np.stack((emiq, emiq.conj()))[:, None], 1.0)  # (z, z*) of the even family; odd: 1
     gen = 1j if mode == "real" else 1.0  # -i V_q (real) or -V_q (imag), per [[0, z], [z*, 0]]
-    stack = np.zeros((rows, spec.N, 2), dtype=complex)
-    stack[0] = np.sqrt(0.5)
-    psi = stack[0]
-    for k, ang in enumerate(params.flatten()):
-        c, s = _bond_block(ang, mode)
-        z = emiq if k % 2 == 0 else 1.0
-        live = stack[: k + 1]
-        a, b = live[..., 0], live[..., 1]
-        live[..., 0], live[..., 1] = c * a + s * z * b, s * np.conj(z) * a + c * b
+    st = np.zeros((2, rows, spec.N), dtype=complex)
+    st[:, 0] = np.sqrt(0.5)
+    for k, (c, s) in enumerate(zip(*_bond_block(params.flatten(), mode))):
+        z = zs[k % 2]
+        live = st[:, : k + 1]
+        swapped = s * z * live[::-1]
+        live *= c
+        live += swapped
         if k + 1 < rows:
-            stack[k + 1, :, 0] = gen * z * psi[:, 1]
-            stack[k + 1, :, 1] = gen * np.conj(z) * psi[:, 0]
+            st[:, k + 1 : k + 2] = gen * z * st[::-1, :1]
         if mode == "imag":
-            stack[: k + 2] /= np.hypot(np.abs(psi[:, 0]), np.abs(psi[:, 1]))[:, None]
-    return stack
+            st[:, : k + 2] /= np.hypot(np.abs(st[0, 0]), np.abs(st[1, 0]))
+    return st.transpose(1, 2, 0)
 
 
 def state_and_derivatives(spec: LatticeSpec, params: DqapParams, mode="real"):

@@ -180,7 +180,7 @@ class ExperimentConfig:
             raise ConfigError(f"experiment {self.kind!r} runs no ladder: drop 'depths' and "
                               "'optimizer'")
         try:
-            OptimizerConfig(**self.optimizer)
+            OptimizerConfig(**{"seed": 0, **self.optimizer})  # a task's seed unless one is set
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad optimizer settings: {exc}") from exc
         if not (is_int(self.seed) and self.seed >= 0):

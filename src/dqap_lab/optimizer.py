@@ -73,11 +73,11 @@ class OptimizerConfig:
     shift lowers the energy, or after max_iters iterations.
 
     init_mode is 'linear-schedule' or 'random' (a uniform draw seeded by
-    seed); init_scale is the base step of the schedule and the upper bound
-    of the draw.  An explicit table passed to `optimize`
-    replaces either.  A value of the wrong type or range raises ValueError,
-    also through `dataclasses.replace`; the fields cannot be assigned
-    after the checks.
+    seed, which 'random' requires); init_scale is the base step of the
+    schedule and the upper bound of the draw.  An explicit table passed
+    to `optimize` replaces either.  A value of the wrong type or range
+    raises ValueError, also through `dataclasses.replace`; the fields
+    cannot be assigned after the checks.
     """
 
     max_iters: int = 200_000
@@ -103,6 +103,8 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be {what}, got {value!r}")
         if self.init_mode not in _INIT_MODES:
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
+        if self.init_mode == "random" and self.seed is None:
+            raise ValueError("init_mode 'random' needs a seed, or the start cannot be reproduced")
 
 
 @dataclass

@@ -87,16 +87,17 @@ def transition_density(state: SlaterState, sites) -> np.ndarray:
 
 
 def _bond_block(angle, mode):
-    """Scalars (c, s) of the 2x2 bond blocks [[c, s w], [s w*, c]] of one angle.
+    """(c, s) of the 2x2 bond blocks [[c, s w], [s w*, c]] of an angle, or of each in an array.
 
     w is the bond's weight, or the cell phase of a Bloch block; both
-    half-layer kernels, `apply_bond_layer` and the Bloch-block engine of
-    `ansatz.state_and_derivatives`, read their blocks from here.
+    half-layer kernels read their blocks from here, `apply_bond_layer`
+    one angle at a time and `ansatz._block_pass` all angles in one call.
 
     Raises
     ------
     SingularOverlapError
-        If an imaginary-mode coefficient is not finite (cosh overflows).
+        If an imaginary-mode coefficient is not finite (cosh overflows),
+        naming the first such angle.
     """
     if mode == "real":
         return np.cos(angle), 1j * np.sin(angle)
@@ -104,8 +105,9 @@ def _bond_block(angle, mode):
         raise ValueError(f"mode must be 'real' or 'imag', got {mode!r}")
     with np.errstate(over="ignore"):
         c = np.cosh(angle)
-    if not np.isfinite(c):
-        raise SingularOverlapError(f"imaginary bond coefficient cosh({float(angle):.6g}) overflows")
+    bad = np.extract(~np.isfinite(c), angle)
+    if bad.size:
+        raise SingularOverlapError(f"imaginary bond coefficient cosh({bad[0]:.6g}) overflows")
     return c, np.sinh(angle)
 
 

@@ -8,9 +8,10 @@ exponential per slice, and eigh ground states along the ramp) and a
 40-digit mpmath product of its 2 x 2 momentum blocks.  The layered
 circuit and its angle derivatives have a dense route too:
 `scipy.linalg.expm` half-layers with forward-mode derivatives and no
-re-orthonormalization.  The ramp's Bloch spinors have a
-one-slice-at-a-time route, and any Bloch spinors a map to real-space
-orbitals.  The overlap grid scan has a scalar route,
+re-orthonormalization; its Bloch-block pass has the earlier
+per-component loop, which must match bit for bit.  The ramp's Bloch
+spinors have a one-slice-at-a-time route, and any Bloch spinors a map
+to real-space orbitals.  The overlap grid scan has a scalar route,
 one determinant per grid point.  Nothing here calls back into
 dqap_lab, so agreement is meaningful.
 """
@@ -185,6 +186,38 @@ def bloch_frame(L, boundary):
     frame[0::2, 0::2] = phase
     frame[1::2, 1::2] = phase
     return frame
+
+
+def reference_block_pass(L, boundary, table, mode, rows):
+    """Bloch blocks (rows, L/2, 2) of the circuit, by the per-component loop.
+
+    `table` has the (M, 2) layout of the circuit tables.  Row 0 is the
+    state and row k + 1, where there is one, its derivative by flat
+    angle k.  This is the spinor-major loop the package ran before its
+    component-major pass: one scalar (c, s) per half-layer, the two
+    components rotated as separate strided views, and the same elementwise
+    operations, so the two must agree bit for bit, not only to rounding.
+    """
+    emiq = np.exp(-1j * cell_momenta(L, boundary))
+    gen = 1j if mode == "real" else 1.0
+    stack = np.zeros((rows, L // 2, 2), dtype=complex)
+    stack[0] = np.sqrt(0.5)
+    psi = stack[0]
+    for k, ang in enumerate(np.asarray(table, dtype=float)[:, ::-1].ravel()):
+        if mode == "real":
+            c, s = np.cos(ang), 1j * np.sin(ang)
+        else:
+            c, s = np.cosh(ang), np.sinh(ang)
+        z = emiq if k % 2 == 0 else 1.0
+        live = stack[: k + 1]
+        a, b = live[..., 0], live[..., 1]
+        live[..., 0], live[..., 1] = c * a + s * z * b, s * np.conj(z) * a + c * b
+        if k + 1 < rows:
+            stack[k + 1, :, 0] = gen * z * psi[:, 1]
+            stack[k + 1, :, 1] = gen * np.conj(z) * psi[:, 0]
+        if mode == "imag":
+            stack[: k + 2] /= np.hypot(np.abs(psi[:, 0]), np.abs(psi[:, 1]))[:, None]
+    return stack
 
 
 def spinor_orbitals(L, boundary, spinors):

@@ -28,6 +28,7 @@ from dqap_lab import (
     state_and_derivatives,
     transition_density,
 )
+from dqap_lab.ansatz import _block_pass
 
 from .oracles import (
     dense_circuit,
@@ -36,6 +37,7 @@ from .oracles import (
     hopping_families,
     mp_imag_energy,
     random_orthonormal,
+    reference_block_pass,
     spinor_orbitals,
 )
 
@@ -337,6 +339,24 @@ def test_derivative_engine_needs_no_real_space_kernel(monkeypatch, mode):
     p = random_params(np.random.default_rng(0), 3)
     metric, force = assemble_metric_and_force(*state_and_derivatives(spec, p, mode=mode), spec)
     assert metric.shape == (6, 6) and np.all(np.isfinite(force))
+
+
+@pytest.mark.parametrize("mode", ["real", "imag"])
+@pytest.mark.parametrize("boundary", ["apbc", "pbc"])
+@pytest.mark.parametrize("m", [0, 1, 2, 5])
+def test_block_pass_is_bit_identical_to_the_per_component_loop(m, boundary, mode):
+    # "same numbers" as an exact property: the component-major swap
+    # rotation runs the same IEEE operations as the per-component loop
+    rng = np.random.default_rng(10 * m + len(boundary))
+    for L in (4, 18, 64):
+        spec = LatticeSpec.half_filling(L, gamma=-1 if boundary == "apbc" else +1)
+        table = rng.normal(scale=1.5, size=(m, 2))
+        p = DqapParams(table)
+        ref = reference_block_pass(L, boundary, table, mode, 2 * m + 1)
+        spinors, derivs = state_and_derivatives(spec, p, mode)
+        assert np.array_equal(spinors, ref[0]) and np.array_equal(derivs, ref[1:])
+        assert np.array_equal(_block_pass(spec, p, mode, 1),
+                              reference_block_pass(L, boundary, table, mode, 1))
 
 
 # ---- block energy ----

@@ -381,6 +381,7 @@ def test_malformed_config_is_a_config_error(tmp_path, override):
     {"seed": 1.5},
     {"seed": True},
     {"seed": -1},
+    {"init_mode": "random", "seed": None},  # OS entropy: the run could not be reproduced
 ])
 def test_malformed_optimizer_settings_are_a_config_error(tmp_path, optimizer):
     code, out = _run(tmp_path, "energy-sweep", {**_LADDER, "optimizer": optimizer})

@@ -414,6 +414,15 @@ def test_random_init_bounded_and_reproducible():
     assert np.any(c.params.angles != a)
 
 
+def test_random_init_without_a_seed_is_rejected():
+    # a draw from OS entropy could not be reproduced
+    with pytest.raises(ValueError, match="seed"):
+        OptimizerConfig(init_mode="random")
+    with pytest.raises(ValueError, match="seed"):
+        dataclasses.replace(OptimizerConfig(init_mode="random", seed=3), seed=None)
+    assert OptimizerConfig(seed=None).seed is None  # the schedule start draws nothing
+
+
 def test_unknown_init_mode_rejected():
     with pytest.raises(ValueError):
         OptimizerConfig(init_mode="bogus")

@@ -15,6 +15,7 @@ from dqap_lab import (
     SingularOverlapError,
     SlaterState,
     apply_bond_layer,
+    block_energy,
     build_dqap_state,
     build_hamiltonian,
     build_imag_state,
@@ -27,8 +28,10 @@ from dqap_lab import (
     many_body_matrix,
     overlap,
     slater_to_fock,
+    state_and_derivatives,
     transition_density,
 )
+from dqap_lab.slater import _bond_block
 
 from .oracles import hopping_families, kspace_ground_energy, random_orthonormal
 
@@ -216,6 +219,27 @@ def test_imag_layer_rejects_dependent_columns():
     orb[:, 1] = orb[:, 0]
     with pytest.raises(SingularOverlapError):
         apply_bond_layer(SlaterState(orb), 1, 0.3, spec, mode="imag")
+
+
+@pytest.mark.parametrize("mode", ["real", "imag"])
+def test_bond_block_on_an_array_equals_the_scalar_calls(mode):
+    # one call gives every half-layer's (c, s); each entry must be the
+    # scalar call's, bit for bit, for the block pass to keep its numbers
+    angles = np.concatenate([[0.0, -0.0, 1e-300, -700.0, 700.0],
+                             np.random.default_rng(11).normal(scale=3.0, size=200)])
+    c, s = _bond_block(angles, mode)
+    ref = [_bond_block(a, mode) for a in angles]
+    assert c.shape == s.shape == angles.shape
+    assert c.tobytes() == np.array([r[0] for r in ref]).tobytes()
+    assert s.tobytes() == np.array([r[1] for r in ref]).tobytes()
+
+
+@pytest.mark.parametrize("run", [_bond_block, block_energy, state_and_derivatives])
+def test_overflow_in_a_later_layer_names_its_angle(run):
+    table = DqapParams([[0.5, 0.3], [0.2, 800.0]])
+    args = (table.flatten(),) if run is _bond_block else (LatticeSpec.half_filling(16), table)
+    with pytest.raises(SingularOverlapError, match=r"cosh\(800\)"):
+        run(*args, "imag")
 
 
 # ---- energies ----
