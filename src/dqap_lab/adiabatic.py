@@ -52,7 +52,10 @@ Both put one fermion in every Bloch block, so the squared overlap is the
 product over q of |c (a + conj(u_q) b) + s (b + conj(u_q) a)|^2 / 2:
 (a, b) are the prefix spinors before that half-layer, (c, s) its
 `slater._bond_block` and (1, u_q)/sqrt 2 the ground spinor.  A scan point
-costs O(L) and no determinant.
+costs O(L) and no determinant.  A scan forms the alpha-free sums once,
+fills its (alpha, chi) grid in blocks of alpha rows of at most
+`_CHUNK_ELEMENTS` amplitudes, and takes one argmax: ties go to the first
+alpha, then the first chi.
 """
 
 from __future__ import annotations
@@ -321,17 +324,30 @@ def scheduling_overlap(
 
 
 def _block_overlap(psi, u, angle):
-    """The module docstring's block product: spinors psi, odd angle, phases u (..., L/2)."""
-    c, s = _bond_block(angle, "real")
+    """The module docstring's block product for spinors psi, phases u (..., L/2) and odd angle(s).
+
+    Shape shape(angle) + shape(u)[:-1]; the angles run in blocks of at
+    most `_CHUNK_ELEMENTS` amplitudes, or of one angle where it has more.
+    """
     a, b = psi[:, 0], psi[:, 1]
-    amp = c * (a + u.conj() * b) + s * (b + u.conj() * a)
-    return np.prod(0.5 * np.abs(amp) ** 2, axis=-1)
+    uc = u.conj()
+    x, y = a + uc * b, b + uc * a
+    c, s = (np.reshape(v, (-1,) + (1,) * x.ndim) for v in _bond_block(angle, "real"))
+    out = np.empty(c.shape[:1] + x.shape[:-1])
+    rows = max(1, _CHUNK_ELEMENTS // x.size)
+    for i in range(0, len(out), rows):
+        amp = c[i : i + rows] * x
+        amp += s[i : i + rows] * y
+        mag = np.abs(amp)
+        mag **= 2
+        mag *= 0.5
+        np.prod(mag, axis=-1, out=out[i : i + rows])
+    return out.reshape(np.shape(angle) + x.shape[:-1])
 
 
 def _scan_blocks(spec, psi, theta, chis, alphas):
     """(f, chi, alpha) at the first maximum of `_block_overlap` on the alpha-major grid."""
-    u = _ground_phase(spec, chis)
-    grid = np.array([_block_overlap(psi, u, al * theta) for al in alphas])
+    grid = _block_overlap(psi, _ground_phase(spec, chis), alphas * theta)
     i, j = np.unravel_index(np.argmax(grid), grid.shape)
     return float(grid[i, j]), float(chis[j]), float(alphas[i])
 

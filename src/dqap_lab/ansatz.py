@@ -26,7 +26,9 @@ Half-layer k multiplies every block by c + s [[0, z], [z*, 0]], with
 (c, s) from one `slater._bond_block` call on all angles, z = e^{-iq}
 for the even family and z = 1 for the odd one.  The pass holds its rows
 component-major, (2, rows, L/2), so a half-layer is one in-place swap
-rotation, psi <- c psi + s (z, z*) psi[::-1].  The pass has two readers:
+rotation, psi <- c psi + s (z, z*) psi[::-1], with the pairs (z, z*)
+cached per chain (`_phase_pairs`) and s (z, z*) formed for all half-layers
+at once.  The pass has two readers:
 
 - `state_and_derivatives`, the derivative engine.  The same block
   transports the derivatives created so far, and derivative k is seeded
@@ -41,15 +43,19 @@ live derivatives, by the block's norm.  The natural-gradient metric and
 force are invariant under G -> GX, dG -> dG X for any invertible column
 change X, and this one is diagonal, so it changes no result; it keeps
 the state normalized (the norm is dropped, not stored), so the optimizer
-uses the same normalized formulas in both modes.
+uses the same normalized formulas in both modes.  A block that cancels
+exactly (cosh = sinh to rounding above |angle| ~ 19) has norm 0 and
+raises `SingularOverlapError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from .errors import SingularOverlapError
 from .lattice import LatticeSpec, _block_hopping, _cell_momenta, initial_state
 from .slater import SlaterState, _bond_block, apply_bond_layer
 
@@ -124,6 +130,18 @@ def intermediate_states(spec: LatticeSpec, params: DqapParams):
     return list(_forward_pass(spec, params.angles, "real"))[::2]
 
 
+@lru_cache(maxsize=16)
+def _phase_pairs(L, gamma, mode):
+    """(z, z*) of the even and odd family (z = 1), (2, 2, 1, L/2), and gen times them; read-only."""
+    emiq = _cell_momenta(L, gamma)[1]
+    pairs = np.ones((2, 2, 1, L // 2), dtype=complex)
+    pairs[0] = np.stack((emiq, emiq.conj()))[:, None]
+    seeds = (1j if mode == "real" else 1.0) * pairs  # gen: -i V_q (real) or -V_q (imag)
+    for arr in (pairs, seeds):
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return pairs, seeds
+
+
 def _block_pass(spec: LatticeSpec, params: DqapParams, mode: str, rows: int) -> np.ndarray:
     """Bloch blocks after the circuit, shape (rows, L/2, 2).
 
@@ -133,21 +151,24 @@ def _block_pass(spec: LatticeSpec, params: DqapParams, mode: str, rows: int) -> 
     derivative it creates where there is a row for it, and in imaginary
     mode divides the live rows by the state block's norm (module docstring).
     """
-    emiq = _cell_momenta(spec.L, spec.gamma)[1]
-    zs = (np.stack((emiq, emiq.conj()))[:, None], 1.0)  # (z, z*) of the even family; odd: 1
-    gen = 1j if mode == "real" else 1.0  # -i V_q (real) or -V_q (imag), per [[0, z], [z*, 0]]
+    pairs, seeds = _phase_pairs(spec.L, spec.gamma, mode)
+    c, s = _bond_block(params.flatten(), mode)
+    sz = (s.reshape(-1, 2, 1, 1, 1) * pairs).reshape(-1, *pairs.shape[1:])
     st = np.zeros((2, rows, spec.N), dtype=complex)
     st[:, 0] = np.sqrt(0.5)
-    for k, (c, s) in enumerate(zip(*_bond_block(params.flatten(), mode))):
-        z = zs[k % 2]
-        live = st[:, : k + 1]
-        swapped = s * z * live[::-1]
-        live *= c
-        live += swapped
-        if k + 1 < rows:
-            st[:, k + 1 : k + 2] = gen * z * st[::-1, :1]
-        if mode == "imag":
-            st[:, : k + 2] /= np.hypot(np.abs(st[0, 0]), np.abs(st[1, 0]))
+    swapped = np.empty_like(st)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, (ck, szk) in enumerate(zip(c, sz)):
+            live = st[:, : k + 1]
+            np.multiply(szk, live[::-1], out=swapped[:, : k + 1])
+            live *= ck
+            live += swapped[:, : k + 1]
+            if k + 1 < rows:
+                np.multiply(seeds[k % 2], st[::-1, :1], out=st[:, k + 1 : k + 2])
+            if mode == "imag":
+                st[:, : k + 2] /= np.hypot(np.abs(st[0, 0]), np.abs(st[1, 0]))
+    if mode == "imag" and not np.isfinite(st[:, 0]).all():  # a zero norm left NaN
+        raise SingularOverlapError("a Bloch block's norm underflows to zero")
     return st.transpose(1, 2, 0)
 
 
@@ -166,7 +187,7 @@ def state_and_derivatives(spec: LatticeSpec, params: DqapParams, mode="real"):
     Raises
     ------
     SingularOverlapError
-        In imaginary mode, if a block coefficient overflows.
+        In imaginary mode, if a block coefficient overflows or a block's norm is 0.
     """
     stack = _block_pass(spec, params, mode, 2 * params.M + 1)
     return stack[0], stack[1:]
@@ -184,7 +205,7 @@ def block_energy(spec: LatticeSpec, params: DqapParams, mode="real") -> float:
     Raises
     ------
     SingularOverlapError
-        In imaginary mode, if a block coefficient overflows.
+        In imaginary mode, if a block coefficient overflows or a block's norm is 0.
     """
     psi = _block_pass(spec, params, mode, 1)[0]
     return 2.0 * float(np.sum((psi[:, 0].conj() * _block_hopping(spec) * psi[:, 1]).real))

@@ -147,12 +147,16 @@ def assemble_metric_and_force(
     """
     kdim = derivs.shape[0]
     h01 = _block_hopping(spec)
-    hpsi = np.stack((h01 * spinors[:, 1], h01.conj() * spinors[:, 0]), axis=1)
-    e_q = np.sum(spinors.conj() * hpsi, axis=1)
+    hpsi = np.empty_like(spinors)
+    np.multiply(h01, spinors[:, 1], out=hpsi[:, 0])
+    np.multiply(h01.conj(), spinors[:, 0], out=hpsi[:, 1])
+    psi_c = spinors.conj()
+    e_q = np.sum(psi_c * hpsi, axis=1)
     aflat = derivs.reshape(kdim, spinors.size)
-    proj = np.einsum("qs,kqs->kq", spinors.conj(), derivs)
-    metric = aflat.conj() @ aflat.T - proj.conj() @ proj.T
-    force = aflat.conj() @ (hpsi - spinors * e_q[:, None]).ravel()
+    aflat_c = aflat.conj()
+    proj = np.einsum("qs,kqs->kq", psi_c, derivs)
+    metric = aflat_c @ aflat.T - proj.conj() @ proj.T
+    force = aflat_c @ (hpsi - spinors * e_q[:, None]).ravel()
     return metric, force
 
 

@@ -105,9 +105,9 @@ def _bond_block(angle, mode):
         raise ValueError(f"mode must be 'real' or 'imag', got {mode!r}")
     with np.errstate(over="ignore"):
         c = np.cosh(angle)
-    bad = np.extract(~np.isfinite(c), angle)
-    if bad.size:
-        raise SingularOverlapError(f"imaginary bond coefficient cosh({bad[0]:.6g}) overflows")
+    if not np.isfinite(c).all():
+        bad = np.extract(~np.isfinite(c), angle)[0]
+        raise SingularOverlapError(f"imaginary bond coefficient cosh({bad:.6g}) overflows")
     return c, np.sinh(angle)
 
 

@@ -12,8 +12,8 @@ re-orthonormalization; its Bloch-block pass has the earlier
 per-component loop, which must match bit for bit.  The ramp's Bloch
 spinors have a one-slice-at-a-time route, and any Bloch spinors a map
 to real-space orbitals.  The overlap grid scan has a scalar route,
-one determinant per grid point.  Nothing here calls back into
-dqap_lab, so agreement is meaningful.
+one determinant per grid point, and a per-row route on the blocks.
+Nothing here calls back into dqap_lab, so agreement is meaningful.
 """
 
 import numpy as np
@@ -312,6 +312,31 @@ def mp_imag_energy(L, boundary, table, t=1.0, dps=40):
             h01 = -t * (1 + mp.conj(eiq))  # block entry <A|H_q|B>
             energy += 2 * mp.re(mp.conj(a) * h01 * b)
         return energy
+
+
+def reference_scan_blocks(L, boundary, psi, theta, chis, alphas):
+    """Grid scan of the Bloch-block overlap, one alpha row at a time: (f, chi, alpha).
+
+    psi (L/2, 2) are the prefix spinors before its last odd half-layer,
+    theta that half-layer's angle and u_q = z/|z|, z = 1 + chi e^{iq}, the
+    ramp ground phases.  Row alpha is prod_q |c (a + conj(u_q) b) +
+    s (b + conj(u_q) a)|^2 / 2 at (c, s) = (cos, i sin)(alpha theta).  This
+    is the per-row loop the package ran before it filled the grid in
+    chunks, with the same elementwise operations, so the two must agree
+    bit for bit; np.argmax keeps the first maximum, alpha-major.
+    """
+    q = cell_momenta(L, boundary)
+    z = 1.0 + np.multiply.outer(chis, np.exp(1j * q))
+    u = z / np.abs(z)
+    a, b = psi[:, 0], psi[:, 1]
+    rows = []
+    for al in alphas:
+        c, s = np.cos(al * theta), 1j * np.sin(al * theta)
+        amp = c * (a + u.conj() * b) + s * (b + u.conj() * a)
+        rows.append(np.prod(0.5 * np.abs(amp) ** 2, axis=-1))
+    grid = np.array(rows)
+    i, j = np.unravel_index(np.argmax(grid), grid.shape)
+    return float(grid[i, j]), float(chis[j]), float(alphas[i])
 
 
 def scalar_grid_scan(adjoints, chis, alphas, prefix_state):

@@ -44,6 +44,7 @@ from .oracles import (
     kspace_levels,
     mp_ramp_eps,
     random_orthonormal,
+    reference_scan_blocks,
     scalar_grid_scan,
     sequential_ramp,
     spinor_orbitals,
@@ -618,6 +619,77 @@ def test_block_grid_matches_scalar_scan(L, gamma, M):
             )
             assert (chi, alpha) == (chi_ref, alpha_ref)
             assert abs(f - f_ref) < 1e-12
+
+
+def _random_scan_cases(seed, count):
+    """(spec, params, m, alpha): closed shells of L in 8..128, m = 0..M, free and fixed alpha."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        gamma = int(rng.choice([-1, 1]))
+        cells = 2 * int(rng.integers(2, 33)) - (gamma == 1)  # odd for pbc, even for apbc
+        spec = LatticeSpec.half_filling(2 * cells, gamma=gamma)
+        M = int(rng.integers(1, 5))
+        params = DqapParams(rng.uniform(-1.0, 1.0, (M, 2)) * rng.choice([0.3, 1.0, 3.0]))
+        for m in range(M + 1):
+            yield spec, params, m, rng.choice([None, 1.0, rng.uniform(0.0, 1.5)])
+
+
+def _scan_input(spec, params, m):
+    table, theta = adiabatic._prefix(spec, params, m)
+    return state_and_derivatives(spec, DqapParams(table))[0], theta
+
+
+def test_scan_blocks_is_bit_identical_to_the_per_alpha_loop():
+    chis = adiabatic._GRID_CHIS
+    for spec, params, m, alpha in _random_scan_cases(7, 12):
+        psi, theta = _scan_input(spec, params, m)
+        centre = np.random.default_rng(m).uniform(0.0, 1.5)
+        window = adiabatic._window(centre, 1e-3)
+        for c, a in ((chis[1:], chis), (chis, np.array([1.0])), (window, window)):
+            ref = reference_scan_blocks(spec.L, spec.boundary, psi, theta, c, a)
+            assert adiabatic._scan_blocks(spec, psi, theta, c, a) == ref
+
+
+def test_maximize_overlap_is_bit_identical_with_the_per_alpha_loop(monkeypatch):
+    cases = list(_random_scan_cases(11, 10))
+    got = [maximize_overlap(spec, params, m, alpha) for spec, params, m, alpha in cases]
+
+    def per_alpha_loop(spec, psi, theta, chis, alphas):
+        return reference_scan_blocks(spec.L, spec.boundary, psi, theta, chis, alphas)
+
+    monkeypatch.setattr(adiabatic, "_scan_blocks", per_alpha_loop)
+    for (spec, params, m, alpha), res in zip(cases, got):
+        assert maximize_overlap(spec, params, m, alpha) == res
+
+
+@pytest.mark.parametrize("chunk", [1000, 4096, adiabatic._CHUNK_ELEMENTS])
+@pytest.mark.parametrize("L", [8, 16, 128])
+def test_scan_grid_spans_chunks_within_the_bound(L, chunk, monkeypatch):
+    # every (alpha, chi, q) temporary of a scan holds at most _CHUNK_ELEMENTS
+    # entries, or one alpha row where a row holds more; the coarse
+    # free-alpha grid spans several blocks and picks the per-row loop's point
+    sizes = []
+    prod = np.prod
+
+    def spy(arr, *args, **kwargs):
+        sizes.append(arr.size)
+        return prod(arr, *args, **kwargs)
+
+    spec = LatticeSpec.half_filling(L)
+    params = DqapParams(np.random.default_rng(L).uniform(0.0, 0.6, (3, 2)))
+    psi, theta = _scan_input(spec, params, 2)
+    chis, alphas = adiabatic._GRID_CHIS[1:], adiabatic._GRID_CHIS
+    ref = reference_scan_blocks(L, spec.boundary, psi, theta, chis, alphas)
+    monkeypatch.setattr(adiabatic, "_CHUNK_ELEMENTS", chunk)
+    monkeypatch.setattr(np, "prod", spy)
+    got = adiabatic._scan_blocks(spec, psi, theta, chis, alphas)
+    monkeypatch.undo()
+    row = len(chis) * (L // 2)
+    per_block = max(1, chunk // row)
+    assert got == ref
+    assert len(sizes) == -(-len(alphas) // per_block) > 1
+    assert max(sizes) <= max(chunk, row)
+    assert sum(sizes) == len(alphas) * row
 
 
 def test_block_grid_keeps_the_first_alpha():

@@ -1,6 +1,7 @@
 """Layered circuits, parameter tables, and the derivative engine."""
 
 import sys
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -22,13 +23,14 @@ from dqap_lab import (
     fock_expectation,
     initial_state,
     intermediate_states,
+    optimize_imaginary,
     orbital_support,
     overlap,
     slater_to_fock,
     state_and_derivatives,
     transition_density,
 )
-from dqap_lab.ansatz import _block_pass
+from dqap_lab.ansatz import _block_pass, _phase_pairs
 
 from .oracles import (
     dense_circuit,
@@ -394,6 +396,34 @@ def test_block_energy_overflow_raises_typed_error():
     spec = LatticeSpec.half_filling(16)
     with pytest.raises(SingularOverlapError):
         block_energy(spec, DqapParams([[0.5, 800.0]]), "imag")
+
+
+def test_imag_block_whose_norm_underflows_raises_typed_error():
+    # at |angle| ~ 21 cosh and sinh agree to rounding, so a half-layer can
+    # cancel a block exactly; its norm is 0, and dividing by it used to
+    # return NaN with only RuntimeWarnings
+    spec = LatticeSpec.half_filling(8, gamma=+1)
+    p = DqapParams(np.random.default_rng(0).uniform(-21.0, 21.0, (11, 2)))
+    runs = [
+        lambda: block_energy(spec, p, "imag"),
+        lambda: state_and_derivatives(spec, p, "imag"),
+        lambda: build_imag_state(spec, p),
+        lambda: optimize_imaginary(spec, p.M, init=p),  # its start energy
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for run in runs:
+            with pytest.raises(SingularOverlapError):
+                run()
+
+
+def test_phase_pairs_are_cached_and_read_only():
+    pairs, seeds = _phase_pairs(12, +1, "real")
+    assert _phase_pairs(12, +1, "real")[0] is pairs
+    assert not pairs.flags.writeable and not seeds.flags.writeable
+    assert np.array_equal(pairs[1], np.ones((2, 1, 6)))
+    assert np.array_equal(seeds, 1j * pairs)
+    assert np.array_equal(_phase_pairs(12, +1, "imag")[1], pairs)
 
 
 @pytest.mark.parametrize("mode", ["real", "imag"])

@@ -332,6 +332,20 @@ def test_imaginary_ladder_l64_is_monotone_and_exact():
     assert energies[-1] - e_exact < 1e-8
 
 
+@pytest.mark.parametrize("L, gamma, mode, counts", [
+    (16, -1, "real", {1: 19, 2: 19, 3: 23, 4: 29}),
+    (160, -1, "real", {1: 19, 2: 19, 3: 22}),
+    (30, +1, "imag", {1: 36, 2: 55, 3: 52}),
+])
+def test_benchmark_ladders_keep_their_iteration_counts(L, gamma, mode, counts):
+    # the ladders perfbench times, at the CLI's default settings: a change
+    # to the block pass, the assembly or the line search that moves a count
+    # changes the numbers, however small its rounding
+    rungs = ladder(LatticeSpec.half_filling(L, gamma=gamma), tuple(counts), OptimizerConfig(), mode)
+    assert {m: res.iterations for m, res in rungs.items()} == counts
+    assert all(res.stop_reason == "energy_tol" for res in rungs.values())
+
+
 # ---- step control ----
 
 
