@@ -75,6 +75,7 @@ from .slater import SlaterState, _bond_block, overlap
 # slice x cell entries per magnus_step call of a ramp: about 1 MB per temporary
 _CHUNK_ELEMENTS = 1 << 16
 _T_START = 1.0  # first ramp time tried by find_T_epsilon
+_T_CAP = 1e6  # longest ramp time find_T_epsilon tries
 # maximize_overlap's coarse step and upper end of chi and alpha, its window steps and half-width
 _GRID_STEP, _GRID_BOUND, _REFINE_STEPS, _WINDOW = 0.01, 1.5, (1e-3, 1e-4, 1e-5), 10
 _GRID_CHIS = np.arange(0.0, _GRID_BOUND + _GRID_STEP / 2, _GRID_STEP)
@@ -216,7 +217,7 @@ def evolve_linear_schedule(spec: LatticeSpec, plan: EvolutionPlan):
 
 
 def find_T_epsilon(
-    spec: LatticeSpec, target_eps: float, dtau: float = 0.01, order: int = 1, t_cap: float = 1e6
+    spec: LatticeSpec, target_eps: float, dtau: float = 0.01, order: int = 1
 ) -> float:
     """A ramp time at which the terminal distance crosses below the target.
 
@@ -231,10 +232,10 @@ def find_T_epsilon(
     has M = max(1, round(T / dtau)) slices, the nearest integer count, so
     its step T / M may be slightly larger than `dtau`: T = 11.3125 gives
     M = 1131 and a step of 0.0100022.  Raises ValueError for a
-    non-finite or non-positive target_eps, dtau or t_cap before any ramp
-    runs, and NoConvergence if the cap is hit before the target.
+    non-finite or non-positive target_eps or dtau before any ramp runs,
+    and NoConvergence if T passes 1e6 before the target is met.
     """
-    for name, value in (("target_eps", target_eps), ("dtau", dtau), ("t_cap", t_cap)):
+    for name, value in (("target_eps", target_eps), ("dtau", dtau)):
         if not is_finite_positive(value):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
@@ -245,10 +246,8 @@ def find_T_epsilon(
     t_hi = _T_START
     while eps_at(t_hi) > target_eps:
         t_hi *= 2.0
-        if t_hi > t_cap:
-            raise NoConvergence(
-                f"no T <= {t_cap} reaches eps <= {target_eps} for L={spec.L}"
-            )
+        if t_hi > _T_CAP:
+            raise NoConvergence(f"no T <= {_T_CAP} reaches eps <= {target_eps} for L={spec.L}")
     t_lo = t_hi / 2.0
     if t_hi == _T_START:
         while t_lo > 1e-6 and eps_at(t_lo) <= target_eps:

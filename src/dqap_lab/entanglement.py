@@ -159,7 +159,7 @@ def scaling_exponents(ms, entropies, energy_errors):
 
     Parameters
     ----------
-    ms : ascending consecutive integer depths
+    ms : ascending consecutive integer depths, all at least 1
     entropies : S at each depth
     energy_errors : per-site energy error at each depth, all positive
 
@@ -177,6 +177,8 @@ def scaling_exponents(ms, entropies, energy_errors):
         raise ValueError("need equal-length series of at least two depths")
     if np.any(np.diff(ms) != 1):
         raise ValueError("depths must be consecutive integers")
+    if ms[0] < 1:
+        raise ValueError("depths must be at least 1 to take logs")
     if np.any(err <= 0.0):
         raise ValueError("energy errors must be positive to take logs")
     dlog = np.log(ms[1:] / ms[:-1].astype(float))

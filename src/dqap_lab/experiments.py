@@ -314,9 +314,10 @@ def _task_entanglement_sweep(spec, depths, results, options):
         s = entanglement_entropy(state, cut)
         deps = r.energy / spec.L - EPS_INF
         rows.append(_context(spec, m) + [la, s, s_exact, r.energy, deps])
-        ms.append(m)
-        svals.append(s)
-        evals.append(deps)
+        if m >= 1:  # the exponents take the log of the depth
+            ms.append(m)
+            svals.append(s)
+            evals.append(deps)
     out = {"entropy": rows}
     ms = np.asarray(ms)
     if len(ms) >= 2 and np.all(np.diff(ms) == 1) and np.all(np.asarray(evals) > 0):
@@ -566,13 +567,10 @@ def run_task(config: ExperimentConfig, spec: LatticeSpec, optimizer: dict) -> di
 
 
 def _format_cell(v):
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    """Floats in scientific notation with 17 significant digits, every other cell as an int."""
     if isinstance(v, (float, np.floating)):
         return f"{float(v):.16e}"
-    return str(v)
+    return str(int(v))
 
 
 def _write_csv(path, header, rows):
@@ -602,7 +600,8 @@ def run_experiment(
     the manifest without aborting sibling tasks.  A table with no rows is
     not written.  Returns the manifest
     (ok = True only if every task succeeded).  A jobs that is not a
-    positive int is a ConfigError, raised before any task runs.
+    positive int, or an output directory that cannot be created, is a
+    ConfigError, raised before any task runs.
     """
     kind = KINDS[config.kind]
     if not (is_int(jobs) and jobs >= 1):
@@ -613,7 +612,10 @@ def run_experiment(
         for spec, seed in zip(config.specs, seeds)
     ]
     out = out_dir or config.out or os.path.join("runs", config.kind)
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out!r}: {exc}") from exc
     t0 = time.monotonic()
     if jobs == 1 or len(tasks) == 1:
         results = [_timed_task(config, *task) for task in tasks]

@@ -1,15 +1,15 @@
 """Natural-gradient minimization of the hopping energy over circuit angles.
 
 The update solves (S + S* + ridge) dtheta = -delta_beta (f + f*) where S
-is the overlap metric of the parameter derivatives and f the force
-vector.  Both are assembled block by block from the Bloch spinors of the
-circuit state and their derivatives (`ansatz.state_and_derivatives`),
-which are normalized in both modes, at cost O(K^2 L).  The energy the
-run compares is the block energy of the same blocks
-(`ansatz.block_energy`, a state-only pass at cost O(M L)): the start,
-every line-search trial and the trace read it.  The real-space energy,
-`slater.energy_expectation` of the built state, is read once per run,
-for the returned table: it is the energy a run reports, and a
+is the overlap metric of the parameter derivatives, f the force vector
+and the ridge a fixed 1e-10.  S and f are assembled block by block from
+the Bloch spinors of the circuit state and their derivatives
+(`ansatz.state_and_derivatives`), which are normalized in both modes, at
+cost O(K^2 L).  The energy the run compares is the block energy of the
+same blocks (`ansatz.block_energy`, a state-only pass at cost O(M L)):
+the start, every line-search trial and the trace read it.  The real-space
+energy, `slater.energy_expectation` of the built state, is read once per
+run, for the returned table: it is the energy a run reports, and a
 `SingularOverlapError` of that build is raised, not retried.
 
 Both modes optimize the same table type, `DqapParams`; the mode is
@@ -22,9 +22,9 @@ With the metric on the left this flow is a discretized imaginary-time
 evolution projected onto the variational manifold, so the energy trace
 is non-increasing for small delta_beta.  That bound is first order; at
 finite delta_beta a shift along a soft metric mode can leave the linear
-regime, so the run loop halves any shift that would raise the energy
-(or give a non-finite one, or an imaginary-time block coefficient that
-overflows).
+regime, so the run loop halves the shift until a trial's block energy is
+finite and no higher than the last; a trial whose imaginary-time block
+coefficient overflows (`SingularOverlapError`) counts as energy +inf.
 Well-conditioned steps are taken whole.
 
 delta_beta adapts per run, in both modes.  It starts at the configured
@@ -55,6 +55,7 @@ from .lattice import (
 from .slater import energy_expectation
 
 _LSTSQ_CUTOFF = 1e-12
+_RIDGE = 1e-10  # shift of the kept metric modes; the step hardly depends on it
 _MAX_HALVINGS = 60
 _TRUST_CAP = 0.1  # largest angle shift per iteration
 _STEP_GROWTH = 1.5  # delta_beta factor after a step taken whole
@@ -82,7 +83,6 @@ class OptimizerConfig:
 
     max_iters: int = 200_000
     energy_tol: float = 1e-13
-    ridge: float = 1e-10
     delta_beta: float = 0.01
     init_mode: str = "linear-schedule"
     init_scale: float = 0.01
@@ -93,7 +93,6 @@ class OptimizerConfig:
             ("delta_beta", "a finite positive real", is_finite_positive),
             ("init_scale", "a finite positive real", is_finite_positive),
             ("energy_tol", "a finite non-negative real", is_finite_nonnegative),
-            ("ridge", "a finite non-negative real", is_finite_nonnegative),
             ("max_iters", "a non-negative int", lambda v: is_int(v) and v >= 0),
             ("seed", "a non-negative int or None", lambda v: v is None or is_int(v) and v >= 0),
         ]
@@ -117,8 +116,9 @@ class OptResult:
     built state; it agrees with trace[-1] up to rounding.
 
     stop_reason is 'energy_tol' (the energy change fell below the
-    tolerance), 'no_descent' (no halving of the proposed shift lowers
-    the energy, or there are no angles to move) or 'max_iters'.
+    tolerance), 'no_descent' (no halving of the proposed shift gives a
+    finite energy no higher than the last, or there are no angles to
+    move) or 'max_iters'.
     converged is true for the first two.
     """
 
@@ -217,31 +217,28 @@ def _run(spec, params, mode, config):
         metric, force = assemble_metric_and_force(
             *state_and_derivatives(spec, params, mode=mode), spec
         )
-        dtheta = _solve_step(metric, force, db, config.ridge)
+        dtheta = _solve_step(metric, force, db, _RIDGE)
         largest = np.max(np.abs(dtheta))
         if largest > _TRUST_CAP:
             dtheta *= _TRUST_CAP / largest
         flat = params.flatten()
-        accepted = None
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = DqapParams.from_flat(flat + scale * dtheta)
             try:
                 energy = block_energy(spec, trial, mode)
             except SingularOverlapError:
-                scale *= 0.5
-                continue
+                energy = np.inf
             if np.isfinite(energy) and energy <= trace[-1]:
-                accepted = trial
                 break
             scale *= 0.5
-        if accepted is None:
+        else:
             # No scale of the proposed shift descends: the state sits at
             # the numerical floor of this basin.
             stop_reason = "no_descent"
             break
         db = db * _STEP_GROWTH if scale == 1.0 else max(config.delta_beta, db * scale)
-        params = accepted
+        params = trial
         it += 1
         trace.append(energy)
         if abs(trace[-1] - trace[-2]) / (abs(trace[-1]) + 1.0) < config.energy_tol:
@@ -301,29 +298,23 @@ def ladder(
 ) -> dict:
     """Optimize at each depth, warm-starting every rung from the last.
 
-    Runs every depth from 1 to max(depths) in `mode` ("real" or
+    Runs depth 0 first when it is requested (the bare dimer result),
+    then every depth from 1 to max(depths) in `mode` ("real" or
     "imag"); depth M + 1 starts from `warm_start` of the optimized
-    M-layer table, depth 1 from `config`'s initialization.  Depth 0 is
-    allowed and returns the bare dimer result.  Returns {depth: OptResult}
-    for the requested depths.  Any other mode raises ValueError before
-    the first rung runs.
+    M-layer table, depth 1 from `config`'s initialization.  Returns
+    {depth: OptResult} for the requested depths.  Any other mode raises
+    ValueError before the first rung runs.
     """
     if mode not in ("real", "imag"):
         raise ValueError(f"mode must be 'real' or 'imag', got {mode!r}")
     # looked up at call time, so that rebinding the module's names (as a
     # tracer does) reaches every ladder
     run = optimize if mode == "real" else optimize_imaginary
-    out = {}
-    top = max(depths)
-    params = None
-    for m in range(0, top + 1):
-        if m == 0:
-            if 0 in depths:
-                out[0] = run(spec, 0, config)
-            continue
-        init = warm_start(params) if params is not None and m > 1 else None
+    out = {0: run(spec, 0, config)} if 0 in depths else {}
+    init = None
+    for m in range(1, max(depths) + 1):
         res = run(spec, m, config, init=init)
-        params = res.params
+        init = warm_start(res.params)
         if m in depths:
             out[m] = res
     return out

@@ -336,6 +336,16 @@ def test_find_T_epsilon_returns_a_crossing_not_the_smallest_time():
     assert eps_at(8.25) <= 0.05 < eps_at(10.0)
 
 
+def test_find_T_epsilon_searches_below_the_start_when_it_meets_the_target():
+    # eps(1) = 0.7395 already meets 0.8, so the lower end is halved
+    # before the bisection (it returns T = 0.4755859375, eps = 0.79991)
+    spec = LatticeSpec.half_filling(8)
+    t_star = find_T_epsilon(spec, 0.8, dtau=0.01)
+    plan = EvolutionPlan(T=t_star, M=max(1, round(t_star / 0.01)))
+    assert t_star == 0.4755859375 < adiabatic._T_START
+    assert evolve_linear_schedule(spec, plan)[1] <= 0.8
+
+
 def test_find_T_epsilon_monotone_in_target():
     spec = LatticeSpec.half_filling(8)
     loose = find_T_epsilon(spec, 0.1, dtau=0.01)
@@ -346,9 +356,8 @@ def test_find_T_epsilon_monotone_in_target():
 @pytest.mark.parametrize(
     "kwargs",
     [{"target_eps": np.nan}, {"target_eps": 0.0}, {"target_eps": -0.1}, {"dtau": np.nan},
-     {"dtau": 0.0}, {"t_cap": np.inf}, {"t_cap": -1.0}, {"order": True}],
-    ids=["target-nan", "target-0", "target-negative", "dtau-nan", "dtau-0", "cap-inf",
-         "cap-negative", "order-bool"],
+     {"dtau": 0.0}, {"order": True}],
+    ids=["target-nan", "target-0", "target-negative", "dtau-nan", "dtau-0", "order-bool"],
 )
 def test_find_T_epsilon_rejects_malformed_inputs_before_any_ramp(kwargs, monkeypatch):
     calls = []
@@ -364,10 +373,11 @@ def test_find_T_epsilon_rejects_malformed_inputs_before_any_ramp(kwargs, monkeyp
     assert calls == []
 
 
-def test_find_T_epsilon_cap_raises():
+def test_find_T_epsilon_cap_raises(monkeypatch):
+    monkeypatch.setattr(adiabatic, "_T_CAP", 2.0)
     spec = LatticeSpec.half_filling(8)
     with pytest.raises(NoConvergence):
-        find_T_epsilon(spec, 1e-5, dtau=0.01, t_cap=2.0)
+        find_T_epsilon(spec, 1e-5, dtau=0.01)
 
 
 # ---- ramp ground states ----

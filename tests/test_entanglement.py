@@ -269,3 +269,5 @@ def test_scaling_exponents_validation():
         scaling_exponents([2], [0.1], [1.0])
     with pytest.raises(ValueError):
         scaling_exponents([2, 3], [0.1], [1.0, 0.5])
+    with pytest.raises(ValueError, match="at least 1"):
+        scaling_exponents([0, 1], [0.1, 0.2], [1.0, 0.5])

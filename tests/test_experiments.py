@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -274,6 +275,21 @@ def test_imaginary_distance_is_finite_for_large_scale_factors(tmp_path):
     assert 0.0 <= float(row["distance"]) <= 1.0
 
 
+def test_entanglement_exponents_skip_depth_zero(tmp_path):
+    # depth 0 has no log: its row must add no exponent row and no warning
+    written = {}
+    for name, depths in (("with-0", [0, 1, 2]), ("without-0", [1, 2])):
+        config = {"sizes": [16], "depths": depths}
+        (tmp_path / name).mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = _run(tmp_path / name, "entanglement-sweep", config)
+        assert code == 0
+        written[name] = (out / "exponents.csv").read_text()
+    assert written["with-0"] == written["without-0"]
+    assert len(written["with-0"].splitlines()) == 2  # the header and M = 1
+
+
 def _open_shell(kind):
     """The kind's case on the L=12 pbc chain, whose N = 6 is even; a ladder stops at depth 1."""
     depths = {"depths": [1]} if KINDS[kind].ladder else {}
@@ -355,12 +371,41 @@ def test_ladder_keys_are_a_config_error_where_no_ladder_runs(tmp_path, kind, key
     {"seed": False},
     {"seed": -1},
     {"out": 5},
+    {"sizes": []},
+    {"boundary": "obc"},
+    {"depths": []},
+    {"depths": "all"},
+    {"optimizer": [1]},
+    {"experiment": "teff"},  # the command line runs energy-sweep
 ], ids=["typo-key", "foreign-option", "t-not-a-key", "bool-depth", "bool-seed",
-        "negative-seed", "out-number"])
+        "negative-seed", "out-number", "no-sizes", "bad-boundary", "no-depths", "depths-all",
+        "optimizer-list", "other-kind"])
 def test_malformed_config_is_a_config_error(tmp_path, override):
     code, out = _run(tmp_path, "energy-sweep", {**_LADDER, **override})
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [None, "[1, 2]", "{not json"],
+                         ids=["missing", "top-level-list", "invalid-json"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["energy-sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiment": "energy-sweep", **_LADDER}))
+    out = tmp_path / "outfile"
+    out.write_text("")
+    assert main(["energy-sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert "cannot create output directory" in capsys.readouterr().err
+    assert out.read_text() == ""
 
 
 @pytest.mark.parametrize("optimizer", [
@@ -432,6 +477,10 @@ def test_negative_seed_override_is_a_config_error(tmp_path):
 def test_config_is_validated_however_it_is_built():
     with pytest.raises(ConfigError):
         ExperimentConfig("energy-sweep", sizes=[7], depths=[1])
+    with pytest.raises(ConfigError, match="unknown experiment kind"):
+        ExperimentConfig("bogus", sizes=[8])
+    with pytest.raises(ConfigError, match="no experiment kind"):
+        ExperimentConfig.from_dict(_LADDER)
     cfg = ExperimentConfig.from_dict({"experiment": "energy-sweep", **_LADDER})
     with pytest.raises(ConfigError):
         replace(cfg, seed=-1)

@@ -9,6 +9,7 @@ from dqap_lab import (
     DqapParams,
     LatticeSpec,
     OptimizerConfig,
+    SingularOverlapError,
     ansatz,
     assemble_metric_and_force,
     block_energy,
@@ -37,9 +38,9 @@ def random_point(rng, m):
     return DqapParams(rng.uniform(0.1, 1.0, size=(m, 2)))
 
 
-def natural_gradient_step(metric, force, params, config):
+def natural_gradient_step(metric, force, params, config, ridge=optimizer._RIDGE):
     """One unscaled update at the configured step: solve and shift the angles."""
-    dtheta = optimizer._solve_step(metric, force, config.delta_beta, config.ridge)
+    dtheta = optimizer._solve_step(metric, force, config.delta_beta, ridge)
     return DqapParams.from_flat(params.flatten() + dtheta)
 
 
@@ -150,8 +151,8 @@ def test_step_insensitive_to_ridge_at_generic_points():
     rng = np.random.default_rng(7)
     params = random_point(rng, 2)
     metric, force = metric_and_force(spec, params)
-    a = natural_gradient_step(metric, force, params, OptimizerConfig(ridge=0.0)).flatten()
-    b = natural_gradient_step(metric, force, params, OptimizerConfig(ridge=1e-10)).flatten()
+    a = natural_gradient_step(metric, force, params, OptimizerConfig(), ridge=0.0).flatten()
+    b = natural_gradient_step(metric, force, params, OptimizerConfig()).flatten()
     assert np.linalg.norm(a - b) < 1e-6
 
 
@@ -290,6 +291,29 @@ def test_line_search_halves_a_trial_whose_block_overflows(monkeypatch):
     assert res.trace[1] <= res.trace[0]
 
 
+def test_line_search_stops_when_every_trial_overflows(monkeypatch):
+    # the first call is the start energy; every trial's block pass then
+    # raises, so the run ends on its start table
+    spec = LatticeSpec.half_filling(8)
+    real_energy = optimizer.block_energy
+    calls = []
+
+    def every_trial_singular(spec, params, mode):
+        calls.append(params)
+        if len(calls) > 1:
+            raise SingularOverlapError("block coefficient overflows")
+        return real_energy(spec, params, mode)
+
+    start = linear_schedule_params(2, OptimizerConfig().init_scale)
+    monkeypatch.setattr(optimizer, "block_energy", every_trial_singular)
+    res = optimize_imaginary(spec, 2)
+    assert res.stop_reason == "no_descent" and res.converged
+    assert res.iterations == 0
+    assert len(calls) == 1 + optimizer._MAX_HALVINGS
+    assert np.array_equal(res.params.angles, start.angles)
+    assert np.array_equal(res.trace, [real_energy(spec, start, "imag")])
+
+
 @pytest.mark.parametrize("run,builder", [
     (optimize, build_dqap_state),
     (optimize_imaginary, build_imag_state),
@@ -370,6 +394,18 @@ def test_warm_start_ladder_reaches_quarter_depth_in_few_iterations():
     assert total < 1000
 
 
+@pytest.mark.parametrize("mode,run", [("real", optimize), ("imag", optimize_imaginary)])
+def test_ladder_runs_depth_zero_apart_from_the_warm_start_rungs(mode, run):
+    spec = LatticeSpec.half_filling(12)
+    rungs = ladder(spec, [0, 2], mode=mode)
+    assert list(rungs) == [0, 2]
+    for got, want in ((rungs[0], run(spec, 0)), (rungs[2], ladder(spec, [2], mode=mode)[2])):
+        assert np.array_equal(got.params.angles, want.params.angles)
+        assert np.array_equal(got.trace, want.trace)
+        assert (got.energy, got.iterations, got.stop_reason) == (
+            want.energy, want.iterations, want.stop_reason)
+
+
 def test_ladder_rejects_an_unknown_mode_before_any_rung(monkeypatch):
     def no_rung(*args, **kwargs):
         raise AssertionError("a rung ran")
@@ -392,9 +428,6 @@ def test_ladder_rejects_an_unknown_mode_before_any_rung(monkeypatch):
     ("energy_tol", -1e-13),
     ("energy_tol", float("inf")),
     ("energy_tol", "1e-13"),
-    ("ridge", -1e-10),
-    ("ridge", float("nan")),
-    ("ridge", False),
     ("max_iters", -1),
     ("max_iters", 1e999),
     ("max_iters", 10.0),
@@ -426,6 +459,12 @@ def test_random_init_bounded_and_reproducible():
     assert np.all(a >= 0.0) and np.all(a <= 0.01)
     c = optimize(spec, 3, OptimizerConfig(init_mode="random", seed=12, max_iters=0))
     assert np.any(c.params.angles != a)
+
+
+def test_ridge_is_not_a_setting():
+    # the step solve shifts the kept metric modes by the fixed optimizer._RIDGE
+    with pytest.raises(TypeError, match="ridge"):
+        OptimizerConfig(ridge=0.0)
 
 
 def test_random_init_without_a_seed_is_rejected():
