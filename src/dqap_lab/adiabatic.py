@@ -373,7 +373,7 @@ def maximize_overlap(spec: LatticeSpec, params: DqapParams, m: int, alpha: float
     if m == 0 and alpha is None:
         alpha = 1.0  # the dimer prefix does not depend on alpha
     table, theta = _prefix(spec, params, m)
-    psi = _block_pass(spec, DqapParams(table), "real", 1)[0]
+    psi = _block_pass(spec, DqapParams(table), "real")[0][-1].T
     alphas = _GRID_CHIS if alpha is None else np.array([alpha])
     chis = _GRID_CHIS[1:] if alpha is None else _GRID_CHIS
     _, chi, al = _scan_blocks(spec, psi, theta, chis, alphas)

@@ -22,30 +22,47 @@ instead.  The dimer state, both bond families and the boundary twist are
 invariant under translation by two sites, so the circuit state puts one
 fermion in each cell momentum q (`lattice`): an (L/2, 2) spinor array,
 starting from (1, 1)/sqrt 2, the layout `adiabatic.magnus_step` uses.
-Half-layer k multiplies every block by c + s [[0, z], [z*, 0]], with
-(c, s) from one `slater._bond_block` call on all angles, z = e^{-iq}
-for the even family and z = 1 for the odd one.  The pass holds its rows
-component-major, (2, rows, L/2), so a half-layer is one in-place swap
-rotation, psi <- c psi + s (z, z*) psi[::-1], with the pairs (z, z*)
-cached per chain (`_phase_pairs`) and s (z, z*) formed for all half-layers
-at once.  The pass has two readers:
+Half-layer k multiplies every block by B_k = c + s [[0, z], [z*, 0]],
+with (c, s) from one `slater._bond_block` call on all angles, z = e^{-iq}
+for the even family and z = 1 for the odd one.  The pass keeps every
+half-layer: row k + 1 of its (2M + 1, 2, L/2) stack holds the blocks
+after half-layer k, component-major, each written as
+c psi + s (z, z*) psi[::-1] from the row before, with the pairs (z, z*)
+cached per chain (`_phase_pairs`).  The stack is read-only and memoized
+on (L, gamma, mode, table) for one table, so the pass of the last
+line-search trial the optimizer accepts is the pass its next
+`state_and_derivatives` reads.  The pass has three readers:
 
-- `state_and_derivatives`, the derivative engine.  The same block
-  transports the derivatives created so far, and derivative k is seeded
-  with the generator -i V_q (real) or -V_q (imag) applied to the rotated
-  spinors, V_q = -[[0, z], [z*, 0]].  Every derivative therefore ends
-  in the final frame, at total cost O(M^2 L) without any backward pass.
-- `block_energy`, the state alone at cost O(M L), and its energy
-  sum_q <psi_q|H_q|psi_q>: the optimizer's line-search energy.
+- `block_energy`, the last row's energy sum_q <psi_q|H_q|psi_q>: the
+  optimizer's line-search energy.
+- `state_and_derivatives`, the derivative engine, in closed form at
+  cost O(M L).  Every B_k has determinant c^2 - s^2 = 1 in both modes,
+  and for a 2x2 matrix U of determinant 1, U^T J U = J with
+  J = [[0, 1], [-1, 0]].  So with v_k the blocks after half-layer k,
+  g_k = G_k v_k their image under the generator G_k = -i V_q (real) or
+  -V_q (imag), V_q = -[[0, z], [z*, 0]], and psi the final blocks, the
+  weight of derivative k on psi_perp = (-psi_1*, psi_0*) is
 
-In imaginary mode every half-layer ends by dividing each block, and its
-live derivatives, by the block's norm.  The natural-gradient metric and
-force are invariant under G -> GX, dG -> dG X for any invertible column
-change X, and this one is diagonal, so it changes no result; it keeps
-the state normalized (the norm is dropped, not stored), so the optimizer
-uses the same normalized formulas in both modes.  A block that cancels
-exactly (cosh = sinh to rounding above |angle| ~ 19) has norm 0 and
-raises `SingularOverlapError`.
+      t_k = psi^T J d_k psi = v_k^T J g_k.
+
+  In real mode the rest of the circuit is unitary, so the weight on psi
+  is psi+ d_k psi = v_k+ g_k.
+- `adiabatic.maximize_overlap`, the last row of a prefix table.
+
+In imaginary mode every half-layer ends by dividing each block by its
+norm n_k, which the pass keeps, (2M, L/2).  Derivative k is then the
+derivative of the unnormalized circuit over the same norms, so t_k
+takes the factor prod_{j>k} n_j^{-2}, formed as exp(-2 sum_{j>k} log n_j)
+because the product itself overflows in deep tables.  The natural-gradient
+metric and force are invariant under G -> GX, dG -> dG X + G Y for any
+invertible column change X and any Y, which here is a per-block multiple
+of psi added to the derivative; they read t_k alone.  So the imaginary
+engine sets the weight on psi to 0: its derivatives are the
+representatives orthogonal to psi.  The division keeps the state
+normalized (the norms are not part of the state), so the optimizer uses
+the same normalized formulas in both modes.  A block that cancels exactly
+(cosh = sinh to rounding above |angle| ~ 19) has norm 0 and raises
+`SingularOverlapError`.
 """
 
 from __future__ import annotations
@@ -142,38 +159,47 @@ def _phase_pairs(L, gamma, mode):
     return pairs, seeds
 
 
-def _block_pass(spec: LatticeSpec, params: DqapParams, mode: str, rows: int) -> np.ndarray:
-    """Bloch blocks after the circuit, shape (rows, L/2, 2).
+def _block_pass(spec: LatticeSpec, params: DqapParams, mode: str):
+    """Bloch blocks after every half-layer, and in imaginary mode their norms.
 
-    Row 0 is the state; with rows = 2M + 1, row k + 1 is its derivative
-    by flat angle k, and with rows = 1 the pass carries the state alone.
-    Each half-layer swap-rotates the live rows in place, seeds the
-    derivative it creates where there is a row for it, and in imaginary
-    mode divides the live rows by the state block's norm (module docstring).
+    Returns (rows, norms): rows (2M + 1, 2, L/2), row 0 the dimer
+    blocks and row k + 1 the blocks after half-layer k, component-major;
+    norms (2M, L/2), the norms n_k that imaginary mode divides the blocks
+    of half-layer k by, and None in real mode.  Both are read-only and
+    shared through `_table_pass`'s one-entry cache.
     """
-    pairs, seeds = _phase_pairs(spec.L, spec.gamma, mode)
-    c, s = _bond_block(params.flatten(), mode)
-    sz = (s.reshape(-1, 2, 1, 1, 1) * pairs).reshape(-1, *pairs.shape[1:])
-    st = np.zeros((2, rows, spec.N), dtype=complex)
-    st[:, 0] = np.sqrt(0.5)
-    swapped = np.empty_like(st)
+    return _table_pass(spec.L, spec.gamma, mode, params.flatten().tobytes())
+
+
+@lru_cache(maxsize=1)
+def _table_pass(L, gamma, mode, flat):
+    """`_block_pass` on the flat table whose float64 bytes are `flat`."""
+    pairs, _ = _phase_pairs(L, gamma, mode)
+    c, s = _bond_block(np.frombuffer(flat), mode)
+    sz = (s.reshape(-1, 2, 1, 1, 1) * pairs).reshape(-1, 2, L // 2)
+    rows = np.empty((len(c) + 1, 2, L // 2), dtype=complex)
+    rows[0] = np.sqrt(0.5)
+    norms = np.empty((len(c), L // 2)) if mode == "imag" else None
+    swapped = np.empty_like(rows[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         for k, (ck, szk) in enumerate(zip(c, sz)):
-            live = st[:, : k + 1]
-            np.multiply(szk, live[::-1], out=swapped[:, : k + 1])
-            live *= ck
-            live += swapped[:, : k + 1]
-            if k + 1 < rows:
-                np.multiply(seeds[k % 2], st[::-1, :1], out=st[:, k + 1 : k + 2])
+            prev, cur = rows[k], rows[k + 1]
+            np.multiply(szk, prev[::-1], out=swapped)
+            np.multiply(prev, ck, out=cur)
+            cur += swapped
             if mode == "imag":
-                st[:, : k + 2] /= np.hypot(np.abs(st[0, 0]), np.abs(st[1, 0]))
-    if mode == "imag" and not np.isfinite(st[:, 0]).all():  # a zero norm left NaN
+                np.hypot(np.abs(cur[0]), np.abs(cur[1]), out=norms[k])
+                cur /= norms[k]
+    if mode == "imag" and not np.isfinite(rows[-1]).all():  # a zero norm left NaN
         raise SingularOverlapError("a Bloch block's norm underflows to zero")
-    return st.transpose(1, 2, 0)
+    for arr in (rows, norms):
+        if arr is not None:
+            arr.flags.writeable = False  # shared by every caller through the cache
+    return rows, norms
 
 
 def state_and_derivatives(spec: LatticeSpec, params: DqapParams, mode="real"):
-    """Final Bloch spinors plus all K = 2M parameter derivatives in one pass.
+    """Final Bloch spinors plus all K = 2M parameter derivatives, in closed form.
 
     Returns
     -------
@@ -181,16 +207,35 @@ def state_and_derivatives(spec: LatticeSpec, params: DqapParams, mode="real"):
         Row n of `spinors` holds the sublattice amplitudes of cell
         momentum q_n (`lattice._bloch_orbitals` maps them to real-space
         orbitals); derivs[k] is their derivative by flat parameter k, in
-        the same column basis.  Every block has unit norm in both modes
-        (module docstring).
+        the same column basis, as alpha_k psi + t_k psi_perp (module
+        docstring).  Every block has unit norm in both modes.  In
+        imaginary mode alpha_k = 0: derivs[k] is the representative of
+        the derivative orthogonal to psi, the part the metric and force
+        read.  `spinors` is a read-only view of the cached pass.
 
     Raises
     ------
     SingularOverlapError
         In imaginary mode, if a block coefficient overflows or a block's norm is 0.
     """
-    stack = _block_pass(spec, params, mode, 2 * params.M + 1)
-    return stack[0], stack[1:]
+    rows, norms = _block_pass(spec, params, mode)
+    psi = rows[-1]
+    v = rows[1:].reshape(params.M, 2, 2, spec.N)  # (layer, family, component, q)
+    v0, v1 = v[:, :, 0], v[:, :, 1]
+    gen = _phase_pairs(spec.L, spec.gamma, mode)[1].reshape(2, 2, spec.N)
+    g0, g1 = gen[:, 0] * v1, gen[:, 1] * v0
+    tangent = (v0 * g1 - v1 * g0).reshape(-1, 1, spec.N)
+    perp = np.stack((-psi[1].conj(), psi[0].conj()))
+    if mode == "imag":
+        log_n = np.log(norms)
+        suffix = np.zeros_like(log_n)  # sum_{j > k} log n_j
+        suffix[:-1] = np.cumsum(log_n[::-1], axis=0)[::-1][1:]
+        tangent *= np.exp(-2.0 * suffix)[:, None]
+        derivs = tangent * perp
+    else:
+        along = (v0.conj() * g0 + v1.conj() * g1).reshape(-1, 1, spec.N)
+        derivs = tangent * perp + along * psi
+    return psi.T, derivs.transpose(0, 2, 1)
 
 
 def block_energy(spec: LatticeSpec, params: DqapParams, mode="real") -> float:
@@ -198,7 +243,7 @@ def block_energy(spec: LatticeSpec, params: DqapParams, mode="real") -> float:
 
     E = sum_q 2 Re(conj(psi_q0) h01_q psi_q1), with h01_q the hopping
     entry of H_q (`lattice._block_hopping`) and psi_q the unit-norm
-    block of a state-only pass: no derivatives, no real-space orbitals.
+    block of the last row of the pass: no real-space orbitals.
     It equals `slater.energy_expectation` of the built state up to
     rounding.
 
@@ -207,8 +252,8 @@ def block_energy(spec: LatticeSpec, params: DqapParams, mode="real") -> float:
     SingularOverlapError
         In imaginary mode, if a block coefficient overflows or a block's norm is 0.
     """
-    psi = _block_pass(spec, params, mode, 1)[0]
-    return 2.0 * float(np.sum((psi[:, 0].conj() * _block_hopping(spec) * psi[:, 1]).real))
+    psi = _block_pass(spec, params, mode)[0][-1]
+    return 2.0 * float(np.sum((psi[0].conj() * _block_hopping(spec) * psi[1]).real))
 
 
 def orbital_support(state: SlaterState) -> np.ndarray:

@@ -54,7 +54,6 @@ import platform
 import time
 import traceback
 from collections.abc import Callable, Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from types import MappingProxyType
@@ -629,6 +628,9 @@ def run_experiment(
     if jobs == 1 or len(tasks) == 1:
         results = [_timed_task(config, *task) for task in tasks]
     else:
+        # imported here: it loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         results = []
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             futures = [pool.submit(_timed_task, config, *task) for task in tasks]

@@ -4,11 +4,16 @@ The update solves (S + S* + ridge) dtheta = -delta_beta (f + f*) where S
 is the overlap metric of the parameter derivatives, f the force vector
 and the ridge a fixed 1e-10.  S and f are assembled block by block from
 the Bloch spinors of the circuit state and their derivatives
-(`ansatz.state_and_derivatives`), which are normalized in both modes, at
-cost O(K^2 L).  The energy the run compares is the block energy of the
-same blocks (`ansatz.block_energy`, a state-only pass at cost O(M L)):
-the start, every line-search trial and the trace read it, and the run
-reports the last one.  No real-space state is built.
+(`ansatz.state_and_derivatives`), which are normalized in both modes.
+Both read only each derivative's weight t on the direction orthogonal to
+its block, so they are assembled in tangent form, S = conj(t) t^T and
+f = conj(t) w (`assemble_metric_and_force`), at cost O(K^2 L).  The
+energy the run compares is the block energy (`ansatz.block_energy`, one
+block pass at cost O(M L)): the start, every line-search trial and the
+trace read it, and the run reports the last one.  The pass is memoized
+for one table, so the derivatives of the accepted trial come from the
+pass its energy ran, in closed form at cost O(M L): an iteration runs
+one block pass per trial and no other.  No real-space state is built.
 
 Both modes optimize the same table type, `DqapParams`; the mode is
 named by the caller, through `optimize` (real) or `optimize_imaginary`.
@@ -128,26 +133,29 @@ def assemble_metric_and_force(
 
     Every block psi_q has unit norm and the blocks of different cell
     momenta are orthogonal, so the real-space traces of the metric and
-    force split into sums over q,
+    force split into sums over q of the projected formulas
 
         S_kk' = sum_q [a_kq+ a_k'q - conj(psi_q+ a_kq) (psi_q+ a_k'q)]
         f_k   = sum_q a_kq+ (H_q psi_q - psi_q E_q),   E_q = psi_q+ H_q psi_q,
 
     with H_q = -[[0, 1 + e^{-iq}], [1 + e^{iq}, 0]] and a_kq = derivs[k, q].
-    The cost is O(K^2 L).  K = 0 gives an empty metric and force.
+    Both read only the part of a_kq along psi_perp = (-psi_1*, psi_0*),
+    whose weight is t_kq = psi_q^T J a_kq with J = [[0, 1], [-1, 0]], so
+    they are evaluated in tangent form,
+
+        S_kk' = sum_q conj(t_kq) t_k'q,   f_k = sum_q conj(t_kq) w_q,
+        w_q = psi_q^T J H_q psi_q,
+
+    which has no cancellation between |a|^2 and |psi+ a|^2.  The cost is
+    O(K L) for t and O(K^2 L) for the metric.  K = 0 gives an empty
+    metric and force.
     """
-    kdim = derivs.shape[0]
     h01 = _block_hopping(spec)
-    hpsi = np.empty_like(spinors)
-    np.multiply(h01, spinors[:, 1], out=hpsi[:, 0])
-    np.multiply(h01.conj(), spinors[:, 0], out=hpsi[:, 1])
-    psi_c = spinors.conj()
-    e_q = np.sum(psi_c * hpsi, axis=1)
-    aflat = derivs.reshape(kdim, spinors.size)
-    aflat_c = aflat.conj()
-    proj = np.einsum("qs,kqs->kq", psi_c, derivs)
-    metric = aflat_c @ aflat.T - proj.conj() @ proj.T
-    force = aflat_c @ (hpsi - spinors * e_q[:, None]).ravel()
+    psi0, psi1 = spinors[:, 0], spinors[:, 1]
+    tangent = psi0 * derivs[:, :, 1] - psi1 * derivs[:, :, 0]
+    tangent_c = tangent.conj()
+    metric = tangent_c @ tangent.T
+    force = tangent_c @ (h01.conj() * psi0 * psi0 - h01 * psi1 * psi1)
     return metric, force
 
 

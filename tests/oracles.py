@@ -220,6 +220,27 @@ def reference_block_pass(L, boundary, table, mode, rows):
     return stack
 
 
+def tangent_weights(spinors, derivs):
+    """psi_q^T J a_kq, J = [[0, 1], [-1, 0]]: the weight of each derivative on psi_perp, (K, L/2)."""
+    return spinors[:, 0] * derivs[..., 1] - spinors[:, 1] * derivs[..., 0]
+
+
+def projected_metric_and_force(L, boundary, spinors, derivs):
+    """Metric and force of unit Bloch spinors (L/2, 2) and derivatives (K, L/2, 2), projected form.
+
+    S_kk' = sum_q [a_kq+ a_k'q - conj(psi_q+ a_kq) (psi_q+ a_k'q)] and
+    f_k = sum_q a_kq+ (H_q psi_q - psi_q E_q), with H_q the Bloch block
+    -[[0, 1 + e^{-iq}], [1 + e^{iq}, 0]] and E_q = psi_q+ H_q psi_q.
+    """
+    h01 = -(1.0 + np.exp(-1j * cell_momenta(L, boundary)))
+    hpsi = np.stack([h01 * spinors[:, 1], h01.conj() * spinors[:, 0]], axis=1)
+    e_q = np.sum(spinors.conj() * hpsi, axis=1)
+    proj = np.einsum("qs,kqs->kq", spinors.conj(), derivs)
+    metric = np.einsum("kqs,lqs->kl", derivs.conj(), derivs) - proj.conj() @ proj.T
+    force = np.einsum("kqs,qs->k", derivs.conj(), hpsi - spinors * e_q[:, None])
+    return metric, force
+
+
 def spinor_orbitals(L, boundary, spinors):
     """Real-space orbitals (..., L, L/2) of Bloch spinors (..., L/2, 2), through `bloch_frame`.
 

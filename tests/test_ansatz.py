@@ -38,9 +38,11 @@ from .oracles import (
     gauge_invariant_metric_and_force,
     hopping_families,
     mp_imag_energy,
+    projected_metric_and_force,
     random_orthonormal,
     reference_block_pass,
     spinor_orbitals,
+    tangent_weights,
 )
 
 
@@ -347,18 +349,76 @@ def test_derivative_engine_needs_no_real_space_kernel(monkeypatch, mode):
 @pytest.mark.parametrize("boundary", ["apbc", "pbc"])
 @pytest.mark.parametrize("m", [0, 1, 2, 5])
 def test_block_pass_is_bit_identical_to_the_per_component_loop(m, boundary, mode):
-    # "same numbers" as an exact property: the component-major swap
-    # rotation runs the same IEEE operations as the per-component loop
+    # "same numbers" as an exact property: every full-layer row of the
+    # pass, and the spinors, run the same IEEE operations as the
+    # per-component loop on that prefix of the table
     rng = np.random.default_rng(10 * m + len(boundary))
     for L in (4, 18, 64):
         spec = LatticeSpec.half_filling(L, gamma=-1 if boundary == "apbc" else +1)
         table = rng.normal(scale=1.5, size=(m, 2))
         p = DqapParams(table)
+        rows = _block_pass(spec, p, mode)[0]
+        for j in range(m + 1):
+            ref = reference_block_pass(L, boundary, table[:j], mode, 1)[0]
+            assert np.array_equal(rows[2 * j].T, ref)
+        assert np.array_equal(state_and_derivatives(spec, p, mode)[0], ref)
+
+
+@pytest.mark.parametrize("mode", ["real", "imag"])
+@pytest.mark.parametrize("boundary", ["apbc", "pbc"])
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_closed_form_derivatives_match_the_forward_mode_loop(m, boundary, mode):
+    # the closed-form derivatives against the loop's forward-mode rows; in
+    # imaginary mode they keep only the part orthogonal to psi, so their
+    # tangent weights are compared and their psi part is 0
+    rng = np.random.default_rng(10 * m + len(boundary))
+    for L in (4, 18, 64):
+        spec = LatticeSpec.half_filling(L, gamma=-1 if boundary == "apbc" else +1)
+        table = rng.normal(scale=1.5, size=(m, 2))
         ref = reference_block_pass(L, boundary, table, mode, 2 * m + 1)
-        spinors, derivs = state_and_derivatives(spec, p, mode)
-        assert np.array_equal(spinors, ref[0]) and np.array_equal(derivs, ref[1:])
-        assert np.array_equal(_block_pass(spec, p, mode, 1),
-                              reference_block_pass(L, boundary, table, mode, 1))
+        spinors, derivs = state_and_derivatives(spec, DqapParams(table), mode)
+        assert np.array_equal(spinors, ref[0])
+        tol = 1e-13 * max(1.0, np.abs(ref[1:]).max())
+        if mode == "real":
+            np.testing.assert_allclose(derivs, ref[1:], rtol=0, atol=tol)
+        else:
+            np.testing.assert_allclose(tangent_weights(spinors, derivs),
+                                       tangent_weights(spinors, ref[1:]), rtol=0, atol=tol)
+            along = np.einsum("qs,kqs->kq", spinors.conj(), derivs)
+            assert np.abs(along).max() <= 1e-15
+
+
+def _assert_metric_and_force_match(spec, table, mode):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        metric, force = assemble_metric_and_force(
+            *state_and_derivatives(spec, DqapParams(table), mode), spec
+        )
+    assert np.isfinite(metric).all() and np.isfinite(force).all()
+    rows = reference_block_pass(spec.L, spec.boundary, table, mode, 2 * len(table) + 1)
+    refs = projected_metric_and_force(spec.L, spec.boundary, rows[0], rows[1:])
+    for got, ref in zip((metric, force), refs):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * max(1.0, np.abs(ref).max()))
+
+
+@pytest.mark.parametrize("mode", ["real", "imag"])
+@pytest.mark.parametrize("boundary", ["apbc", "pbc"])
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_tangent_metric_and_force_match_the_projected_formula(m, boundary, mode):
+    # the closed-form tangents and the tangent-form assembly against the
+    # projected formula on the forward-mode rows of the reference loop
+    rng = np.random.default_rng(100 * m + len(boundary))
+    for L in (6, 18, 64):
+        spec = LatticeSpec.half_filling(L, gamma=-1 if boundary == "apbc" else +1)
+        _assert_metric_and_force_match(spec, rng.normal(scale=1.5, size=(m, 2)), mode)
+
+
+@pytest.mark.parametrize("angle", [5.0, 15.0])
+def test_deep_imag_tangents_stay_finite(angle):
+    # the suffix scale prod_{j>k} n_j^-2 underflows here, and its direct
+    # product overflows; the log-space sum keeps every weight finite
+    spec = LatticeSpec.half_filling(16, gamma=+1)
+    _assert_metric_and_force_match(spec, np.full((60, 2), angle), "imag")
 
 
 # ---- block energy ----

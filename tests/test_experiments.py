@@ -130,9 +130,9 @@ GOLDEN = {
          "converged"],
         [
             [10, 5, 1, 1, -6.472135955, -6.472135955,
-             4.48530101949e-13, 3.70736578245e-07, 0.721818536138, 27, 1],
+             4.48530101949e-13, 3.73719221472e-07, 0.721818536138, 27, 1],
             [10, 5, 1, 2, -6.472135955, -6.472135955,
-             2.93098878501e-14, 1.18274300295e-07, 1.23084896612, 21, 1],
+             2.93098878501e-14, 1.15423898286e-07, 1.23084896612, 21, 1],
         ],
     ),
     "conttime": (
@@ -346,6 +346,26 @@ def test_package_runs_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
     assert report == {"codes": [0, 0, 0, 0], "loaded": []}
+
+
+# Imports the command-line module and prints every process-pool module it loaded.
+_NO_POOL = """
+import json, sys
+import dqap_lab.cli
+pool = ("concurrent.futures.process", "multiprocessing")
+print(json.dumps(sorted(m for m in sys.modules if m == pool[0] or m.split(".")[0] == pool[1])))
+"""
+
+
+def test_cli_import_loads_no_process_pool():
+    # `run_experiment` imports the pool only for jobs > 1, so a serial run
+    # does not pay for multiprocessing, socket and logging at start-up
+    src = str(Path(dqap_lab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _NO_POOL],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
 def test_ladder_kind_without_depths_is_a_config_error(tmp_path):

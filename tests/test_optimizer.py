@@ -315,6 +315,51 @@ def test_line_search_stops_when_every_trial_overflows(monkeypatch):
     assert np.array_equal(res.trace, [real_energy(spec, start, "imag")])
 
 
+@pytest.mark.parametrize("run", [optimize, optimize_imaginary])
+def test_each_iteration_runs_one_block_pass(monkeypatch, run):
+    # the derivatives read the pass of the accepted trial: every
+    # `_bond_block` call of the run belongs to a block energy
+    real_block, real_energy = ansatz._bond_block, optimizer.block_energy
+    real_derivs = optimizer.state_and_derivatives
+    calls = {"block": 0, "energy": 0, "derivs": 0}
+
+    def counter(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(ansatz, "_bond_block", counter("block", real_block))
+    monkeypatch.setattr(optimizer, "block_energy", counter("energy", real_energy))
+    monkeypatch.setattr(optimizer, "state_and_derivatives", counter("derivs", real_derivs))
+    ansatz._table_pass.cache_clear()
+    spec = LatticeSpec.half_filling(16, gamma=+1)
+    res = run(spec, 3, OptimizerConfig(init_mode="random", seed=2, max_iters=30))
+    assert res.iterations > 0 and calls["derivs"] >= res.iterations
+    assert calls["block"] == calls["energy"]
+
+
+@pytest.mark.parametrize("run", [optimize, optimize_imaginary])
+def test_block_pass_cache_is_transparent(monkeypatch, run):
+    # a run that recomputes every pass returns the same result bit for bit
+    spec = LatticeSpec.half_filling(16, gamma=+1)
+    config = OptimizerConfig(init_mode="random", seed=3, max_iters=30)
+    cached = run(spec, 3, config)
+    real_pass = ansatz._block_pass
+
+    def uncached(*args):
+        ansatz._table_pass.cache_clear()
+        return real_pass(*args)
+
+    monkeypatch.setattr(ansatz, "_block_pass", uncached)
+    fresh = run(spec, 3, config)
+    assert np.array_equal(fresh.params.angles, cached.params.angles)
+    assert np.array_equal(fresh.trace, cached.trace)
+    assert (fresh.iterations, fresh.stop_reason) == (cached.iterations, cached.stop_reason)
+    rows, norms = real_pass(spec, cached.params, "imag")
+    assert not rows.flags.writeable and not norms.flags.writeable
+
+
 @pytest.mark.parametrize("run,builder", [
     (optimize, build_dqap_state),
     (optimize_imaginary, build_imag_state),
