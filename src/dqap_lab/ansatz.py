@@ -45,24 +45,20 @@ line-search trial the optimizer accepts is the pass its next
 
       t_k = psi^T J d_k psi = v_k^T J g_k.
 
-  In real mode the rest of the circuit is unitary, so the weight on psi
-  is psi+ d_k psi = v_k+ g_k.
+  The natural-gradient metric and force are unchanged by adding a
+  per-block multiple of psi to a derivative, so they read t_k alone: the
+  engine returns the (K, L/2) weights t_k and no derivative vectors.
 - `adiabatic.maximize_overlap`, the last row of a prefix table.
 
 In imaginary mode every half-layer ends by dividing each block by its
 norm n_k, which the pass keeps, (2M, L/2).  Derivative k is then the
 derivative of the unnormalized circuit over the same norms, so t_k
 takes the factor prod_{j>k} n_j^{-2}, formed as exp(-2 sum_{j>k} log n_j)
-because the product itself overflows in deep tables.  The natural-gradient
-metric and force are invariant under G -> GX, dG -> dG X + G Y for any
-invertible column change X and any Y, which here is a per-block multiple
-of psi added to the derivative; they read t_k alone.  So the imaginary
-engine sets the weight on psi to 0: its derivatives are the
-representatives orthogonal to psi.  The division keeps the state
-normalized (the norms are not part of the state), so the optimizer uses
-the same normalized formulas in both modes.  A block that cancels exactly
-(cosh = sinh to rounding above |angle| ~ 19) has norm 0 and raises
-`SingularOverlapError`.
+because the product itself overflows in deep tables.  The division keeps
+the state normalized (the norms are not part of the state), so the
+optimizer uses the same normalized formulas in both modes.  A block that
+cancels exactly (cosh = sinh to rounding above |angle| ~ 19) has norm 0
+and raises `SingularOverlapError`.
 """
 
 from __future__ import annotations
@@ -199,19 +195,20 @@ def _table_pass(L, gamma, mode, flat):
 
 
 def state_and_derivatives(spec: LatticeSpec, params: DqapParams, mode="real"):
-    """Final Bloch spinors plus all K = 2M parameter derivatives, in closed form.
+    """Final Bloch spinors plus the tangent weights of all K = 2M parameter derivatives.
 
     Returns
     -------
-    (spinors, derivs) : complex arrays (L/2, 2) and (K, L/2, 2).
+    (spinors, tangents) : complex arrays (L/2, 2) and (K, L/2).
         Row n of `spinors` holds the sublattice amplitudes of cell
         momentum q_n (`lattice._bloch_orbitals` maps them to real-space
-        orbitals); derivs[k] is their derivative by flat parameter k, in
-        the same column basis, as alpha_k psi + t_k psi_perp (module
-        docstring).  Every block has unit norm in both modes.  In
-        imaginary mode alpha_k = 0: derivs[k] is the representative of
-        the derivative orthogonal to psi, the part the metric and force
-        read.  `spinors` is a read-only view of the cached pass.
+        orbitals); every block has unit norm in both modes.
+        tangents[k, n] = t_k = psi^T J d_k psi, the weight of the
+        derivative by flat parameter k on psi_perp = (-psi_1*, psi_0*)
+        at q_n, in closed form (module docstring); in imaginary mode it
+        includes the suffix scale of the norms.  It is the only part of
+        the derivative the metric and force read.  `spinors` is a
+        read-only view of the cached pass.
 
     Raises
     ------
@@ -219,23 +216,16 @@ def state_and_derivatives(spec: LatticeSpec, params: DqapParams, mode="real"):
         In imaginary mode, if a block coefficient overflows or a block's norm is 0.
     """
     rows, norms = _block_pass(spec, params, mode)
-    psi = rows[-1]
     v = rows[1:].reshape(params.M, 2, 2, spec.N)  # (layer, family, component, q)
     v0, v1 = v[:, :, 0], v[:, :, 1]
     gen = _phase_pairs(spec.L, spec.gamma, mode)[1].reshape(2, 2, spec.N)
-    g0, g1 = gen[:, 0] * v1, gen[:, 1] * v0
-    tangent = (v0 * g1 - v1 * g0).reshape(-1, 1, spec.N)
-    perp = np.stack((-psi[1].conj(), psi[0].conj()))
+    tangents = (v0 * (gen[:, 1] * v0) - v1 * (gen[:, 0] * v1)).reshape(-1, spec.N)
     if mode == "imag":
         log_n = np.log(norms)
         suffix = np.zeros_like(log_n)  # sum_{j > k} log n_j
         suffix[:-1] = np.cumsum(log_n[::-1], axis=0)[::-1][1:]
-        tangent *= np.exp(-2.0 * suffix)[:, None]
-        derivs = tangent * perp
-    else:
-        along = (v0.conj() * g0 + v1.conj() * g1).reshape(-1, 1, spec.N)
-        derivs = tangent * perp + along * psi
-    return psi.T, derivs.transpose(0, 2, 1)
+        tangents *= np.exp(-2.0 * suffix)
+    return rows[-1].T, tangents
 
 
 def block_energy(spec: LatticeSpec, params: DqapParams, mode="real") -> float:

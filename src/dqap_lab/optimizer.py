@@ -2,18 +2,19 @@
 
 The update solves (S + S* + ridge) dtheta = -delta_beta (f + f*) where S
 is the overlap metric of the parameter derivatives, f the force vector
-and the ridge a fixed 1e-10.  S and f are assembled block by block from
-the Bloch spinors of the circuit state and their derivatives
-(`ansatz.state_and_derivatives`), which are normalized in both modes.
-Both read only each derivative's weight t on the direction orthogonal to
-its block, so they are assembled in tangent form, S = conj(t) t^T and
-f = conj(t) w (`assemble_metric_and_force`), at cost O(K^2 L).  The
-energy the run compares is the block energy (`ansatz.block_energy`, one
-block pass at cost O(M L)): the start, every line-search trial and the
-trace read it, and the run reports the last one.  The pass is memoized
-for one table, so the derivatives of the accepted trial come from the
-pass its energy ran, in closed form at cost O(M L): an iteration runs
-one block pass per trial and no other.  No real-space state is built.
+and the ridge a fixed 1e-10.  Both read each derivative only through its
+weight t on the direction orthogonal to its normalized Bloch block, and
+the derivative engine (`ansatz.state_and_derivatives`) hands over these
+weights in closed form at cost O(M L).  `assemble_metric_and_force`
+returns the real system the solver solves, S + S* = 2 Re(conj(t) t^T)
+and f + f* = 2 Re(conj(t) w), formed on the real view of t at cost
+O(K^2 L), with the metric exactly symmetric.  The energy the run
+compares is the block energy (`ansatz.block_energy`, one block pass at
+cost O(M L)): the start, every line-search trial and the trace read it,
+and the run reports the last one.  The pass is memoized for one table,
+so the weights of the accepted trial come from the pass its energy ran:
+an iteration runs one block pass per trial and no other.  No real-space
+state is built.
 
 Both modes optimize the same table type, `DqapParams`; the mode is
 named by the caller, through `optimize` (real) or `optimize_imaginary`.
@@ -127,9 +128,9 @@ class OptResult:
 
 
 def assemble_metric_and_force(
-    spinors: np.ndarray, derivs: np.ndarray, spec: LatticeSpec
+    spinors: np.ndarray, tangents: np.ndarray, spec: LatticeSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Metric S (K, K) and force f (K,) from Bloch spinors (L/2, 2) and derivatives (K, L/2, 2).
+    """Real system (S + S*, f + f*) from Bloch spinors (L/2, 2) and tangent weights (K, L/2).
 
     Every block psi_q has unit norm and the blocks of different cell
     momenta are orthogonal, so the real-space traces of the metric and
@@ -138,42 +139,43 @@ def assemble_metric_and_force(
         S_kk' = sum_q [a_kq+ a_k'q - conj(psi_q+ a_kq) (psi_q+ a_k'q)]
         f_k   = sum_q a_kq+ (H_q psi_q - psi_q E_q),   E_q = psi_q+ H_q psi_q,
 
-    with H_q = -[[0, 1 + e^{-iq}], [1 + e^{iq}, 0]] and a_kq = derivs[k, q].
-    Both read only the part of a_kq along psi_perp = (-psi_1*, psi_0*),
-    whose weight is t_kq = psi_q^T J a_kq with J = [[0, 1], [-1, 0]], so
-    they are evaluated in tangent form,
+    with H_q = -[[0, 1 + e^{-iq}], [1 + e^{iq}, 0]] and a_kq the
+    derivative of block q by flat parameter k.  Both read only the part
+    of a_kq along psi_perp = (-psi_1*, psi_0*), whose weight is
+    t_kq = psi_q^T J a_kq with J = [[0, 1], [-1, 0]]
+    (`ansatz.state_and_derivatives`), so they are evaluated in tangent form,
 
         S_kk' = sum_q conj(t_kq) t_k'q,   f_k = sum_q conj(t_kq) w_q,
         w_q = psi_q^T J H_q psi_q,
 
-    which has no cancellation between |a|^2 and |psi+ a|^2.  The cost is
-    O(K L) for t and O(K^2 L) for the metric.  K = 0 gives an empty
-    metric and force.
+    which has no cancellation between |a|^2 and |psi+ a|^2.  The solver
+    reads only their real parts, so both are formed on the real view
+    r = tangents.view(float), which interleaves Re t and Im t:
+    S + S* = 2 r r^T, exactly symmetric (numpy forms it as one syrk), and
+    f + f* = 2 r w.view(float).  The cost is O(K^2 L).  K = 0 gives an
+    empty metric and force.
     """
     h01 = _block_hopping(spec)
     psi0, psi1 = spinors[:, 0], spinors[:, 1]
-    tangent = psi0 * derivs[:, :, 1] - psi1 * derivs[:, :, 0]
-    tangent_c = tangent.conj()
-    metric = tangent_c @ tangent.T
-    force = tangent_c @ (h01.conj() * psi0 * psi0 - h01 * psi1 * psi1)
-    return metric, force
+    w = h01.conj() * psi0 * psi0 - h01 * psi1 * psi1
+    tr = tangents.view(float)
+    return 2.0 * (tr @ tr.T), 2.0 * (tr @ w.view(float))
 
 
 def _solve_step(metric, force, delta_beta: float, ridge: float):
     """Proposed angle shift: pseudo-solve of the regularized real system.
 
-    The symmetrized metric is PSD up to rounding and factorized
-    spectrally (Hermitian eigendecomposition).  Modes below 1e-12 of the
-    top eigenvalue carry force components that are pure cancellation
-    noise, and the ridge alone would amplify that noise into wild
-    parameter jumps; those modes are truncated, the rest inverted with
-    the ridge shift.
+    `metric` and `force` are the real system (S + S*, f + f*) of
+    `assemble_metric_and_force`; the metric is symmetric PSD up to
+    rounding and factorized spectrally (symmetric eigendecomposition).
+    Modes below 1e-12 of the top eigenvalue carry force components that
+    are pure cancellation noise, and the ridge alone would amplify that
+    noise into wild parameter jumps; those modes are truncated, the rest
+    inverted with the ridge shift.
     """
-    a = (metric + metric.conj()).real
-    a = 0.5 * (a + a.T)
-    b = -2.0 * delta_beta * force.real
+    b = -delta_beta * force
     try:
-        w, v = np.linalg.eigh(a)
+        w, v = np.linalg.eigh(metric)
     except np.linalg.LinAlgError as exc:
         raise LinearSolveError("metric eigendecomposition failed") from exc
     top = w[-1] if len(w) else 0.0
@@ -200,6 +202,8 @@ def _initial_params(m_layers, config, init):
     if init is not None:
         if init.M != m_layers:
             raise ValueError(f"start table has {init.M} layers, need {m_layers}")
+        if not np.isfinite(init.angles).all():
+            raise ValueError("start table holds a NaN or infinite angle")
         return DqapParams(np.asarray(init.angles, dtype=float).copy())
     if config.init_mode == "linear-schedule":
         return linear_schedule_params(m_layers, config.init_scale)

@@ -225,6 +225,16 @@ def tangent_weights(spinors, derivs):
     return spinors[:, 0] * derivs[..., 1] - spinors[:, 1] * derivs[..., 0]
 
 
+def tangent_derivatives(spinors, tangents):
+    """Derivatives (K, L/2, 2) orthogonal to unit spinors, from tangent weights (K, L/2).
+
+    Entry k, q is t_kq psi_perp_q with psi_perp = (-psi_1*, psi_0*), so
+    `tangent_weights` gives back t_kq.
+    """
+    perp = np.stack([-spinors[:, 1].conj(), spinors[:, 0].conj()], axis=1)
+    return tangents[..., None] * perp
+
+
 def projected_metric_and_force(L, boundary, spinors, derivs):
     """Metric and force of unit Bloch spinors (L/2, 2) and derivatives (K, L/2, 2), projected form.
 
@@ -250,6 +260,17 @@ def spinor_orbitals(L, boundary, spinors):
     frame = bloch_frame(L, boundary)
     spinors = np.asarray(spinors)
     return frame[:, 0::2] * spinors[..., None, :, 0] + frame[:, 1::2] * spinors[..., None, :, 1]
+
+
+def orbital_spinors(L, boundary, orbitals):
+    """Bloch spinors (..., L/2, 2) of real-space orbitals (..., L, L/2), through `bloch_frame`.
+
+    The inverse of `spinor_orbitals`: column n of `orbitals` must be a
+    Bloch wave of momentum q_n, and only its two coefficients on q_n are kept.
+    """
+    coef = bloch_frame(L, boundary).conj().T @ np.asarray(orbitals)
+    n = np.arange(L // 2)
+    return np.stack([coef[..., 2 * n, n], coef[..., 2 * n + 1, n]], axis=-1)
 
 
 def sequential_ramp(spinors, L, boundary, T, M, slices, order=1, t=1.0):

@@ -38,10 +38,12 @@ from .oracles import (
     gauge_invariant_metric_and_force,
     hopping_families,
     mp_imag_energy,
+    orbital_spinors,
     projected_metric_and_force,
     random_orthonormal,
     reference_block_pass,
     spinor_orbitals,
+    tangent_derivatives,
     tangent_weights,
 )
 
@@ -203,8 +205,8 @@ def test_real_derivatives_match_finite_differences():
     spec = LatticeSpec.half_filling(6)
     rng = np.random.default_rng(5)
     p = random_params(rng, 2)
-    _, derivs = state_and_derivatives(spec, p, mode="real")
-    derivs = spinor_orbitals(spec.L, spec.boundary, derivs) @ dimer_frame(spec).conj().T
+    spinors, tangents = state_and_derivatives(spec, p, mode="real")
+    x = dimer_frame(spec)
     flat = p.flatten()
     h = 1e-6
     for k in range(flat.size):
@@ -215,24 +217,26 @@ def test_real_derivatives_match_finite_differences():
             build_dqap_state(spec, DqapParams.from_flat(up)).orbitals
             - build_dqap_state(spec, DqapParams.from_flat(dn)).orbitals
         ) / (2 * h)
-        np.testing.assert_allclose(derivs[k], fd, atol=1e-8)
+        fd = orbital_spinors(spec.L, spec.boundary, fd @ x)
+        np.testing.assert_allclose(tangents[k], tangent_weights(spinors, fd), atol=1e-8)
 
 
 def test_derivative_seeds_at_zero_angles():
     spec = LatticeSpec.half_filling(8)
-    spinors, derivs = state_and_derivatives(spec, DqapParams(np.zeros((1, 2))))
+    spinors, tangents = state_and_derivatives(spec, DqapParams(np.zeros((1, 2))))
     psi = spinor_orbitals(spec.L, spec.boundary, spinors)
     np.testing.assert_allclose(psi, initial_state(spec) @ dimer_frame(spec), atol=1e-15)
-    derivs = spinor_orbitals(spec.L, spec.boundary, derivs)
     v1, v2 = hopping_families(spec.L, spec.gamma)
-    np.testing.assert_allclose(derivs[0], -1j * v2 @ psi, atol=1e-14)
-    np.testing.assert_allclose(derivs[1], -1j * v1 @ psi, atol=1e-14)
+    for t, v in zip(tangents, (v2, v1)):
+        seed = orbital_spinors(spec.L, spec.boundary, -1j * v @ psi)
+        np.testing.assert_allclose(t, tangent_weights(spinors, seed), atol=1e-14)
 
 
 def test_imag_derivatives_match_fd_of_normalized_overlap():
     # raw orbital entries are gauge dependent in imaginary mode, so the
     # check runs on ln(|<ref|state>|^2 / <state|state>), where the
-    # column-rescaling ambiguity cancels exactly
+    # column-rescaling ambiguity cancels exactly; so does the part of
+    # each derivative along the state, which the tangent weights omit
     spec = LatticeSpec.half_filling(6)
     rng = np.random.default_rng(6)
     ref = random_orthonormal(rng, 6, 3)
@@ -244,9 +248,9 @@ def test_imag_derivatives_match_fd_of_normalized_overlap():
         den = overlap(st, st).real
         return float(np.log(abs(num) ** 2 / den))
 
-    spinors, derivs = state_and_derivatives(spec, p, mode="imag")
+    spinors, tangents = state_and_derivatives(spec, p, mode="imag")
     phi = spinor_orbitals(spec.L, spec.boundary, spinors)
-    derivs = spinor_orbitals(spec.L, spec.boundary, derivs)
+    derivs = spinor_orbitals(spec.L, spec.boundary, tangent_derivatives(spinors, tangents))
     flat = p.flatten()
     rphi = ref.conj().T @ phi
     gram = phi.conj().T @ phi
@@ -282,14 +286,29 @@ def assert_close_to_largest(got, ref):
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
+def assert_tangents_match_dense_route(L, gamma, m, mode):
+    # the dense blocks u = G X and du = dG X are unnormalized in imaginary
+    # mode; the engine's blocks are u / |u| and its tangent weights
+    # u^T J du / |u|^2, the weights of du / |u| on the unit block
+    spec = LatticeSpec.half_filling(L, gamma=gamma)
+    p, (g, dg) = dense_case(L, gamma, m, mode)
+    spinors, tangents = state_and_derivatives(spec, p, mode=mode)
+    x = dimer_frame(spec)
+    u = orbital_spinors(spec.L, spec.boundary, g @ x)
+    du = orbital_spinors(spec.L, spec.boundary, dg @ x)
+    norm = np.linalg.norm(u, axis=1)
+    assert_close_to_largest(spinors, u / norm[:, None])
+    assert_close_to_largest(tangents, tangent_weights(u, du) / norm**2)
+
+
 @pytest.mark.parametrize("L,gamma,m", _DENSE_CASES + _WIDE_CASES)
 def test_real_derivatives_match_dense_route(L, gamma, m):
-    spec = LatticeSpec.half_filling(L, gamma=gamma)
-    p, (g, dg) = dense_case(L, gamma, m, "real")
-    spinors, derivs = state_and_derivatives(spec, p, mode="real")
-    x = dimer_frame(spec)
-    assert_close_to_largest(spinor_orbitals(spec.L, spec.boundary, spinors), g @ x)
-    assert_close_to_largest(spinor_orbitals(spec.L, spec.boundary, derivs), dg @ x)
+    assert_tangents_match_dense_route(L, gamma, m, "real")
+
+
+@pytest.mark.parametrize("L,gamma,m", _DENSE_CASES)
+def test_imag_derivatives_match_dense_route(L, gamma, m):
+    assert_tangents_match_dense_route(L, gamma, m, "imag")
 
 
 @pytest.mark.parametrize(
@@ -304,8 +323,9 @@ def test_metric_and_force_match_dense_route(L, gamma, m, mode):
     p, (g, dg) = dense_case(L, gamma, m, mode)
     metric, force = assemble_metric_and_force(*state_and_derivatives(spec, p, mode=mode), spec)
     ref_metric, ref_force = gauge_invariant_metric_and_force(g, dg, build_hamiltonian(spec))
-    assert_close_to_largest(metric, ref_metric)
-    assert_close_to_largest(force, ref_force)
+    assert np.array_equal(metric, metric.T)
+    assert_close_to_largest(metric, ref_metric + ref_metric.conj())
+    assert_close_to_largest(force, ref_force + ref_force.conj())
 
 
 @pytest.mark.parametrize("L,gamma,m", _WIDE_CASES + [(16, +1, 4)])
@@ -368,24 +388,17 @@ def test_block_pass_is_bit_identical_to_the_per_component_loop(m, boundary, mode
 @pytest.mark.parametrize("boundary", ["apbc", "pbc"])
 @pytest.mark.parametrize("m", [1, 2, 5])
 def test_closed_form_derivatives_match_the_forward_mode_loop(m, boundary, mode):
-    # the closed-form derivatives against the loop's forward-mode rows; in
-    # imaginary mode they keep only the part orthogonal to psi, so their
-    # tangent weights are compared and their psi part is 0
+    # the closed-form tangent weights against those of the loop's
+    # forward-mode rows
     rng = np.random.default_rng(10 * m + len(boundary))
     for L in (4, 18, 64):
         spec = LatticeSpec.half_filling(L, gamma=-1 if boundary == "apbc" else +1)
         table = rng.normal(scale=1.5, size=(m, 2))
         ref = reference_block_pass(L, boundary, table, mode, 2 * m + 1)
-        spinors, derivs = state_and_derivatives(spec, DqapParams(table), mode)
+        spinors, tangents = state_and_derivatives(spec, DqapParams(table), mode)
         assert np.array_equal(spinors, ref[0])
         tol = 1e-13 * max(1.0, np.abs(ref[1:]).max())
-        if mode == "real":
-            np.testing.assert_allclose(derivs, ref[1:], rtol=0, atol=tol)
-        else:
-            np.testing.assert_allclose(tangent_weights(spinors, derivs),
-                                       tangent_weights(spinors, ref[1:]), rtol=0, atol=tol)
-            along = np.einsum("qs,kqs->kq", spinors.conj(), derivs)
-            assert np.abs(along).max() <= 1e-15
+        np.testing.assert_allclose(tangents, tangent_weights(spinors, ref[1:]), rtol=0, atol=tol)
 
 
 def _assert_metric_and_force_match(spec, table, mode):
@@ -395,9 +408,13 @@ def _assert_metric_and_force_match(spec, table, mode):
             *state_and_derivatives(spec, DqapParams(table), mode), spec
         )
     assert np.isfinite(metric).all() and np.isfinite(force).all()
+    assert np.array_equal(metric, metric.T)
     rows = reference_block_pass(spec.L, spec.boundary, table, mode, 2 * len(table) + 1)
     refs = projected_metric_and_force(spec.L, spec.boundary, rows[0], rows[1:])
     for got, ref in zip((metric, force), refs):
+        # half the real system (S + S*, f + f*) against Re S and Re f, so
+        # that the bound keeps the scale of S and f
+        got, ref = 0.5 * got, ref.real
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * max(1.0, np.abs(ref).max()))
 
 

@@ -130,9 +130,9 @@ GOLDEN = {
          "converged"],
         [
             [10, 5, 1, 1, -6.472135955, -6.472135955,
-             4.48530101949e-13, 3.73719221472e-07, 0.721818536138, 27, 1],
+             4.48530101949e-13, 3.71633884708e-07, 0.721818536138, 27, 1],
             [10, 5, 1, 2, -6.472135955, -6.472135955,
-             2.93098878501e-14, 1.15423898286e-07, 1.23084896612, 21, 1],
+             2.93098878501e-14, 1.16381789385e-07, 1.23084896612, 21, 1],
         ],
     ),
     "conttime": (
