@@ -18,6 +18,7 @@ from .lattice import (
     LatticeSpec,
     bond_pairs,
     build_hamiltonian,
+    exact_ground_energy,
     exact_ground_state,
     initial_state,
 )

@@ -16,6 +16,17 @@ half-layer, each applied by `slater.apply_bond_layer`.  Its readers are
 `build_dqap_state` and `build_imag_state`, which keep its last state, and
 `intermediate_states`, which keeps every second one; the partial-layer
 prefixes of `adiabatic` are `build_dqap_state` on a truncated table.
+In real mode the pass evolves the first dimer orbital c alone, as an
+(L, 1) state.  Both bond families commute with the twisted translation
+T_gamma, a shift by two sites whose entries that wrap past the boundary
+take the factor gamma (the two-site invariance `_block_pass` rests on);
+column n of the dimer state is T_gamma^n c, and a real-time half-layer
+acts on each column alone, so column n of the circuit state is
+T_gamma^n c as well.  The readers expand only the states they keep
+(`_translates`), each as one copy of a strided view of the length-2L
+array [gamma c, c].  Multiplying by gamma = +-1 is exact, so the
+expansion equals the N-column pass bit for bit.  Imaginary mode keeps all
+N columns, because its QR step couples them.
 
 One block pass, `_block_pass`, runs the circuit on the Bloch blocks
 instead.  The dimer state, both bond families and the boundary twist are
@@ -113,10 +124,13 @@ def _forward_pass(spec: LatticeSpec, table, mode: str):
     """Yield the dimer state, then the state after each half-layer of `table`.
 
     `table` has the (M, 2) layout of `DqapParams.angles`; 2M + 1 states
-    are yielded in application order.  Readers that need only the last
+    are yielded in application order.  In real mode each state holds the
+    first orbital alone, (L, 1), which `_translates` expands; in
+    imaginary mode it holds all N.  Readers that need only the last
     state should iterate and keep it, so that earlier states can be freed.
     """
-    state = SlaterState(initial_state(spec))
+    orbitals = initial_state(spec)
+    state = SlaterState(orbitals if mode == "imag" else orbitals[:, :1])
     yield state
     # The flat table runs even(1), odd(1), even(2), ...: family 2, 1, 2, ...
     for k, ang in enumerate(table[:, ::-1].ravel()):
@@ -124,11 +138,31 @@ def _forward_pass(spec: LatticeSpec, table, mode: str):
         yield state
 
 
+def _translates(spec: LatticeSpec, state: SlaterState) -> SlaterState:
+    """The (L, N) state whose column n is T_gamma^n of the one orbital of `state`.
+
+    Entry (i, n) is c[i - 2n], times gamma where i - 2n < 0: element
+    L + i - 2n of the length-2L array [gamma c, c].
+    """
+    c = state.orbitals[:, 0]
+    L = spec.L
+    twisted = np.concatenate((spec.gamma * c, c))
+    step = twisted.itemsize
+    view = np.lib.stride_tricks.as_strided(twisted[L:], (L, spec.N), (step, -2 * step))
+    return SlaterState(view.copy())
+
+
 def build_dqap_state(spec: LatticeSpec, params: DqapParams) -> SlaterState:
-    """Apply the M-layer real-time circuit to the dimer state."""
+    """Apply the M-layer real-time circuit to the dimer state.
+
+    The pass evolves the first dimer orbital alone; column n of the
+    result is its twisted translate T_gamma^n, a shift by 2n sites with
+    the entries that wrap past the boundary times gamma (module
+    docstring), equal bit for bit to evolving all N columns.
+    """
     for state in _forward_pass(spec, params.angles, "real"):
         pass
-    return state
+    return _translates(spec, state)
 
 
 def build_imag_state(spec: LatticeSpec, params: DqapParams) -> SlaterState:
@@ -140,7 +174,8 @@ def build_imag_state(spec: LatticeSpec, params: DqapParams) -> SlaterState:
 
 def intermediate_states(spec: LatticeSpec, params: DqapParams):
     """States after 0, 1, ..., M full layers (M+1 entries)."""
-    return list(_forward_pass(spec, params.angles, "real"))[::2]
+    states = list(_forward_pass(spec, params.angles, "real"))[::2]
+    return [_translates(spec, state) for state in states]
 
 
 @lru_cache(maxsize=16)

@@ -14,6 +14,7 @@ allowed and simply flagged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,12 @@ class SpectrumDiagnostic:
     bond_preserving: bool
 
 
+def _check_sites(sites, L):
+    """Raise ValueError if a site lies outside 0..L-1."""
+    if any(not 0 <= x < L for x in sites):
+        raise ValueError(f"subsystem {list(sites)} out of range for L={L}")
+
+
 def one_particle_dm(state: SlaterState, subsystem: Subsystem) -> np.ndarray:
     """Correlation block D[i, j] = <c+_{s_i} c_{s_j}> on the subsystem sites.
 
@@ -68,8 +75,7 @@ def one_particle_dm(state: SlaterState, subsystem: Subsystem) -> np.ndarray:
     O(|A|^2 N).
     """
     sites = list(subsystem.sites)
-    if any(not 0 <= x < state.L for x in sites):
-        raise ValueError(f"subsystem {sites} out of range for L={state.L}")
+    _check_sites(sites, state.L)
     return transition_density(state, sites).T
 
 
@@ -83,6 +89,12 @@ def _xlogx(x):
     return x * np.log(np.where(x > 0.0, x, 1.0))
 
 
+def _check_levels(lo, hi):
+    """Raise if the lowest or highest correlation level strays more than 1e-8 outside [0, 1]."""
+    if lo < -_LEVEL_TOL or hi > 1.0 + _LEVEL_TOL:
+        raise ValueError(f"correlation levels outside [0,1]: {lo}, {hi}")
+
+
 def entropy_from_levels(levels) -> float:
     """Binary-entropy sum over correlation eigenvalues.
 
@@ -90,8 +102,8 @@ def entropy_from_levels(levels) -> float:
     than 1e-8 signals a broken input and raises.
     """
     d = np.asarray(levels, dtype=float)
-    if d.min(initial=0.0) < -_LEVEL_TOL or d.max(initial=1.0) > 1.0 + _LEVEL_TOL:
-        raise ValueError(f"correlation levels outside [0,1]: {d.min()}, {d.max()}")
+    if d.size:
+        _check_levels(d.min(), d.max())
     d = np.clip(d, 0.0, 1.0)
     return float(-(_xlogx(d) + _xlogx(1.0 - d)).sum())
 
@@ -116,13 +128,33 @@ def entanglement_entropy(state: SlaterState, subsystem: Subsystem) -> float:
     return entropy_from_levels(correlation_spectrum(state, subsystem))
 
 
+def _binary_entropy(p):
+    """-p log p - (1-p) log(1-p) of one level clamped to [0, 1], in scalar arithmetic."""
+    if p <= 0.0 or p >= 1.0:
+        return 0.0
+    q = 1.0 - p
+    return -(p * math.log(p) + q * math.log(q))
+
+
 def mutual_information(state: SlaterState, x: int, xp: int) -> float:
-    """I(x : xp) = S_x + S_xp - S_{x,xp} between two single sites."""
+    """I(x : xp) = S_x + S_xp - S_{x,xp} between two single sites.
+
+    The 2x2 correlation block [[a, b], [b*, e]] comes from
+    `transition_density`; its levels are mid -+ hypot((a - e)/2, |b|),
+    mid = (a + e)/2, in closed form, and all four binary entropies are
+    scalar arithmetic.  The levels pass the same [0, 1] check as
+    `entropy_from_levels`.
+    """
     if x == xp:
         raise ValueError("mutual information needs two distinct sites")
-    d2 = one_particle_dm(state, Subsystem((x, xp)))
-    s_sites = entropy_from_levels(d2.diagonal().real)  # S_x + S_xp in one call
-    return s_sites - entropy_from_levels(np.linalg.eigvalsh(d2))
+    _check_sites((x, xp), state.L)
+    (a, b), (_, e) = transition_density(state, (x, xp)).tolist()
+    a, e = a.real, e.real
+    mid, half = 0.5 * (a + e), math.hypot(0.5 * (a - e), abs(b))
+    levels = (a, e, mid - half, mid + half)
+    _check_levels(min(levels), max(levels))
+    ha, he, lo, hi = map(_binary_entropy, levels)
+    return (ha + he) - (lo + hi)
 
 
 def boundary_rank_diagnostic(state: SlaterState, subsystem: Subsystem) -> SpectrumDiagnostic:

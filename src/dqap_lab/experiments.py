@@ -79,7 +79,8 @@ from .entanglement import (
 )
 from .errors import ConfigError, OpenShellError
 from .lattice import (
-    LatticeSpec, _ground_phase, build_hamiltonian, exact_ground_state, is_finite_positive, is_int,
+    LatticeSpec, _ground_phase, build_hamiltonian, exact_ground_energy, exact_ground_state,
+    is_finite_positive, is_int,
 )
 from .optimizer import OptimizerConfig, ladder
 from .slater import SlaterState, energy_expectation, overlap
@@ -293,7 +294,7 @@ def _context(spec, m):
 
 
 def _task_energy_sweep(spec, depths, results, options):
-    e_exact = exact_ground_state(spec)[1]
+    e_exact = exact_ground_energy(spec)
     h = build_hamiltonian(spec)
     rows = []
     for m in depths:

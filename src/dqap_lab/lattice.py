@@ -190,11 +190,22 @@ def _ground_orbitals(spec, chi):
     return _bloch_orbitals(spec, np.stack((np.ones_like(u), u), axis=-1) * np.sqrt(0.5))
 
 
+def exact_ground_energy(spec: LatticeSpec) -> float:
+    """Ground-state energy -sum_q |1 + e^{iq}| of the chain at half filling, in O(L).
+
+    Raises OpenShellError (through `_ground_phase`) when a block gap is
+    below 1e-10, as `exact_ground_state` does.
+    """
+    _ground_phase(spec, 1.0)
+    z = 1.0 + _cell_momenta(spec.L, spec.gamma)[1].conj()
+    return -float(np.abs(z).sum())
+
+
 def exact_ground_state(spec: LatticeSpec):
     """Ground-state orbitals and energy of the chain at half filling.
 
     The chi = 1 case of `_ground_orbitals`: one lower-band Bloch orbital
-    per cell momentum, with energy -sum_q |1 + e^{iq}| (module
+    per cell momentum, with the energy of `exact_ground_energy` (module
     docstring).  Raises OpenShellError when a block gap is below
     1e-10, since the determinant state is then not unique.
 
@@ -202,9 +213,7 @@ def exact_ground_state(spec: LatticeSpec):
     -------
     (orbitals, energy) : (L, N) complex orthonormal array, float.
     """
-    orbitals = _ground_orbitals(spec, 1.0)
-    z = 1.0 + _cell_momenta(spec.L, spec.gamma)[1].conj()
-    return orbitals, -float(np.abs(z).sum())
+    return _ground_orbitals(spec, 1.0), exact_ground_energy(spec)
 
 
 def initial_state(spec: LatticeSpec) -> np.ndarray:

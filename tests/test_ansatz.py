@@ -118,6 +118,32 @@ def test_intermediate_states_endpoints():
     )
 
 
+def n_column_pass(spec, table):
+    """Every real-mode state of the circuit, all N dimer orbitals evolved."""
+    states = [SlaterState(initial_state(spec))]
+    for layer in table:
+        for family, angle in ((2, layer[1]), (1, layer[0])):
+            states.append(apply_bond_layer(states[-1], family, angle, spec))
+    return states
+
+
+@pytest.mark.parametrize("L", [2, 4, 6, 8, 10, 16, 30, 64])
+@pytest.mark.parametrize("gamma", [-1, +1])
+def test_real_builders_equal_the_n_column_pass_bit_for_bit(gamma, L):
+    # the builders evolve one orbital and expand its twisted translates
+    spec = LatticeSpec.half_filling(L, gamma=gamma)
+    rng = np.random.default_rng(L)
+    for m in range(5):
+        table = rng.uniform(-5.0, 5.0, (m, 2))  # angles beyond +-pi
+        want = n_column_pass(spec, table)
+        params = DqapParams(table)
+        np.testing.assert_array_equal(build_dqap_state(spec, params).orbitals, want[-1].orbitals)
+        got = intermediate_states(spec, params)
+        assert len(got) == m + 1
+        for state, ref in zip(got, want[::2]):
+            np.testing.assert_array_equal(state.orbitals, ref.orbitals)
+
+
 @pytest.mark.parametrize("gamma", [-1, +1])
 def test_real_circuit_energy_matches_fock(gamma):
     spec = LatticeSpec.half_filling(6, gamma=gamma)

@@ -13,6 +13,7 @@ from dqap_lab import (
     Subsystem,
     boundary_rank_diagnostic,
     build_dqap_state,
+    build_imag_state,
     correlation_spectrum,
     entanglement_entropy,
     entropy_from_levels,
@@ -26,6 +27,8 @@ from dqap_lab import (
     scaling_exponents,
     slater_to_fock,
 )
+
+from .oracles import random_orthonormal
 
 LN2 = np.log(2.0)
 
@@ -164,6 +167,48 @@ def test_mutual_information_needs_distinct_sites():
     st_ = SlaterState(initial_state(LatticeSpec.half_filling(8)))
     with pytest.raises(ValueError):
         mutual_information(st_, 3, 3)
+
+
+@pytest.mark.parametrize("mode", ["real", "imag", "frame"])
+@pytest.mark.parametrize("L,gamma", [(4, -1), (6, +1), (8, -1), (10, +1), (12, -1)])
+def test_mutual_information_matches_fock_entropies(L, gamma, mode):
+    # the closed-form 2x2 levels against S_x + S_x' - S_{x,x'} of the Fock
+    # state; circuit states hold 1/2 on every site, so a random frame with
+    # fewer fermions covers unequal diagonal entries
+    spec = LatticeSpec.half_filling(L, gamma=gamma)
+    rng = np.random.default_rng(10 * L + len(mode))
+    params = DqapParams(rng.uniform(-1.5, 1.5, (2, 2)))
+    if mode == "frame":
+        state = SlaterState(random_orthonormal(rng, L, L // 2 - 1))
+    else:
+        state = (build_dqap_state if mode == "real" else build_imag_state)(spec, params)
+    vec = slater_to_fock(state)
+    site = [fock_entropy(vec, [x]) for x in range(L)]
+    for x in range(L):
+        for xp in range(x + 1, L, 1 if L <= 8 else 3):
+            want = site[x] + site[xp] - fock_entropy(vec, [x, xp])
+            assert abs(mutual_information(state, x, xp) - want) < 1e-12
+
+
+@pytest.mark.parametrize("sites", [(-1, 3), (0, 8), (8, 2)])
+def test_mutual_information_rejects_sites_out_of_range(sites):
+    st_ = SlaterState(initial_state(LatticeSpec.half_filling(8)))
+    with pytest.raises(ValueError, match="out of range"):
+        mutual_information(st_, *sites)
+
+
+def test_mutual_information_checks_levels_as_entropy_from_levels_does():
+    # the dimer pair (0, 1) has levels 0 and 1; scaling its orbitals by s
+    # moves the top level to s^2, which the shared 1e-8 tolerance bounds
+    dimer = SlaterState(initial_state(LatticeSpec.half_filling(8)))
+    for scale in (2.0, 1.0 + 1e-7):
+        with pytest.raises(ValueError, match=r"outside \[0,1\]"):
+            mutual_information(SlaterState(scale * dimer.orbitals), 0, 1)
+        with pytest.raises(ValueError, match=r"outside \[0,1\]"):
+            entropy_from_levels(correlation_spectrum(SlaterState(scale * dimer.orbitals),
+                                                     Subsystem((0, 1))))
+    nudged = SlaterState((1.0 + 4e-9) * dimer.orbitals)
+    assert abs(mutual_information(nudged, 0, 1) - 2 * LN2) < 1e-7
 
 
 def test_correlation_cone_any_angles():

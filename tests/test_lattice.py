@@ -5,11 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dqap_lab import lattice
 from dqap_lab import (
     LatticeSpec,
     OpenShellError,
     bond_pairs,
     build_hamiltonian,
+    exact_ground_energy,
     exact_ground_state,
     initial_state,
 )
@@ -123,6 +125,19 @@ def test_exact_ground_state_needs_no_dense_diagonalization(monkeypatch):
     assert orb.shape == (16, 8)
     assert abs(energy - kspace_ground_energy(16, 8, "apbc")) < 1e-10
 
+
+@pytest.mark.parametrize("L,gamma", [(2, +1), (8, -1), (10, +1), (160, -1), (130, +1)])
+def test_ground_energy_alone_is_the_ground_state_energy(L, gamma, monkeypatch):
+    spec = LatticeSpec.half_filling(L, gamma=gamma)
+    _, energy = exact_ground_state(spec)
+
+    def no_orbitals(*args, **kwargs):
+        raise AssertionError("orbitals formed for the energy alone")
+
+    monkeypatch.setattr(lattice, "_bloch_orbitals", no_orbitals)
+    assert exact_ground_energy(spec) == energy
+
+
 @pytest.mark.parametrize("L,gamma", [(8, +1), (16, +1), (10, -1), (18, -1)])
 def test_open_shell_raises(L, gamma):
     # half filling is gapless for these parities; the oracle agrees
@@ -130,6 +145,8 @@ def test_open_shell_raises(L, gamma):
     assert kspace_gap(L, L // 2, spec.boundary) < 1e-10
     with pytest.raises(OpenShellError):
         exact_ground_state(spec)
+    with pytest.raises(OpenShellError):
+        exact_ground_energy(spec)
 
 
 def test_energy_density_approaches_thermodynamic_value():
