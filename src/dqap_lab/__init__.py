@@ -34,7 +34,6 @@ from .ansatz import (
     block_energy,
     build_dqap_state,
     build_imag_state,
-    intermediate_states,
     orbital_support,
     state_and_derivatives,
 )
@@ -82,7 +81,6 @@ from .fock import (
 )
 from .experiments import (
     ExperimentConfig,
-    RunManifest,
     fit_power_law,
     run_experiment,
 )

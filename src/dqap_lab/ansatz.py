@@ -14,17 +14,18 @@ One forward pass, `_forward_pass`, is the only real-space loop over
 half-layers: it yields the dimer state and then the state after each
 half-layer, each applied by `slater.apply_bond_layer`.  Its readers are
 `build_dqap_state` and `build_imag_state`, which keep its last state, and
-`intermediate_states`, which keeps every second one; the partial-layer
-prefixes of `adiabatic` are `build_dqap_state` on a truncated table.
+the `orbital-evolution` experiment, which reads the one orbital's extent
+after every full layer; the partial-layer prefixes of `adiabatic` are
+`build_dqap_state` on a truncated table.
 In real mode the pass evolves the first dimer orbital c alone, as an
 (L, 1) state.  Both bond families commute with the twisted translation
 T_gamma, a shift by two sites whose entries that wrap past the boundary
 take the factor gamma (the two-site invariance `_block_pass` rests on);
 column n of the dimer state is T_gamma^n c, and a real-time half-layer
 acts on each column alone, so column n of the circuit state is
-T_gamma^n c as well.  The readers expand only the states they keep
-(`_translates`), each as one copy of a strided view of the length-2L
-array [gamma c, c].  Multiplying by gamma = +-1 is exact, so the
+T_gamma^n c as well, with the same cyclic extent.  The builders expand
+only the state they keep (`_translates`), as one copy of a strided view
+of the length-2L array [gamma c, c].  Multiplying by gamma = +-1 is exact, so the
 expansion equals the N-column pass bit for bit.  Imaginary mode keeps all
 N columns, because its QR step couples them.
 
@@ -170,12 +171,6 @@ def build_imag_state(spec: LatticeSpec, params: DqapParams) -> SlaterState:
     for state in _forward_pass(spec, params.angles, "imag"):
         pass
     return state
-
-
-def intermediate_states(spec: LatticeSpec, params: DqapParams):
-    """States after 0, 1, ..., M full layers (M+1 entries)."""
-    states = list(_forward_pass(spec, params.angles, "real"))[::2]
-    return [_translates(spec, state) for state in states]
 
 
 @lru_cache(maxsize=16)

@@ -45,15 +45,15 @@ def _cmd_experiment(args):
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     manifest = run_experiment(config, jobs=args.jobs, out_dir=args.out)
-    for rec in manifest.runs:
+    for rec in manifest["runs"]:
         status = "ok" if rec["ok"] else "FAILED"
         print(f"  [{status}] {rec['task']}")
         if not rec["ok"]:
             print("    " + rec["error"].strip().replace("\n", "\n    "))
-    print(f"wrote {len(manifest.outputs)} table(s) in {manifest.wall_time_s:.1f}s:")
-    for path in manifest.outputs:
+    print(f"wrote {len(manifest['outputs'])} table(s) in {manifest['wall_time_s']:.1f}s:")
+    for path in manifest["outputs"]:
         print(f"  {path}")
-    return 0 if manifest.ok else 1
+    return 0 if manifest["ok"] else 1
 
 
 def _cmd_oracle(args):

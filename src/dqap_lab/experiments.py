@@ -4,17 +4,17 @@ An `ExperimentConfig` checks itself when it is built.  It expands into
 one independent task per chain size: `run_task(config, spec, optimizer)`
 gets the config, that size's `LatticeSpec` and its optimizer keywords,
 whose seed is spawned from the config's seed unless the config sets one.
-Tasks run inline or on a process pool and return named row lists; the
-driver concatenates them in task order so output is deterministic for a
-fixed config and seed, writes one CSV per name that holds at least one
-row, and records a manifest.json describing the invocation, with each
-task's seed, next to the tables.
+Tasks run inline or on a process pool and return named row lists plus
+their manifest record; the driver concatenates the rows in task order so
+output is deterministic for a fixed config and seed, writes one CSV per
+name that holds at least one row, and writes manifest.json, a plain dict
+describing the invocation with each task's seed, next to the tables.
 
 Everything `ExperimentConfig`, `run_task` and `run_experiment` know
 about a kind is one `Kind` record in `KINDS`:
 
-- `body(spec, depths, results, options)` returns {table: rows}, plus
-  an optional "summary" dict for the manifest;
+- `body(spec, depths, results, options)` returns {table: rows} and
+  nothing else;
 - `tables` maps each CSV name the body may write to its header;
 - `ladder` is "real" or "imag" for kinds that first optimize a
   warm-start ladder (`optimizer.ladder`) over the depths in that mode,
@@ -25,19 +25,22 @@ about a kind is one `Kind` record in `KINDS`:
 - `options` maps each kind-specific config key to (what a valid value
   is, check(value, sizes)); a key that is neither declared nor
   top-level, or a value its check rejects, is a config error;
-- `fit`, if set, is (table, column, aggregate key): given three or
-  more rows of positive values, `run_experiment` fits column ~ L^p
-  and records p in the manifest's aggregate;
+- `fit`, if set, is (table, column): each task's summary records the
+  column's cell of its row, and given three or more rows of positive
+  values, `run_experiment` fits column ~ L^p and records p in the
+  manifest's aggregate under f"{column}_vs_L";
 - `min_size` is the shortest chain the kind accepts;
 - `closed_shell` rejects a chain whose ground state at the end of the
   ramp is not unique, for kinds that read the exact state or the ramp.
 
-`run_task` resolves the depths and runs the ladder, so a body only
-turns its results into rows.  A ladder task's summary records what
-ended each rung's optimization.  The ladder runs on the Bloch blocks
-alone; the tables that print an energy E (`energy`, `entropy`, `imag`)
-compute it themselves, `slater.energy_expectation` of the real-space
-state they build from each rung's table.
+`run_task` resolves the depths, runs the ladder and the body, and forms
+the task's summary: the chain's L, what ended each rung's optimization
+(ladder kinds), and the fitted column's cell of the task's row (kinds
+with a `fit`).  So a body only turns its results into rows.  The ladder
+runs on the Bloch blocks alone; the tables that print an energy E
+(`energy`, `entropy`, `imag`) compute it themselves,
+`slater.energy_expectation` of the real-space state they build from
+each rung's table.
 
 Every CSV row starts with the full (L, N, gamma, M) context.  Site and
 layer indices in files are 1-based; M = 0 marks rows with no circuit
@@ -54,8 +57,9 @@ import platform
 import time
 import traceback
 from collections.abc import Callable, Mapping
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from itertools import islice
 from types import MappingProxyType
 
 import numpy as np
@@ -69,7 +73,7 @@ from .adiabatic import (
     qab_gap,
     qab_schedule,
 )
-from .ansatz import build_dqap_state, build_imag_state, intermediate_states, orbital_support
+from .ansatz import _forward_pass, build_dqap_state, build_imag_state, orbital_support
 from .entanglement import (
     Subsystem,
     boundary_rank_diagnostic,
@@ -240,28 +244,6 @@ class ExperimentConfig:
         return cls.from_dict(raw, kind=kind)
 
 
-@dataclass
-class RunManifest:
-    """What a driver invocation did; serialized to manifest.json.
-
-    `environment` names the interpreter, library versions, platform and
-    BLAS thread settings the run saw; each record in `runs` carries its
-    task's own `wall_time_s`.
-    """
-
-    experiment: str
-    config: dict
-    version: str
-    seed: int
-    jobs: int
-    wall_time_s: float
-    outputs: list
-    runs: list
-    ok: bool
-    aggregate: dict = field(default_factory=dict)
-    environment: dict = field(default_factory=dict)
-
-
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -324,14 +306,12 @@ def _task_entanglement_sweep(spec, depths, results, options):
             ms.append(m)
             svals.append(s)
             evals.append(deps)
-    out = {"entropy": rows}
-    ms = np.asarray(ms)
-    if len(ms) >= 2 and np.all(np.diff(ms) == 1) and np.all(np.asarray(evals) > 0):
+    try:  # needs two or more consecutive depths and positive dEps
         mm, ds, de = scaling_exponents(ms, svals, evals)
-        out["exponents"] = [
-            _context(spec, int(m)) + [float(a), float(b)] for m, a, b in zip(mm, ds, de)
-        ]
-    return out
+    except ValueError:
+        return {"entropy": rows}
+    exponents = [_context(spec, int(m)) + [float(a), float(b)] for m, a, b in zip(mm, ds, de)]
+    return {"entropy": rows, "exponents": exponents}
 
 
 def _task_mutual_info(spec, depths, results, options):
@@ -352,13 +332,14 @@ def _task_mutual_info(spec, depths, results, options):
 
 
 def _task_orbital_evolution(spec, depths, results, options):
+    # every orbital is a twisted translate of the first (`ansatz`), so all
+    # N share the extent of the one orbital the real-mode pass evolves
     rows = []
     for m in depths:
-        for layer, state in enumerate(intermediate_states(spec, results[m].params)):
-            ext = orbital_support(state)
-            rows.extend(
-                _context(spec, m) + [layer, n + 1, int(ext[n])] for n in range(spec.N)
-            )
+        states = _forward_pass(spec, results[m].params.angles, "real")
+        for layer, state in enumerate(islice(states, 0, None, 2)):  # after full layers
+            (ext,) = orbital_support(state)
+            rows.extend(_context(spec, m) + [layer, n, int(ext)] for n in range(1, spec.N + 1))
     return {"orbitals": rows}
 
 
@@ -375,7 +356,7 @@ def _task_params_trace(spec, depths, results, options):
 def _task_teff(spec, depths, results, options):
     depth = depths[-1]
     t_eff = float(results[depth].params.angles.sum())  # an effective total evolution time
-    return {"teff": [_context(spec, depth) + [t_eff]], "summary": {"t_eff": t_eff}}
+    return {"teff": [_context(spec, depth) + [t_eff]]}
 
 
 def _task_imaginary_sweep(spec, depths, results, options):
@@ -400,7 +381,6 @@ def _task_continuous_time(spec, depths, results, options):
     dtau = float(options.get("dtau", 0.01))
     order = int(options.get("order", 1))
     rows, teps_rows = [], []
-    summary = {"L": spec.L}
     for t_total in options.get("T_grid", []):
         m = max(1, round(t_total / dtau))
         plan = EvolutionPlan(T=float(t_total), M=m, order=order)
@@ -412,8 +392,7 @@ def _task_continuous_time(spec, depths, results, options):
         teps_rows.append(
             _context(spec, max(1, round(t_eps / dtau))) + [target, t_eps]
         )
-        summary["T_eps"] = t_eps
-    return {"conttime": rows, "teps": teps_rows, "summary": summary}
+    return {"conttime": rows, "teps": teps_rows}
 
 
 def _task_qab(spec, depths, results, options):
@@ -504,7 +483,7 @@ KINDS = {
         _task_teff,
         {"teff": _CONTEXT + ["t_eff"]},
         ladder="real",
-        fit=("teff", "t_eff", "t_eff_vs_L"),
+        fit=("teff", "t_eff"),
     ),
     "imaginary-sweep": Kind(
         _task_imaginary_sweep,
@@ -521,7 +500,7 @@ KINDS = {
         needs_one_of=("T_grid", "target_eps"),
         options={"T_grid": _T_GRID, "dtau": _FINITE_POSITIVE, "order": _ORDER,
                  "target_eps": _FINITE_POSITIVE},
-        fit=("teps", "T_eps", "T_eps_vs_L"),
+        fit=("teps", "T_eps"),
         closed_shell=True,
     ),
     "qab": Kind(
@@ -549,29 +528,37 @@ KINDS = {
 }
 
 
-def run_task(config: ExperimentConfig, spec: LatticeSpec, optimizer: dict) -> dict:
-    """Run one task of `config`; top-level so it can cross a process boundary.
+def run_task(config: ExperimentConfig, spec: LatticeSpec, optimizer: dict):
+    """Run and time one task of `config`; top-level so it can cross a process boundary.
 
     `spec` is one of `config.specs`; `optimizer` is this task's
     `OptimizerConfig` keywords, the config's with a seed of the task's own
     where the config sets none.  Runs the kind's ladder over the depths
-    resolved for `spec` and hands both to the kind's body.  A ladder
-    task's summary records what ended each rung's optimization, plus any
-    keys the body adds.
+    resolved for `spec` and hands both to the kind's body.  Returns
+    (tables, outcome): the body's {table: rows}, and the task's manifest
+    record less its name and seed, {"ok", "wall_time_s", "summary"}.  A
+    task that raises returns no tables and {"ok", "wall_time_s", "error"},
+    the error its traceback.
     """
+    t0 = time.monotonic()
     kind = KINDS[config.kind]
-    depths = _resolve_depths(config.depths, spec)
-    results = {}
-    if kind.ladder is not None:
-        results = ladder(spec, depths, OptimizerConfig(**optimizer), kind.ladder)
-    out = kind.body(spec, depths, results, config.options)
-    if kind.ladder is not None:
-        out["summary"] = {
-            "L": spec.L,
-            "stop_reason": {str(m): results[m].stop_reason for m in depths},
-            **out.get("summary", {}),
-        }
-    return out
+    try:
+        depths = _resolve_depths(config.depths, spec)
+        results = {}
+        if kind.ladder is not None:
+            results = ladder(spec, depths, OptimizerConfig(**optimizer), kind.ladder)
+        tables = kind.body(spec, depths, results, config.options)
+        summary = {"L": spec.L}
+        if kind.ladder is not None:
+            summary["stop_reason"] = {str(m): results[m].stop_reason for m in depths}
+        if kind.fit is not None:
+            table, column = kind.fit
+            for row in tables[table]:  # a task writes one row, or none
+                summary[column] = row[kind.tables[table].index(column)]
+    except Exception:
+        return {}, {"ok": False, "wall_time_s": time.monotonic() - t0,
+                    "error": traceback.format_exc()}
+    return tables, {"ok": True, "wall_time_s": time.monotonic() - t0, "summary": summary}
 
 
 def _format_cell(v):
@@ -589,28 +576,19 @@ def _write_csv(path, header, rows):
             writer.writerow([_format_cell(v) for v in row])
 
 
-def _timed_task(config, spec, optimizer):
-    """`run_task` and its wall time; a failure becomes {"error": traceback}."""
-    t0 = time.monotonic()
-    try:
-        res = run_task(config, spec, optimizer)
-    except Exception:
-        res = {"error": traceback.format_exc()}
-    return res, time.monotonic() - t0
-
-
-def run_experiment(
-    config: ExperimentConfig, jobs: int = 1, out_dir: str | None = None
-) -> RunManifest:
+def run_experiment(config: ExperimentConfig, jobs: int = 1, out_dir: str | None = None) -> dict:
     """Run all tasks of an experiment and write CSVs plus manifest.json.
 
     Tasks run on a process pool when jobs > 1; failures are recorded in
     the manifest without aborting sibling tasks.  A table with no rows is
     not written, and an earlier run's file of that table in the output
-    directory is deleted; no other file is.  Returns the manifest
-    (ok = True only if every task succeeded).  A jobs that is not a
-    positive int, or an output directory that cannot be created, is a
-    ConfigError, raised before any task runs.
+    directory is deleted; no other file is.  Returns the manifest, the
+    dict written to manifest.json: "ok" is True only if every task
+    succeeded, each record in "runs" carries its task's own
+    "wall_time_s", and "environment" names the interpreter, library
+    versions, platform and BLAS thread settings the run saw.  A jobs that
+    is not a positive int, or an output directory that cannot be
+    created, is a ConfigError, raised before any task runs.
     """
     kind = KINDS[config.kind]
     if not (is_int(jobs) and jobs >= 1):
@@ -627,32 +605,26 @@ def run_experiment(
         raise ConfigError(f"cannot create output directory {out!r}: {exc}") from exc
     t0 = time.monotonic()
     if jobs == 1 or len(tasks) == 1:
-        results = [_timed_task(config, *task) for task in tasks]
+        results = [run_task(config, *task) for task in tasks]
     else:
         # imported here: it loads multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
 
         results = []
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            futures = [pool.submit(_timed_task, config, *task) for task in tasks]
+            futures = [pool.submit(run_task, config, *task) for task in tasks]
             for fut in futures:
                 try:
                     results.append(fut.result())
                 except Exception:  # the pool itself failed; the task was not timed
-                    results.append(({"error": traceback.format_exc()}, None))
+                    results.append(({}, {"ok": False, "wall_time_s": None,
+                                         "error": traceback.format_exc()}))
 
-    tables, run_records = {}, []
-    for (spec, optimizer), (res, seconds) in zip(tasks, results):
-        record = {"task": f"{config.kind} L={spec.L} {spec.boundary}", "seed": optimizer["seed"],
-                  "ok": "error" not in res, "wall_time_s": seconds}
-        if "error" in res:
-            record["error"] = res["error"]
-        elif "summary" in res:
-            record["summary"] = res["summary"]
-        run_records.append(record)
-        for name, rows in res.items():
-            if name in ("error", "summary"):
-                continue
+    tables, runs = {}, []
+    for (spec, optimizer), (task_tables, outcome) in zip(tasks, results):
+        runs.append({"task": f"{config.kind} L={spec.L} {spec.boundary}",
+                     "seed": optimizer["seed"], **outcome})
+        for name, rows in task_tables.items():
             tables.setdefault(name, []).extend(rows)
 
     outputs = []
@@ -666,34 +638,34 @@ def run_experiment(
 
     aggregate = {}
     if kind.fit is not None:
-        table, column, key = kind.fit
+        table, column = kind.fit
         rows = tables.get(table, [])
         col = kind.tables[table].index(column)
         try:
             slope, err = fit_power_law([r[0] for r in rows], [r[col] for r in rows])
-            aggregate[key] = {"exponent": slope, "stderr": err}
+            aggregate[f"{column}_vs_L"] = {"exponent": slope, "stderr": err}
         except ValueError:
             pass  # under three rows or non-positive data; rows stay authoritative
 
-    manifest = RunManifest(
-        experiment=config.kind,
-        config=_plain({  # the config as from_dict reads it, less where this run wrote
+    manifest = {
+        "experiment": config.kind,
+        "config": _plain({  # the config as from_dict reads it, less where this run wrote
             "experiment": config.kind,
             **{k: getattr(config, k) for k in config._FIELD_KEYS if k != "out"},
             **config.options,
         }),
-        version=__version__,
-        seed=config.seed,
-        jobs=jobs,
-        wall_time_s=time.monotonic() - t0,
-        outputs=outputs,
-        runs=run_records,
-        ok=all(r["ok"] for r in run_records),
-        aggregate=aggregate,
-        environment=dict(_environment()),
-    )
+        "version": __version__,
+        "seed": config.seed,
+        "jobs": jobs,
+        "wall_time_s": time.monotonic() - t0,
+        "outputs": outputs,
+        "runs": runs,
+        "ok": all(r["ok"] for r in runs),
+        "aggregate": aggregate,
+        "environment": dict(_environment()),
+    }
     with open(os.path.join(out, "manifest.json"), "w") as fh:
-        json.dump(asdict(manifest), fh, indent=2)
+        json.dump(manifest, fh, indent=2)
         fh.write("\n")
     return manifest
 

@@ -29,17 +29,17 @@ def kspace_modes(L, boundary):
     raise ValueError(f"unknown boundary {boundary!r}")
 
 
-def kspace_levels(L, boundary, t=1.0):
-    """Single-particle levels -2t cos k, ascending."""
-    return np.sort(-2.0 * t * np.cos(kspace_modes(L, boundary)))
+def kspace_levels(L, boundary):
+    """Single-particle levels -2 cos k, ascending."""
+    return np.sort(-2.0 * np.cos(kspace_modes(L, boundary)))
 
 
-def kspace_ground_energy(L, N, boundary, t=1.0):
-    return float(kspace_levels(L, boundary, t)[:N].sum())
+def kspace_ground_energy(L, N, boundary):
+    return float(kspace_levels(L, boundary)[:N].sum())
 
 
-def kspace_gap(L, N, boundary, t=1.0):
-    lv = kspace_levels(L, boundary, t)
+def kspace_gap(L, N, boundary):
+    lv = kspace_levels(L, boundary)
     return float(lv[N] - lv[N - 1])
 
 
@@ -62,7 +62,7 @@ def random_orthonormal(rng, L, N):
     return q * np.sign(np.diagonal(r))
 
 
-def hopping_families(L, gamma, t=1.0):
+def hopping_families(L, gamma):
     """Dense hopping matrices (V1, V2): odd bonds (2j, 2j+1), even bonds (2j+1, 2j+2).
 
     The boundary bond (L-1, 0) belongs to the even family with weight gamma.
@@ -70,10 +70,10 @@ def hopping_families(L, gamma, t=1.0):
     v1 = np.zeros((L, L))
     v2 = np.zeros((L, L))
     for j in range(0, L, 2):
-        v1[j, j + 1] = v1[j + 1, j] = -t
+        v1[j, j + 1] = v1[j + 1, j] = -1.0
     for j in range(1, L - 1, 2):
-        v2[j, j + 1] = v2[j + 1, j] = -t
-    v2[L - 1, 0] = v2[0, L - 1] = -t * gamma
+        v2[j, j + 1] = v2[j + 1, j] = -1.0
+    v2[L - 1, 0] = v2[0, L - 1] = -gamma
     return v1, v2
 
 
@@ -85,7 +85,7 @@ def dimer_orbitals(L):
     return orbitals
 
 
-def dense_circuit(L, gamma, table, mode, t=1.0):
+def dense_circuit(L, gamma, table, mode):
     """Layered circuit on the dimer state and its angle derivatives, by dense exponentials.
 
     `table` has the (M, 2) layout of the circuit tables: column 0 odd
@@ -98,7 +98,7 @@ def dense_circuit(L, gamma, table, mode, t=1.0):
     Returns (G, dG): the (L, L/2) orbitals and the (2M, L, L/2)
     derivatives, never re-orthonormalized.
     """
-    v1, v2 = hopping_families(L, gamma, t)
+    v1, v2 = hopping_families(L, gamma)
     factor = -1j if mode == "real" else -1.0
     g = dimer_orbitals(L)
     derivs = []
@@ -147,9 +147,9 @@ def dense_ramp_step(orbitals, v1, v2, T, M, m, order=1):
     return (u * np.exp(-1j * w)) @ (u.conj().T @ orbitals)
 
 
-def dense_ramp(L, gamma, T, M, order=1, t=1.0):
+def dense_ramp(L, gamma, T, M, order=1):
     """Full ramp from the dimer state in real space: (eps, energy) at its end."""
-    v1, v2 = hopping_families(L, gamma, t)
+    v1, v2 = hopping_families(L, gamma)
     orbitals = dimer_orbitals(L)
     for m in range(1, M + 1):
         orbitals = dense_ramp_step(orbitals, v1, v2, T, M, m, order)
@@ -160,9 +160,9 @@ def dense_ramp(L, gamma, T, M, order=1, t=1.0):
     return float(np.sqrt(max(2.0 - 2.0 * ov, 0.0))), energy
 
 
-def dense_ramp_ground_state(L, gamma, chi, t=1.0):
+def dense_ramp_ground_state(L, gamma, chi):
     """Ground orbitals (L, L/2) of V1 + chi V2 by dense eigh, and the gap above them."""
-    v1, v2 = hopping_families(L, gamma, t)
+    v1, v2 = hopping_families(L, gamma)
     vals, vecs = np.linalg.eigh(v1 + chi * v2)
     return vecs[:, : L // 2], float(vals[L // 2] - vals[L // 2 - 1])
 
@@ -273,32 +273,31 @@ def orbital_spinors(L, boundary, orbitals):
     return np.stack([coef[..., 2 * n, n], coef[..., 2 * n + 1, n]], axis=-1)
 
 
-def sequential_ramp(spinors, L, boundary, T, M, slices, order=1, t=1.0):
+def sequential_ramp(spinors, L, boundary, T, M, slices, order=1):
     """Bloch spinors (L/2, 2) stepped through `slices` of the ramp one slice at a time.
 
     Slice m applies, to every cell momentum q, the closed-form exponential
-    of t dt [[w_z, w], [conj(w), -w_z]] with w = -1 - s_mid e^{-iq} and
-    (order 2) w_z = (t dt / 3) (s_m - s_{m-1}) sin q:
+    of dt [[w_z, w], [conj(w), -w_z]] with w = -1 - s_mid e^{-iq} and
+    (order 2) w_z = (dt / 3) (s_m - s_{m-1}) sin q:
     exp(-i n . sigma) = cos|n| - i (sin|n| / |n|) n . sigma.
     """
     q = cell_momenta(L, boundary)
     emiq, sin_q = np.exp(-1j * q), np.sin(q)
     dt = T / M
-    tdt = t * dt
     spinors = np.asarray(spinors, dtype=complex)
     a, b = spinors[:, 0], spinors[:, 1]
     for m in slices:
         s_prev, s_next = (m - 1) * dt / T, m * dt / T
         w = -1.0 - 0.5 * (s_prev + s_next) * emiq
-        w_z = (tdt / 3.0 * (s_next - s_prev)) * sin_q if order == 2 else np.zeros(len(q))
+        w_z = (dt / 3.0 * (s_next - s_prev)) * sin_q if order == 2 else np.zeros(len(q))
         r = np.sqrt(np.abs(w) ** 2 + w_z**2)
-        c, k = np.cos(tdt * r), np.sin(tdt * r) / r
+        c, k = np.cos(dt * r), np.sin(dt * r) / r
         g = -1j * k * w
         a, b = (c - 1j * k * w_z) * a + g * b, (c + 1j * k * w_z) * b - g.conj() * a
     return np.stack([a, b], axis=1)
 
 
-def mp_ramp_eps(L, boundary, T, M, t=1.0, dps=40):
+def mp_ramp_eps(L, boundary, T, M, dps=40):
     """Order-1 ramp's terminal distance, as a product of 2 x 2 blocks in mpmath.
 
     Each slice applies exp(-i dt H_q(s_mid)) to the dimer spinor of every
@@ -316,7 +315,7 @@ def mp_ramp_eps(L, boundary, T, M, t=1.0, dps=40):
             a = b = mp.sqrt(mp.mpf(1) / 2)
             for m in range(1, M + 1):
                 s = (m - mp.mpf(1) / 2) / M
-                h01 = -t * (1 + s * mp.conj(eiq))  # block entry <A|H_q|B>
+                h01 = -(1 + s * mp.conj(eiq))  # block entry <A|H_q|B>
                 r = abs(h01)
                 c, k = mp.cos(dt * r), mp.sin(dt * r) / r
                 a, b = c * a - 1j * k * h01 * b, -1j * k * mp.conj(h01) * a + c * b
@@ -326,14 +325,14 @@ def mp_ramp_eps(L, boundary, T, M, t=1.0, dps=40):
         return mp.sqrt(2 - 2 * amp)
 
 
-def mp_imag_energy(L, boundary, table, t=1.0, dps=40):
+def mp_imag_energy(L, boundary, table, dps=40):
     """Energy of the imaginary circuit, as a product of normalized 2 x 2 blocks in mpmath.
 
     `table` has the (M, 2) layout of the circuit tables: column 0 odd
     family, column 1 even.  Each layer applies exp(-tau V) of the even
-    block V(q) = -t [[0, e^{-iq}], [e^{iq}, 0]], then of the odd block
-    V = -t sigma_x, to the dimer spinor (1, 1)/sqrt 2 of every cell
-    momentum q.  Since V^2 = t^2, exp(-tau V) = cosh(tau t) - sinh(tau t) V/t.
+    block V(q) = -[[0, e^{-iq}], [e^{iq}, 0]], then of the odd block
+    V = -sigma_x, to the dimer spinor (1, 1)/sqrt 2 of every cell
+    momentum q.  Since V^2 = 1, exp(-tau V) = cosh(tau) - sinh(tau) V.
     The spinor is renormalized after every block.
     """
     import mpmath as mp
@@ -347,11 +346,11 @@ def mp_imag_energy(L, boundary, table, t=1.0, dps=40):
             a = b = mp.sqrt(mp.mpf(1) / 2)
             for odd, even in table:
                 for tau, z in ((even, mp.conj(eiq)), (odd, 1)):
-                    c, s = mp.cosh(mp.mpf(tau) * t), mp.sinh(mp.mpf(tau) * t)
+                    c, s = mp.cosh(mp.mpf(tau)), mp.sinh(mp.mpf(tau))
                     a, b = c * a + s * z * b, s * mp.conj(z) * a + c * b
                     norm = mp.sqrt(abs(a) ** 2 + abs(b) ** 2)
                     a, b = a / norm, b / norm
-            h01 = -t * (1 + mp.conj(eiq))  # block entry <A|H_q|B>
+            h01 = -(1 + mp.conj(eiq))  # block entry <A|H_q|B>
             energy += 2 * mp.re(mp.conj(a) * h01 * b)
         return energy
 

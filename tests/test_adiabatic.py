@@ -20,7 +20,6 @@ from dqap_lab import (
     FockBasis,
     fock_evolve,
     initial_state,
-    intermediate_states,
     magnus_step,
     many_body_matrix,
     maximize_overlap,
@@ -515,7 +514,7 @@ def test_gap_at_endpoint_matches_spectrum():
 def test_samples_cover_unit_interval():
     # the rows of the qab kind: (L, N, gamma, M, s, chi, gap)
     config = ExperimentConfig("qab", sizes=[12], options={"samples": 101})
-    samples = [row[4:] for row in run_task(config, config.specs[0], {})["qab"]]
+    samples = [row[4:] for row in run_task(config, config.specs[0], {})[0]["qab"]]
     assert len(samples) == 101
     assert samples[0][0] == 0.0 and samples[-1][0] == 1.0
     assert abs(samples[0][1]) < 1e-12
@@ -572,7 +571,7 @@ def test_partial_prefix_matches_fock_route():
     layer1 = fock_evolve(fock_evolve(dimer, v2, 1j * params.angles[0, 1]),
                          v1, 1j * params.angles[0, 0])
     np.testing.assert_allclose(
-        slater_to_fock(intermediate_states(spec, params)[1], basis).amplitudes,
+        slater_to_fock(build_dqap_state(spec, DqapParams(params.angles[:1])), basis).amplitudes,
         layer1.amplitudes, rtol=0.0, atol=1e-10,
     )
     alpha = 0.4

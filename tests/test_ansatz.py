@@ -22,7 +22,6 @@ from dqap_lab import (
     fock_evolve,
     fock_expectation,
     initial_state,
-    intermediate_states,
     optimize_imaginary,
     orbital_support,
     overlap,
@@ -106,18 +105,6 @@ def test_builder_matches_manual_layer_sequence():
     np.testing.assert_allclose(st.orbitals, manual.orbitals, atol=1e-14)
 
 
-def test_intermediate_states_endpoints():
-    spec = LatticeSpec.half_filling(8)
-    rng = np.random.default_rng(1)
-    p = random_params(rng, 3)
-    states = intermediate_states(spec, p)
-    assert len(states) == 4
-    np.testing.assert_allclose(states[0].orbitals, initial_state(spec), atol=1e-15)
-    np.testing.assert_allclose(
-        states[-1].orbitals, build_dqap_state(spec, p).orbitals, atol=1e-14
-    )
-
-
 def n_column_pass(spec, table):
     """Every real-mode state of the circuit, all N dimer orbitals evolved."""
     states = [SlaterState(initial_state(spec))]
@@ -138,7 +125,7 @@ def test_real_builders_equal_the_n_column_pass_bit_for_bit(gamma, L):
         want = n_column_pass(spec, table)
         params = DqapParams(table)
         np.testing.assert_array_equal(build_dqap_state(spec, params).orbitals, want[-1].orbitals)
-        got = intermediate_states(spec, params)
+        got = [build_dqap_state(spec, DqapParams(table[:j])) for j in range(m + 1)]
         assert len(got) == m + 1
         for state, ref in zip(got, want[::2]):
             np.testing.assert_array_equal(state.orbitals, ref.orbitals)

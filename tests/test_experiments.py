@@ -9,14 +9,19 @@ import sys
 import warnings
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import dqap_lab
-from dqap_lab import ConfigError, SingularOverlapError, experiments
+from dqap_lab import (
+    ConfigError, DqapParams, LatticeSpec, SingularOverlapError, experiments, orbital_support,
+)
 from dqap_lab.cli import main
 from dqap_lab.experiments import KINDS, ExperimentConfig, fit_power_law, run_experiment
+
+from .test_ansatz import n_column_pass
 
 _LADDER = {"sizes": [8], "boundary": "apbc", "depths": [1, 2]}
 
@@ -261,6 +266,55 @@ def test_sweep_manifest_records_stop_reason_per_rung(tmp_path, kind):
     assert code == 0
     (run,) = json.loads((out / "manifest.json").read_text())["runs"]
     assert run["summary"]["stop_reason"] == {"1": "energy_tol", "2": "energy_tol"}
+
+
+def test_every_task_summary_records_L_and_the_fitted_cell(tmp_path):
+    # a summary holds the chain's L, each rung's stop reason (ladder kinds)
+    # and the cell of the fitted column from the task's own row (fit kinds)
+    keys = {"teff": ["L", "stop_reason", "t_eff"], "continuous-time": ["L", "T_eps"]}
+    for kind, (config, _) in CASES.items():
+        (tmp_path / kind).mkdir()
+        code, out = _run(tmp_path / kind, kind, config)
+        assert code == 0
+        runs = json.loads((out / "manifest.json").read_text())["runs"]
+        assert [run["summary"]["L"] for run in runs if run["ok"]] == config["sizes"], kind
+        if kind in keys:
+            table, column = KINDS[kind].fit
+            with open(out / f"{table}.csv", newline="") as fh:
+                (row,) = csv.DictReader(fh)
+            (summary,) = [run["summary"] for run in runs]
+            assert list(summary) == keys[kind]
+            assert summary[column] == float(row[column])
+    # a ramp with no target fills no T_eps cell
+    code, out = _run(tmp_path, "continuous-time", {"sizes": [8], "T_grid": [1], "dtau": 0.1})
+    assert code == 0
+    (run,) = json.loads((out / "manifest.json").read_text())["runs"]
+    assert run["summary"] == {"L": 8}
+
+
+@pytest.mark.parametrize("L", [2, 4, 6, 8, 10, 16, 30, 64])
+@pytest.mark.parametrize("gamma", [-1, +1])
+def test_orbital_rows_equal_the_extent_of_every_column(gamma, L):
+    # the body reads the one evolved orbital; every column of the
+    # N-column pass, after every full layer, must have its extent
+    spec = LatticeSpec.half_filling(L, gamma=gamma)
+    rng = np.random.default_rng(L)
+    depths = list(range(6))
+    tables = {}
+    for m in depths:
+        table = rng.uniform(-5.0, 5.0, (m, 2))
+        exact = rng.random((m, 2)) < 0.5  # angles at which a bond swaps or idles exactly
+        table[exact] = rng.choice([0.0, np.pi / 2, np.pi], exact.sum())
+        tables[m] = table
+    results = {m: SimpleNamespace(params=DqapParams(table)) for m, table in tables.items()}
+    got = KINDS["orbital-evolution"].body(spec, depths, results, {})["orbitals"]
+    want = [
+        [L, spec.N, gamma, m, layer, n + 1, ext]
+        for m in depths
+        for layer, state in enumerate(n_column_pass(spec, tables[m])[::2])
+        for n, ext in enumerate(orbital_support(state))
+    ]
+    assert got == want
 
 
 def test_imaginary_distance_is_finite_for_large_scale_factors(tmp_path):

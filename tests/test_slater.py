@@ -24,7 +24,6 @@ from dqap_lab import (
     exact_ground_state,
     fock_evolve,
     initial_state,
-    intermediate_states,
     many_body_matrix,
     overlap,
     slater_to_fock,
@@ -288,7 +287,9 @@ _STEEP = DqapParams(np.full((3, 2), 3.0))  # unnormalized norm about e^88
 _BUILDERS = {
     "build_dqap_state": lambda: [build_dqap_state(_SPEC, _ANGLES)],
     "build_imag_state": lambda: [build_imag_state(_SPEC, _STEEP)],
-    "intermediate_states": lambda: intermediate_states(_SPEC, _ANGLES),
+    "build_dqap_state_prefixes": lambda: [
+        build_dqap_state(_SPEC, DqapParams(_ANGLES.angles[:j])) for j in range(_ANGLES.M + 1)
+    ],
     "evolve_linear_schedule": lambda: [
         evolve_linear_schedule(_SPEC, EvolutionPlan(T=6.0, M=40))[0]
     ],
