@@ -34,7 +34,7 @@ from .ansatz import (
     block_energy,
     build_dqap_state,
     build_imag_state,
-    orbital_support,
+    orbital_extents,
     state_and_derivatives,
 )
 from .optimizer import (

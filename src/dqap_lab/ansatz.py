@@ -11,12 +11,10 @@ real-time angles or imaginary-time steps depending on which build
 function (or which `mode` argument) the caller picks.
 
 One forward pass, `_forward_pass`, is the only real-space loop over
-half-layers: it yields the dimer state and then the state after each
-half-layer, each applied by `slater.apply_bond_layer`.  Its readers are
-`build_dqap_state` and `build_imag_state`, which keep its last state, and
-the `orbital-evolution` experiment, which reads the one orbital's extent
-after every full layer; the partial-layer prefixes of `adiabatic` are
-`build_dqap_state` on a truncated table.
+half-layers: it applies each half-layer to the dimer state with
+`slater.apply_bond_layer` and returns the last state.  Its two readers
+are `build_dqap_state` and `build_imag_state`; the partial-layer
+prefixes of `adiabatic` are `build_dqap_state` on a truncated table.
 In real mode the pass evolves the first dimer orbital c alone, as an
 (L, 1) state.  Both bond families commute with the twisted translation
 T_gamma, a shift by two sites whose entries that wrap past the boundary
@@ -43,7 +41,7 @@ c psi + s (z, z*) psi[::-1] from the row before, with the pairs (z, z*)
 cached per chain (`_phase_pairs`).  The stack is read-only and memoized
 on (L, gamma, mode, table) for one table, so the pass of the last
 line-search trial the optimizer accepts is the pass its next
-`state_and_derivatives` reads.  The pass has three readers:
+`state_and_derivatives` reads.  The pass has four readers:
 
 - `block_energy`, the last row's energy sum_q <psi_q|H_q|psi_q>: the
   optimizer's line-search energy.
@@ -61,6 +59,12 @@ line-search trial the optimizer accepts is the pass its next
   per-block multiple of psi to a derivative, so they read t_k alone: the
   engine returns the (K, L/2) weights t_k and no derivative vectors.
 - `adiabatic.maximize_overlap`, the last row of a prefix table.
+- `orbital_extents`, the rows after each full layer.  Entry 2j + a of
+  the first real-mode orbital is (1/N) sum_q e^{iqj} psi_{q,a}, the
+  dimer orbital of cell 0 carried through the blocks.  With
+  q = (2 pi n + phi)/N that is e^{i phi j/N} times entry j of the
+  inverse DFT over n of psi_{q_n,a} (`np.fft.ifft`); the phase leaves
+  every magnitude, so the extent is read off the blocks.
 
 In imaginary mode every half-layer ends by dividing each block by its
 norm n_k, which the pass keeps, (2M, L/2).  Derivative k is then the
@@ -84,7 +88,7 @@ from .errors import SingularOverlapError
 from .lattice import LatticeSpec, _block_hopping, _cell_momenta, initial_state
 from .slater import SlaterState, _bond_block, apply_bond_layer
 
-_SUPPORT_TOL = 1e-12  # magnitude above which orbital_support counts an entry
+_SUPPORT_TOL = 1e-12  # magnitude above which orbital_extents counts a site
 
 
 def _as_table(values, name):
@@ -121,22 +125,19 @@ class DqapParams:
         return cls(flat.reshape(-1, 2)[:, ::-1])
 
 
-def _forward_pass(spec: LatticeSpec, table, mode: str):
-    """Yield the dimer state, then the state after each half-layer of `table`.
+def _forward_pass(spec: LatticeSpec, table, mode: str) -> SlaterState:
+    """The dimer state carried through every half-layer of `table`, in application order.
 
-    `table` has the (M, 2) layout of `DqapParams.angles`; 2M + 1 states
-    are yielded in application order.  In real mode each state holds the
-    first orbital alone, (L, 1), which `_translates` expands; in
-    imaginary mode it holds all N.  Readers that need only the last
-    state should iterate and keep it, so that earlier states can be freed.
+    `table` has the (M, 2) layout of `DqapParams.angles`.  In real mode
+    the state holds the first orbital alone, (L, 1), which `_translates`
+    expands; in imaginary mode it holds all N.
     """
     orbitals = initial_state(spec)
     state = SlaterState(orbitals if mode == "imag" else orbitals[:, :1])
-    yield state
     # The flat table runs even(1), odd(1), even(2), ...: family 2, 1, 2, ...
     for k, ang in enumerate(table[:, ::-1].ravel()):
         state = apply_bond_layer(state, 2 - k % 2, ang, spec, mode=mode)
-        yield state
+    return state
 
 
 def _translates(spec: LatticeSpec, state: SlaterState) -> SlaterState:
@@ -161,16 +162,12 @@ def build_dqap_state(spec: LatticeSpec, params: DqapParams) -> SlaterState:
     the entries that wrap past the boundary times gamma (module
     docstring), equal bit for bit to evolving all N columns.
     """
-    for state in _forward_pass(spec, params.angles, "real"):
-        pass
-    return _translates(spec, state)
+    return _translates(spec, _forward_pass(spec, params.angles, "real"))
 
 
 def build_imag_state(spec: LatticeSpec, params: DqapParams) -> SlaterState:
     """Apply the M-layer imaginary-time circuit to the dimer state."""
-    for state in _forward_pass(spec, params.angles, "imag"):
-        pass
-    return state
+    return _forward_pass(spec, params.angles, "imag")
 
 
 @lru_cache(maxsize=16)
@@ -276,24 +273,23 @@ def block_energy(spec: LatticeSpec, params: DqapParams, mode="real") -> float:
     return 2.0 * float(np.sum((psi[0].conj() * _block_hopping(spec) * psi[1]).real))
 
 
-def orbital_support(state: SlaterState) -> np.ndarray:
-    """Minimal cyclic window length holding each orbital's support.
+def orbital_extents(spec: LatticeSpec, params: DqapParams) -> list[int]:
+    """Cyclic extent of the real-mode orbitals after each full layer: M + 1 ints.
 
-    An entry counts as occupied when its magnitude exceeds 1e-12.
-    The window is cyclic: support {L-1, 0} has extent 2.  Returns an
-    int array of length N.
+    Every orbital is a twisted translate of the first, so all N share
+    one extent; the first is, up to a phase per site, the inverse DFT
+    over q of the blocks of `_block_pass` (module docstring).  A site
+    counts when its magnitude exceeds 1e-12, and the window is cyclic:
+    support {L-1, 0} has extent 2.
     """
-    L = state.L
-    out = np.zeros(state.N, dtype=int)
-    mag = np.abs(state.orbitals) > _SUPPORT_TOL
-    for n in range(state.N):
-        pos = np.flatnonzero(mag[:, n])
-        if len(pos) == 0:
-            continue
-        if len(pos) == 1:
-            out[n] = 1
-            continue
-        gaps = np.diff(pos)
-        wrap = pos[0] + L - pos[-1]
-        out[n] = L - max(gaps.max(), wrap) + 1
-    return out
+    from numpy.fft import ifft  # loaded on the first call, not at import
+
+    rows = _block_pass(spec, params, "real")[0][::2]
+    # site 2j + a has the magnitude of ifft(rows[layer, a])[j]
+    mag = np.abs(ifft(rows, axis=-1)).transpose(0, 2, 1).reshape(-1, spec.L)
+    extents = []
+    for occupied in mag > _SUPPORT_TOL:
+        pos = np.flatnonzero(occupied)
+        gaps = np.diff(pos, append=pos[0] + spec.L)  # the last gap wraps around
+        extents.append(spec.L + 1 - int(gaps.max()))
+    return extents

@@ -59,7 +59,6 @@ import traceback
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from itertools import islice
 from types import MappingProxyType
 
 import numpy as np
@@ -73,7 +72,7 @@ from .adiabatic import (
     qab_gap,
     qab_schedule,
 )
-from .ansatz import _forward_pass, build_dqap_state, build_imag_state, orbital_support
+from .ansatz import build_dqap_state, build_imag_state, orbital_extents
 from .entanglement import (
     Subsystem,
     boundary_rank_diagnostic,
@@ -333,13 +332,11 @@ def _task_mutual_info(spec, depths, results, options):
 
 def _task_orbital_evolution(spec, depths, results, options):
     # every orbital is a twisted translate of the first (`ansatz`), so all
-    # N share the extent of the one orbital the real-mode pass evolves
+    # N share one extent after each layer
     rows = []
     for m in depths:
-        states = _forward_pass(spec, results[m].params.angles, "real")
-        for layer, state in enumerate(islice(states, 0, None, 2)):  # after full layers
-            (ext,) = orbital_support(state)
-            rows.extend(_context(spec, m) + [layer, n, int(ext)] for n in range(1, spec.N + 1))
+        for layer, ext in enumerate(orbital_extents(spec, results[m].params)):
+            rows.extend(_context(spec, m) + [layer, n, ext] for n in range(1, spec.N + 1))
     return {"orbitals": rows}
 
 
@@ -645,7 +642,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, out_dir: str | None 
             slope, err = fit_power_law([r[0] for r in rows], [r[col] for r in rows])
             aggregate[f"{column}_vs_L"] = {"exponent": slope, "stderr": err}
         except ValueError:
-            pass  # under three rows or non-positive data; rows stay authoritative
+            pass  # under three rows, one size, or non-positive data; rows stay authoritative
 
     manifest = {
         "experiment": config.kind,
@@ -673,12 +670,15 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, out_dir: str | None 
 def fit_power_law(x, y):
     """Least-squares exponent of y ~ x^p on log-log axes.
 
-    Returns (exponent, stderr).  Needs at least three positive points.
+    Returns (exponent, stderr).  Needs at least three positive points
+    at two or more distinct x.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) != len(y) or len(x) < 3:
         raise ValueError("need at least three points")
+    if len(np.unique(x)) < 2:
+        raise ValueError("power-law fit needs two or more distinct x")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("power-law fit needs positive data")
     lx, ly = np.log(x), np.log(y)

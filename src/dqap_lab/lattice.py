@@ -197,8 +197,7 @@ def exact_ground_energy(spec: LatticeSpec) -> float:
     below 1e-10, as `exact_ground_state` does.
     """
     _ground_phase(spec, 1.0)
-    z = 1.0 + _cell_momenta(spec.L, spec.gamma)[1].conj()
-    return -float(np.abs(z).sum())
+    return -float(np.abs(_block_hopping(spec)).sum())
 
 
 def exact_ground_state(spec: LatticeSpec):

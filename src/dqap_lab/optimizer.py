@@ -214,9 +214,8 @@ def _initial_params(m_layers, config, init):
 def _run(spec, params, mode, config):
     trace = [block_energy(spec, params, mode)]
     stop_reason = "no_descent" if params.M == 0 else "max_iters"
-    it = 0
     db = config.delta_beta
-    while params.M and it < config.max_iters:
+    while params.M and len(trace) - 1 < config.max_iters:
         metric, force = assemble_metric_and_force(
             *state_and_derivatives(spec, params, mode=mode), spec
         )
@@ -242,13 +241,12 @@ def _run(spec, params, mode, config):
             break
         db = db * _STEP_GROWTH if scale == 1.0 else max(config.delta_beta, db * scale)
         params = trial
-        it += 1
         trace.append(energy)
         if abs(trace[-1] - trace[-2]) / (abs(trace[-1]) + 1.0) < config.energy_tol:
             stop_reason = "energy_tol"
             break
     converged = stop_reason != "max_iters"
-    return OptResult(params, trace[-1], np.asarray(trace), it, converged, stop_reason)
+    return OptResult(params, trace[-1], np.asarray(trace), len(trace) - 1, converged, stop_reason)
 
 
 def optimize(

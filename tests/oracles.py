@@ -13,6 +13,7 @@ per-component loop, which must match bit for bit.  The ramp's Bloch
 spinors have a one-slice-at-a-time route, and any Bloch spinors a map
 to real-space orbitals.  The overlap grid scan has a scalar route,
 one determinant per grid point, and a per-row route on the blocks.
+The extent of real-space orbitals has a per-column loop.
 Nothing here calls back into dqap_lab, so agreement is meaningful.
 """
 
@@ -83,6 +84,28 @@ def dimer_orbitals(L):
     for n in range(L // 2):
         orbitals[2 * n, n] = orbitals[2 * n + 1, n] = np.sqrt(0.5)
     return orbitals
+
+
+def orbital_support(orbitals):
+    """Minimal cyclic window length holding each column's support, (N,) ints.
+
+    An entry counts as occupied when its magnitude exceeds 1e-12.  The
+    window is cyclic: support {L-1, 0} has extent 2.
+    """
+    L, N = orbitals.shape
+    out = np.zeros(N, dtype=int)
+    mag = np.abs(orbitals) > 1e-12
+    for n in range(N):
+        pos = np.flatnonzero(mag[:, n])
+        if len(pos) == 0:
+            continue
+        if len(pos) == 1:
+            out[n] = 1
+            continue
+        gaps = np.diff(pos)
+        wrap = pos[0] + L - pos[-1]
+        out[n] = L - max(gaps.max(), wrap) + 1
+    return out
 
 
 def dense_circuit(L, gamma, table, mode):

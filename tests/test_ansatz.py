@@ -23,7 +23,7 @@ from dqap_lab import (
     fock_expectation,
     initial_state,
     optimize_imaginary,
-    orbital_support,
+    orbital_extents,
     overlap,
     slater_to_fock,
     state_and_derivatives,
@@ -535,22 +535,17 @@ def test_block_energy_needs_no_real_space_kernel(monkeypatch, mode):
 
 def test_support_of_dimer_is_two():
     spec = LatticeSpec.half_filling(10)
-    st = SlaterState(initial_state(spec))
-    assert np.all(orbital_support(st) == 2)
+    assert orbital_extents(spec, DqapParams(np.zeros((0, 2)))) == [2]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_support_grows_linearly_below_saturation(m):
     spec = LatticeSpec.half_filling(16)
     rng = np.random.default_rng(7)
-    st = build_dqap_state(spec, random_params(rng, m))
-    widths = orbital_support(st)
-    assert widths.max() == 4 * m + 2
+    assert orbital_extents(spec, random_params(rng, m)) == [4 * j + 2 for j in range(m + 1)]
 
 
 def test_support_saturates_at_chain_length():
     spec = LatticeSpec.half_filling(8)
     rng = np.random.default_rng(8)
-    st = build_dqap_state(spec, random_params(rng, 3))
-    assert np.all(orbital_support(st) <= 8)
-    assert orbital_support(st).max() == 8
+    assert orbital_extents(spec, random_params(rng, 3)) == [2, 6, 8, 8]

@@ -16,11 +16,12 @@ import pytest
 
 import dqap_lab
 from dqap_lab import (
-    ConfigError, DqapParams, LatticeSpec, SingularOverlapError, experiments, orbital_support,
+    ConfigError, DqapParams, LatticeSpec, SingularOverlapError, experiments,
 )
 from dqap_lab.cli import main
 from dqap_lab.experiments import KINDS, ExperimentConfig, fit_power_law, run_experiment
 
+from .oracles import orbital_support
 from .test_ansatz import n_column_pass
 
 _LADDER = {"sizes": [8], "boundary": "apbc", "depths": [1, 2]}
@@ -292,29 +293,32 @@ def test_every_task_summary_records_L_and_the_fitted_cell(tmp_path):
     assert run["summary"] == {"L": 8}
 
 
-@pytest.mark.parametrize("L", [2, 4, 6, 8, 10, 16, 30, 64])
+@pytest.mark.parametrize("L", [2, 4, 6, 8, 10, 16, 30, 64, 128, 256])
 @pytest.mark.parametrize("gamma", [-1, +1])
 def test_orbital_rows_equal_the_extent_of_every_column(gamma, L):
-    # the body reads the one evolved orbital; every column of the
-    # N-column pass, after every full layer, must have its extent
+    # the body reads the extent off the Bloch blocks; every column of the
+    # N-column pass, after every full layer, must have that extent
     spec = LatticeSpec.half_filling(L, gamma=gamma)
     rng = np.random.default_rng(L)
     depths = list(range(6))
-    tables = {}
+    wide = {}
     for m in depths:
         table = rng.uniform(-5.0, 5.0, (m, 2))
         exact = rng.random((m, 2)) < 0.5  # angles at which a bond swaps or idles exactly
         table[exact] = rng.choice([0.0, np.pi / 2, np.pi], exact.sum())
-        tables[m] = table
-    results = {m: SimpleNamespace(params=DqapParams(table)) for m, table in tables.items()}
-    got = KINDS["orbital-evolution"].body(spec, depths, results, {})["orbitals"]
-    want = [
-        [L, spec.N, gamma, m, layer, n + 1, ext]
-        for m in depths
-        for layer, state in enumerate(n_column_pass(spec, tables[m])[::2])
-        for n, ext in enumerate(orbital_support(state))
-    ]
-    assert got == want
+        wide[m] = table
+    # small angles put the cone's edge amplitudes near the 1e-12 cut
+    small = {m: rng.uniform(0.0, 0.05, (m, 2)) for m in depths}
+    for tables in (wide, small):
+        results = {m: SimpleNamespace(params=DqapParams(table)) for m, table in tables.items()}
+        got = KINDS["orbital-evolution"].body(spec, depths, results, {})["orbitals"]
+        want = [
+            [L, spec.N, gamma, m, layer, n + 1, ext]
+            for m in depths
+            for layer, state in enumerate(n_column_pass(spec, tables[m])[::2])
+            for n, ext in enumerate(orbital_support(state.orbitals))
+        ]
+        assert got == want
 
 
 def test_imaginary_distance_is_finite_for_large_scale_factors(tmp_path):
@@ -402,18 +406,19 @@ def test_package_runs_without_scipy(tmp_path):
     assert report == {"codes": [0, 0, 0, 0], "loaded": []}
 
 
-# Imports the command-line module and prints every process-pool module it loaded.
+# Imports the command-line module and prints every process-pool or FFT module it loaded.
 _NO_POOL = """
 import json, sys
 import dqap_lab.cli
-pool = ("concurrent.futures.process", "multiprocessing")
-print(json.dumps(sorted(m for m in sys.modules if m == pool[0] or m.split(".")[0] == pool[1])))
+lazy = ("concurrent.futures.process", "numpy.fft")
+print(json.dumps(sorted(m for m in sys.modules if m in lazy or m.split(".")[0] == "multiprocessing")))
 """
 
 
 def test_cli_import_loads_no_process_pool():
     # `run_experiment` imports the pool only for jobs > 1, so a serial run
-    # does not pay for multiprocessing, socket and logging at start-up
+    # does not pay for multiprocessing, socket and logging at start-up;
+    # numpy.fft loads only when `orbital_extents` runs
     src = str(Path(dqap_lab.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", _NO_POOL],
@@ -748,7 +753,8 @@ def test_power_law_fit_recovers_an_exact_exponent():
     ([8, 12, 16], [1.0, 0.0, 2.0]),
     ([8, 12, -16], [1.0, 2.0, 3.0]),
     ([8, 12, 16], [1.0, 2.0]),
-], ids=["two-points", "zero-value", "negative-size", "unequal-lengths"])
+    ([8, 8, 8], [1.0, 2.0, 3.0]),
+], ids=["two-points", "zero-value", "negative-size", "unequal-lengths", "one-size"])
 def test_power_law_fit_rejects_unusable_data(x, y):
     with pytest.raises(ValueError):
         fit_power_law(x, y)
@@ -765,7 +771,9 @@ def test_teff_manifest_records_the_fit_of_its_table(tmp_path):
     assert aggregate == {"t_eff_vs_L": {"exponent": exponent, "stderr": stderr}}
 
 
-def test_teff_manifest_records_no_fit_of_two_sizes(tmp_path):
-    code, out = _run(tmp_path, "teff", {"sizes": [8, 12]})
+@pytest.mark.parametrize("sizes", [[8, 12], [8, 8, 8]], ids=["8-12", "8-8-8"])
+def test_teff_manifest_records_no_fit_of_two_sizes(tmp_path, sizes):
+    # two sizes, or one size repeated, leave no exponent to fit
+    code, out = _run(tmp_path, "teff", {"sizes": sizes})
     assert code == 0
     assert json.loads((out / "manifest.json").read_text())["aggregate"] == {}
