@@ -327,12 +327,14 @@ def _block_overlap(psi, u, angle):
 
     Shape shape(angle) + shape(u)[:-1]; the angles run in blocks of at
     most `_CHUNK_ELEMENTS` amplitudes, or of one angle where it has more.
+    A block holds q on its second axis, so the product over q multiplies
+    whole contiguous slabs, in the order of a per-row np.prod.
     """
-    a, b = psi[:, 0], psi[:, 1]
-    uc = u.conj()
-    x, y = a + uc * b, b + uc * a
+    a, b = psi.T.reshape((2, -1) + (1,) * (u.ndim - 1))
+    uc = np.ascontiguousarray(np.moveaxis(u, -1, 0)).conj()
+    x, y = a + uc * b, b + uc * a  # (L/2,) + shape(u)[:-1]
     c, s = (np.reshape(v, (-1,) + (1,) * x.ndim) for v in _bond_block(angle, "real"))
-    out = np.empty(c.shape[:1] + x.shape[:-1])
+    out = np.empty(c.shape[:1] + x.shape[1:])
     rows = max(1, _CHUNK_ELEMENTS // x.size)
     for i in range(0, len(out), rows):
         amp = c[i : i + rows] * x
@@ -340,8 +342,8 @@ def _block_overlap(psi, u, angle):
         mag = np.abs(amp)
         mag **= 2
         mag *= 0.5
-        np.prod(mag, axis=-1, out=out[i : i + rows])
-    return out.reshape(np.shape(angle) + x.shape[:-1])
+        np.prod(mag, axis=1, out=out[i : i + rows])
+    return out.reshape(np.shape(angle) + x.shape[1:])
 
 
 def _scan_blocks(spec, psi, theta, chis, alphas):

@@ -1,14 +1,15 @@
 """Command-line entry point.
 
-    dqap-lab <experiment> --config <file> [--jobs N] [--out DIR] [--seed S]
+    dqap-lab <kind> --config <file> [--jobs N] [--out DIR] [--seed S]
     dqap-lab oracle [--L 8] [--layers 2] [--mode real] [--boundary apbc]
 
 The first form runs an experiment described by a JSON config and writes
-CSV tables plus manifest.json.  The second form cross-checks the
-determinant algebra against the brute-force occupation-basis route on a
-random circuit and prints a small report.  The oracle reads the exact
-ground state, so it needs a closed shell: --L 6 with apbc, or --L 8
-with pbc, is a config error.
+CSV tables plus manifest.json; every kind in `experiments.KINDS` shares
+one parser.  The second form cross-checks the determinant algebra
+against the brute-force occupation-basis route on a random circuit and
+prints a small report.  The oracle reads the exact ground state, so it
+needs a closed shell: --L 6 with apbc, or --L 8 with pbc, is a config
+error.
 """
 
 from __future__ import annotations
@@ -30,18 +31,8 @@ from .slater import SlaterState, energy_expectation, overlap
 _ORACLE_TOL = 1e-10
 
 
-def _add_experiment_parsers(sub):
-    for kind in KINDS:
-        p = sub.add_parser(kind, help=f"run the {kind} experiment")
-        p.add_argument("--config", required=True, help="JSON experiment config")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.set_defaults(func=_cmd_experiment, kind=kind)
-
-
 def _cmd_experiment(args):
-    config = ExperimentConfig.from_json(args.config, kind=args.kind)
+    config = ExperimentConfig.from_json(args.config, kind=args.command)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     manifest = run_experiment(config, jobs=args.jobs, out_dir=args.out)
@@ -106,8 +97,14 @@ def build_parser():
         prog="dqap-lab",
         description="simulate and optimize layered circuits on the free-fermion chain",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    _add_experiment_parsers(sub)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="{<kind>,oracle}")
+    first, *rest = KINDS
+    p = sub.add_parser(first, aliases=rest, prog="dqap-lab <kind>", help="run an experiment")
+    p.add_argument("--config", required=True, help="JSON experiment config")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
+    p.add_argument("--out", default=None, help="output directory override")
+    p.add_argument("--seed", type=int, default=None, help="seed override")
+    p.set_defaults(func=_cmd_experiment)
     p = sub.add_parser("oracle", help="cross-check against the occupation-basis route")
     p.add_argument("--L", type=int, default=8,
                    help="chain length (even, <= 12, closed shell; default: 8)")

@@ -178,8 +178,16 @@ def apply_bond_layer(
 
 
 def energy_expectation(state: SlaterState, h: np.ndarray) -> float:
-    """Normalized quadratic expectation Re tr[Psi+ h Psi] (orthonormal Psi)."""
+    """Normalized quadratic expectation tr[Psi+ h Psi] (orthonormal Psi) of a real symmetric h.
+
+    For real symmetric h the trace is sum_ij v_ij (h v)_ij over the real
+    (L, 2N) view v of Psi (of a C-ordered copy where Psi is not
+    contiguous), so it costs one O(L^2 N) real product and forms no
+    N x N matrix.  A complex h raises ValueError.
+    """
     if h.shape != (state.L, state.L):
         raise DimensionMismatch(f"h has shape {h.shape}, state has L={state.L}")
-    rhs = state.orbitals.conj().T @ (h @ state.orbitals)
-    return float(np.trace(rhs).real)
+    if np.iscomplexobj(h):
+        raise ValueError(f"h must be real symmetric, got dtype {h.dtype}")
+    v = np.ascontiguousarray(state.orbitals).view(float)
+    return float(np.sum(v * (h @ v)))

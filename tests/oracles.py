@@ -3,6 +3,7 @@
 Momentum-space sums pin the chain energetics (the closure phase shifts
 the allowed modes by half a spacing), finite differences pin analytic
 derivatives, and random orthonormal frames feed the property tests.
+Quadratic expectations have the N x N Gram-trace route.
 The continuous-time ramp has a dense real-space route (an eigh-based
 exponential per slice, and eigh ground states along the ramp) and a
 40-digit mpmath product of its 2 x 2 momentum blocks.  The layered
@@ -61,6 +62,11 @@ def random_orthonormal(rng, L, N):
     """Haar-ish random L x N frame with orthonormal columns."""
     q, r = np.linalg.qr(rng.normal(size=(L, N)) + 1j * rng.normal(size=(L, N)))
     return q * np.sign(np.diagonal(r))
+
+
+def gram_trace_energy(orbitals, h):
+    """Re tr[Psi+ (h Psi)]: the quadratic expectation through the N x N Gram product."""
+    return float(np.trace(orbitals.conj().T @ (h @ orbitals)).real)
 
 
 def hopping_families(L, gamma):

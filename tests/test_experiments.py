@@ -18,7 +18,7 @@ import dqap_lab
 from dqap_lab import (
     ConfigError, DqapParams, LatticeSpec, SingularOverlapError, experiments,
 )
-from dqap_lab.cli import main
+from dqap_lab.cli import _cmd_experiment, _cmd_oracle, build_parser, main
 from dqap_lab.experiments import KINDS, ExperimentConfig, fit_power_law, run_experiment
 
 from .oracles import orbital_support
@@ -425,6 +425,34 @@ def test_cli_import_loads_no_process_pool():
                           capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_every_kind_parses_through_the_one_experiment_parser(kind):
+    args = build_parser().parse_args([kind, "--config", "c.json"])
+    assert args.command == kind and args.func is _cmd_experiment
+    assert (args.config, args.jobs, args.out, args.seed) == ("c.json", 1, None, None)
+
+
+def test_oracle_parser_keeps_its_defaults():
+    args = build_parser().parse_args(["oracle"])
+    assert args.func is _cmd_oracle
+    assert (args.L, args.layers, args.boundary, args.mode, args.seed) == (8, 2, "apbc", "real", 0)
+
+
+def test_unknown_kind_exits_2_and_lists_every_kind(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-kind", "--config", "c.json"])
+    assert exc.value.code == 2
+    listed = capsys.readouterr().err.split("choose from")[1]
+    assert all(kind in listed for kind in [*KINDS, "oracle"])
+
+
+def test_experiment_help_prints_the_kind_synopsis(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mutual-info", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dqap-lab <kind>")
 
 
 def test_ladder_kind_without_depths_is_a_config_error(tmp_path):

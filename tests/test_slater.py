@@ -32,7 +32,7 @@ from dqap_lab import (
 )
 from dqap_lab.slater import _bond_block
 
-from .oracles import hopping_families, kspace_ground_energy, random_orthonormal
+from .oracles import gram_trace_energy, hopping_families, kspace_ground_energy, random_orthonormal
 
 
 def random_state(rng, L, N):
@@ -250,6 +250,28 @@ def test_energy_expectation_at_exact_ground_state():
     st = SlaterState(orb.astype(complex))
     assert abs(energy_expectation(st, build_hamiltonian(spec)) - e) < 1e-10
     assert abs(e - kspace_ground_energy(16, 8, "apbc")) < 1e-10
+
+
+@pytest.mark.parametrize("L", [10, 64, 160])
+def test_energy_expectation_matches_the_gram_trace(L):
+    # a random positive h keeps the trace away from zero, so the check is relative
+    rng = np.random.default_rng(L)
+    a = rng.normal(size=(L, L))
+    spec = LatticeSpec.half_filling(L, gamma=+1 if L % 4 == 2 else -1)
+    params = DqapParams(rng.uniform(0.0, 0.6, (3, 2)))
+    orbitals = [random_orthonormal(rng, L, L // 2), build_imag_state(spec, params).orbitals]
+    orbitals.append(np.asfortranarray(orbitals[0]))
+    for h in (a @ a.T / L, build_hamiltonian(spec)):
+        for orb in orbitals:
+            ref = gram_trace_energy(orb, h)
+            assert abs(energy_expectation(SlaterState(orb), h) - ref) <= 1e-12 * abs(ref)
+
+
+def test_energy_expectation_rejects_a_complex_h():
+    spec = LatticeSpec.half_filling(8)
+    st = SlaterState(exact_ground_state(spec)[0])
+    with pytest.raises(ValueError, match="real symmetric"):
+        energy_expectation(st, build_hamiltonian(spec).astype(complex))
 
 
 def test_energy_is_variational_bound():
