@@ -36,9 +36,11 @@ Half-layer k multiplies every block by B_k = c + s [[0, z], [z*, 0]],
 with (c, s) from one `slater._bond_block` call on all angles, z = e^{-iq}
 for the even family and z = 1 for the odd one.  The pass keeps every
 half-layer: row k + 1 of its (2M + 1, 2, L/2) stack holds the blocks
-after half-layer k, component-major, each written as
-c psi + s (z, z*) psi[::-1] from the row before, with the pairs (z, z*)
-cached per chain (`_phase_pairs`).  The stack is read-only and memoized
+after half-layer k, component-major.  One loop over (c, s (z, z*),
+row k, row k + 1) writes it in place as s (z, z*) psi[::-1], then adds
+c psi: no scratch array, and since IEEE addition commutes it is
+c psi + s (z, z*) psi[::-1] bit for bit.  The pairs (z, z*) are cached
+per chain (`_phase_pairs`).  The stack is read-only and memoized
 on (L, gamma, mode, table) for one table, so the pass of the last
 line-search trial the optimizer accepts is the pass its next
 `state_and_derivatives` reads.  The pass has four readers:
@@ -74,7 +76,8 @@ because the product itself overflows in deep tables.  The division keeps
 the state normalized (the norms are not part of the state), so the
 optimizer uses the same normalized formulas in both modes.  A block that
 cancels exactly (cosh = sinh to rounding above |angle| ~ 19) has norm 0
-and raises `SingularOverlapError`.
+and raises `SingularOverlapError`.  Real mode divides nothing, so only
+the imaginary loop runs under `np.errstate`, where 0/0 leaves a NaN.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ class DqapParams:
 
     def flatten(self) -> np.ndarray:
         """Flat vector in application order: even(1), odd(1), even(2), ..."""
-        return self.angles[:, ::-1].reshape(-1).copy()
+        return self.angles[:, ::-1].flatten()
 
     @classmethod
     def from_flat(cls, flat):
@@ -203,18 +206,22 @@ def _table_pass(L, gamma, mode, flat):
     rows = np.empty((len(c) + 1, 2, L // 2), dtype=complex)
     rows[0] = np.sqrt(0.5)
     norms = np.empty((len(c), L // 2)) if mode == "imag" else None
-    swapped = np.empty_like(rows[0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k, (ck, szk) in enumerate(zip(c, sz)):
-            prev, cur = rows[k], rows[k + 1]
-            np.multiply(szk, prev[::-1], out=swapped)
-            np.multiply(prev, ck, out=cur)
-            cur += swapped
-            if mode == "imag":
-                np.hypot(np.abs(cur[0]), np.abs(cur[1]), out=norms[k])
-                cur /= norms[k]
-    if mode == "imag" and not np.isfinite(rows[-1]).all():  # a zero norm left NaN
-        raise SingularOverlapError("a Bloch block's norm underflows to zero")
+    steps = zip(c.tolist(), sz, rows[:-1], rows[1:])
+    if mode == "real":
+        for ck, szk, prev, cur in steps:
+            np.multiply(szk, prev[::-1], out=cur)
+            cur += ck * prev
+    else:
+        mag = np.empty((2, L // 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for (ck, szk, prev, cur), nk in zip(steps, norms):
+                np.multiply(szk, prev[::-1], out=cur)
+                cur += ck * prev
+                np.abs(cur, out=mag)
+                np.hypot(mag[0], mag[1], out=nk)
+                cur /= nk
+        if not np.isfinite(rows[-1]).all():  # a zero norm left NaN
+            raise SingularOverlapError("a Bloch block's norm underflows to zero")
     for arr in (rows, norms):
         if arr is not None:
             arr.flags.writeable = False  # shared by every caller through the cache
@@ -270,7 +277,7 @@ def block_energy(spec: LatticeSpec, params: DqapParams, mode="real") -> float:
         In imaginary mode, if a block coefficient overflows or a block's norm is 0.
     """
     psi = _block_pass(spec, params, mode)[0][-1]
-    return 2.0 * float(np.sum((psi[0].conj() * _block_hopping(spec) * psi[1]).real))
+    return 2.0 * float((psi[0].conj() * _block_hopping(spec) * psi[1]).real.sum())
 
 
 def orbital_extents(spec: LatticeSpec, params: DqapParams) -> list[int]:

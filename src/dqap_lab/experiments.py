@@ -58,7 +58,6 @@ import time
 import traceback
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -246,9 +245,8 @@ class ExperimentConfig:
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@lru_cache(maxsize=None)
 def _environment():
-    """The manifest's environment block, computed once per process."""
+    """The manifest's environment block, read anew on every run: BLAS settings may change."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -659,7 +657,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, out_dir: str | None 
         "runs": runs,
         "ok": all(r["ok"] for r in runs),
         "aggregate": aggregate,
-        "environment": dict(_environment()),
+        "environment": _environment(),
     }
     with open(os.path.join(out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)

@@ -44,6 +44,7 @@ start onto a plateau where it stalls too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,9 +183,11 @@ def _solve_step(metric, force, delta_beta: float, ridge: float):
     if top <= 0.0:
         return np.zeros(len(b))
     keep = w > _LSTSQ_CUTOFF * top
+    # The copy fixes the operand layout of both products; skipping it when
+    # every mode is kept changes the step's last bits.
     vk = v[:, keep]
     dtheta = vk @ ((vk.T @ b) / (w[keep] + ridge))
-    if not np.all(np.isfinite(dtheta)):
+    if not np.isfinite(dtheta).all():
         raise LinearSolveError("natural-gradient system produced non-finite step")
     return dtheta
 
@@ -220,7 +223,7 @@ def _run(spec, params, mode, config):
             *state_and_derivatives(spec, params, mode=mode), spec
         )
         dtheta = _solve_step(metric, force, db, _RIDGE)
-        largest = np.max(np.abs(dtheta))
+        largest = np.abs(dtheta).max()
         if largest > _TRUST_CAP:
             dtheta *= _TRUST_CAP / largest
         flat = params.flatten()
@@ -230,8 +233,8 @@ def _run(spec, params, mode, config):
             try:
                 energy = block_energy(spec, trial, mode)
             except SingularOverlapError:
-                energy = np.inf
-            if np.isfinite(energy) and energy <= trace[-1]:
+                energy = math.inf
+            if math.isfinite(energy) and energy <= trace[-1]:
                 break
             scale *= 0.5
         else:

@@ -218,21 +218,26 @@ def bloch_frame(L, boundary):
 
 
 def reference_block_pass(L, boundary, table, mode, rows):
-    """Bloch blocks (rows, L/2, 2) of the circuit, by the per-component loop.
+    """Bloch blocks (rows, L/2, 2) and imaginary norms of the circuit, by the per-component loop.
 
-    `table` has the (M, 2) layout of the circuit tables.  Row 0 is the
-    state and row k + 1, where there is one, its derivative by flat
-    angle k.  This is the spinor-major loop the package ran before its
-    component-major pass: one scalar (c, s) per half-layer, the two
-    components rotated as separate strided views, and the same elementwise
-    operations, so the two must agree bit for bit, not only to rounding.
+    `table` has the (M, 2) layout of the circuit tables.  Returns
+    (stack, norms): row 0 of the stack is the state and row k + 1, where
+    there is one, its derivative by flat angle k; norms (2M, L/2) holds
+    the norm of each block after half-layer k, which imaginary mode
+    divides by, and is None in real mode.  This is the spinor-major loop
+    the package ran before its component-major pass: one scalar (c, s)
+    per half-layer, the two components rotated as separate strided views,
+    and the same elementwise operations, so the two must agree bit for
+    bit, not only to rounding.
     """
     emiq = np.exp(-1j * cell_momenta(L, boundary))
     gen = 1j if mode == "real" else 1.0
     stack = np.zeros((rows, L // 2, 2), dtype=complex)
     stack[0] = np.sqrt(0.5)
     psi = stack[0]
-    for k, ang in enumerate(np.asarray(table, dtype=float)[:, ::-1].ravel()):
+    flat = np.asarray(table, dtype=float)[:, ::-1].ravel()
+    norms = np.empty((len(flat), L // 2)) if mode == "imag" else None
+    for k, ang in enumerate(flat):
         if mode == "real":
             c, s = np.cos(ang), 1j * np.sin(ang)
         else:
@@ -245,8 +250,9 @@ def reference_block_pass(L, boundary, table, mode, rows):
             stack[k + 1, :, 0] = gen * z * psi[:, 1]
             stack[k + 1, :, 1] = gen * np.conj(z) * psi[:, 0]
         if mode == "imag":
-            stack[: k + 2] /= np.hypot(np.abs(psi[:, 0]), np.abs(psi[:, 1]))[:, None]
-    return stack
+            norms[k] = np.hypot(np.abs(psi[:, 0]), np.abs(psi[:, 1]))
+            stack[: k + 2] /= norms[k][:, None]
+    return stack, norms
 
 
 def tangent_weights(spinors, derivs):

@@ -78,6 +78,20 @@ def test_flat_ordering_follows_application_order():
     np.testing.assert_allclose(q.angles, p.angles)
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_flatten_is_a_fresh_copy_that_round_trips_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    p = DqapParams(rng.normal(size=(m, 2)))
+    kept = p.angles.copy()
+    flat = p.flatten()
+    assert flat.shape == (2 * m,) and flat.dtype == np.float64
+    assert flat.flags.writeable and flat.flags.c_contiguous and flat.flags.owndata
+    assert np.array_equal(flat[0::2], kept[:, 1]) and np.array_equal(flat[1::2], kept[:, 0])
+    assert np.array_equal(DqapParams.from_flat(flat).angles, kept)
+    flat[:] = np.nan  # writing to the flat vector leaves the table alone
+    assert np.array_equal(p.angles, kept)
+
+
 # ---- state builders ----
 
 
@@ -384,17 +398,23 @@ def test_derivative_engine_needs_no_real_space_kernel(monkeypatch, mode):
 def test_block_pass_is_bit_identical_to_the_per_component_loop(m, boundary, mode):
     # "same numbers" as an exact property: every full-layer row of the
     # pass, and the spinors, run the same IEEE operations as the
-    # per-component loop on that prefix of the table
+    # per-component loop on that prefix of the table; in imaginary mode
+    # so are the norms every half-layer divides by
     rng = np.random.default_rng(10 * m + len(boundary))
     for L in (4, 18, 64):
         spec = LatticeSpec.half_filling(L, gamma=-1 if boundary == "apbc" else +1)
         table = rng.normal(scale=1.5, size=(m, 2))
         p = DqapParams(table)
-        rows = _block_pass(spec, p, mode)[0]
+        rows, norms = _block_pass(spec, p, mode)
         for j in range(m + 1):
-            ref = reference_block_pass(L, boundary, table[:j], mode, 1)[0]
-            assert np.array_equal(rows[2 * j].T, ref)
-        assert np.array_equal(state_and_derivatives(spec, p, mode)[0], ref)
+            ref, ref_norms = reference_block_pass(L, boundary, table[:j], mode, 1)
+            assert np.array_equal(rows[2 * j].T, ref[0])
+        assert np.array_equal(state_and_derivatives(spec, p, mode)[0], ref[0])
+        if mode == "imag":
+            assert norms.shape == (2 * m, L // 2)
+            assert np.array_equal(norms, ref_norms)
+        else:
+            assert norms is None and ref_norms is None
 
 
 @pytest.mark.parametrize("mode", ["real", "imag"])
@@ -407,7 +427,7 @@ def test_closed_form_derivatives_match_the_forward_mode_loop(m, boundary, mode):
     for L in (4, 18, 64):
         spec = LatticeSpec.half_filling(L, gamma=-1 if boundary == "apbc" else +1)
         table = rng.normal(scale=1.5, size=(m, 2))
-        ref = reference_block_pass(L, boundary, table, mode, 2 * m + 1)
+        ref = reference_block_pass(L, boundary, table, mode, 2 * m + 1)[0]
         spinors, tangents = state_and_derivatives(spec, DqapParams(table), mode)
         assert np.array_equal(spinors, ref[0])
         tol = 1e-13 * max(1.0, np.abs(ref[1:]).max())
@@ -422,7 +442,7 @@ def _assert_metric_and_force_match(spec, table, mode):
         )
     assert np.isfinite(metric).all() and np.isfinite(force).all()
     assert np.array_equal(metric, metric.T)
-    rows = reference_block_pass(spec.L, spec.boundary, table, mode, 2 * len(table) + 1)
+    rows = reference_block_pass(spec.L, spec.boundary, table, mode, 2 * len(table) + 1)[0]
     refs = projected_metric_and_force(spec.L, spec.boundary, rows[0], rows[1:])
     for got, ref in zip((metric, force), refs):
         # half the real system (S + S*, f + f*) against Re S and Re f, so

@@ -640,6 +640,17 @@ def test_manifest_records_environment_and_task_times(tmp_path):
     assert sum(seconds) <= manifest["wall_time_s"]
 
 
+def test_manifest_environment_is_read_on_every_run(tmp_path, monkeypatch):
+    # BLAS settings can change between two runs in one process
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OMP_NUM_THREADS", threads)
+        (tmp_path / threads).mkdir()
+        code, out = _run(tmp_path / threads, "energy-sweep", {**_LADDER, "sizes": [8]})
+        assert code == 0
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env["OMP_NUM_THREADS"] == threads
+
+
 def test_manifest_seed_reruns_its_task(tmp_path):
     # a random start depends on the task's seed; the recorded one reproduces the task alone
     config = {"sizes": [8, 12], "depths": [1, 2],
