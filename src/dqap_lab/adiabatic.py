@@ -26,15 +26,18 @@ exp(-i n . sigma) = cos|n| - i (sin|n| / |n|) n . sigma exactly.
 
 That exponential is in SU(2), [[alpha, beta], [-conj(beta), conj(alpha)]],
 so a slice is one pair (alpha, beta) per cell momentum.  A run of
-consecutive slices is evaluated as (n_slices, L/2) arrays in one pass
-and multiplied by pairwise levels, later slice on the left:
+consecutive slices is evaluated cell-major, as (L/2, n_slices) arrays
+with the slices on the contiguous axis, in one pass, and multiplied by
+pairwise levels along that axis, later slice on the left:
 
     alpha = alpha1 alpha0 - beta1 conj(beta0),
     beta  = alpha1 beta0 + beta1 conj(alpha0),
 
-with an odd last slice carried up a level.  The ramp steps chunks of
-`_CHUNK_ELEMENTS` slice x cell entries this way, so each temporary
-stays near 1 MB at any L, and the spinors are touched once per chunk.
+with an odd last slice carried up a level.  Cell-major, every numpy
+inner loop runs along the slices, which at small L far outnumber the
+cells.  The ramp steps chunks of `_CHUNK_ELEMENTS` slice x cell entries
+this way, so each temporary stays near 1 MB at any L, and the spinors
+are touched once per chunk.
 
 The closed-form optimal ramp keeps the adiabaticity rate uniform along
 the path.  Writing g for 2 pi / L, the ramp and instantaneous gap are
@@ -54,7 +57,7 @@ product over q of |c (a + conj(u_q) b) + s (b + conj(u_q) a)|^2 / 2:
 `slater._bond_block` and (1, u_q)/sqrt 2 the ground spinor.  A scan point
 costs O(L) and no determinant.  A scan forms the alpha-free sums once,
 fills its (alpha, chi) grid in blocks of alpha rows of at most
-`_CHUNK_ELEMENTS` amplitudes, and takes one argmax: ties go to the first
+`_SCAN_ELEMENTS` amplitudes, and takes one argmax: ties go to the first
 alpha, then the first chi.
 """
 
@@ -72,8 +75,16 @@ from .lattice import (
 )
 from .slater import SlaterState, _bond_block, overlap
 
-# slice x cell entries per magnus_step call of a ramp: about 1 MB per temporary
+# slice x cell entries per magnus_step call of a ramp: about 1 MB per complex
+# temporary.  The chunks group the pairwise product, so another size moves the
+# last digits of eps; 1 << 14 also made find_T_epsilon(L=32, 0.05, dtau=0.05)
+# 6% slower in a warm process (18.1 -> 19.3 ms, 2 vCPUs).
 _CHUNK_ELEMENTS = 1 << 16
+# amplitudes per block of an overlap scan's (alpha, chi, q) grid: 256 KB complex
+# temporaries that stay in L2.  Against 1 << 16 it took a free-alpha
+# maximize_overlap from 1.87 to 1.71 ms at L=16 and from 20.6 to 17.6 ms at
+# L=256 in a warm process (2 vCPUs); the blocking changes no grid cell.
+_SCAN_ELEMENTS = 1 << 14
 _T_START = 1.0  # first ramp time tried by find_T_epsilon
 _T_CAP = 1e6  # longest ramp time find_T_epsilon tries
 # maximize_overlap's coarse step and upper end of chi and alpha, its window steps and half-width
@@ -102,45 +113,52 @@ class EvolutionPlan:
 
 
 def _slice_blocks(spec, plan, slices):
-    """SU(2) pairs (alpha, beta), each (len(slices), L/2), of the slices' block exponentials.
+    """SU(2) pairs (alpha, beta), each (L/2, len(slices)), of the slices' block exponentials.
 
-    A block is [[alpha, beta], [-conj(beta), conj(alpha)]] with
+    Row n holds cell momentum q_n and column j slice slices[j], so the
+    slices run along the contiguous axis.  A block is
+    [[alpha, beta], [-conj(beta), conj(alpha)]] with
     alpha = c - i k w_z (alpha = c at order 1) and beta = -i k w, where
     the generator is n . sigma = dt [[w_z, w], [conj(w), -w_z]],
     c = cos|n| and k = dt sin|n| / |n|.
     """
     _, emiq, sin_q = _cell_momenta(spec.L, spec.gamma)
     dt = plan.delta_tau
-    m = np.arange(slices.start, slices.stop)[:, None]
+    m = np.arange(slices.start, slices.stop)
     s_prev, s_next = (m - 1) * dt / plan.T, m * dt / plan.T
     # |w| >= 1 - s_mid > 0
-    w = -1.0 - 0.5 * (s_prev + s_next) * emiq
+    w = -1.0 - 0.5 * (s_prev + s_next) * emiq[:, None]
     if plan.order == 2:
-        w_z = (dt / 3.0 * (s_next - s_prev)) * sin_q
+        w_z = (dt / 3.0 * (s_next - s_prev)) * sin_q[:, None]
         r = np.sqrt(w.real**2 + w.imag**2 + w_z**2)
     else:
         r = np.abs(w)
-    c = np.cos(dt * r)
-    k = np.sin(dt * r) / r  # sin|n| / |n| times dt
+    dtr = dt * r
+    c = np.cos(dtr)
+    k = np.sin(dtr) / r  # sin|n| / |n| times dt
     alpha = c - 1j * k * w_z if plan.order == 2 else c
     return alpha, -1j * k * w
 
 
 def _compose(alpha, beta):
-    """Product of the SU(2) pairs along axis 0, later rows on the left, by pairwise levels.
+    """Product of the SU(2) pairs along axis 1, later columns on the left, by pairwise levels.
 
-    Rows 2i and 2i+1 become U_{2i+1} U_{2i} (module docstring); an odd
-    last row is carried up a level unchanged.
+    Columns 2i and 2i+1 become U_{2i+1} U_{2i} (module docstring); an
+    odd last column is carried up a level unchanged.  Returns the
+    product's (alpha, beta), each (L/2,).
     """
-    while len(alpha) > 1:
-        n = len(alpha) & ~1
-        a0, a1, b0, b1 = alpha[0:n:2], alpha[1:n:2], beta[0:n:2], beta[1:n:2]
+    # operand order as written: numpy's SIMD complex multiply is not commutative
+    # bit for bit, and tests/oracles.py `reference_slice_product` pins it
+    while alpha.shape[1] > 1:
+        n = alpha.shape[1] & ~1
+        a0, a1, b0, b1 = alpha[:, 0:n:2], alpha[:, 1:n:2], beta[:, 0:n:2], beta[:, 1:n:2]
         a = a1 * a0 - b1 * b0.conj()
         b = a1 * b0 + b1 * a0.conj()
-        if n < len(alpha):
-            a, b = np.concatenate((a, alpha[n:])), np.concatenate((b, beta[n:]))
+        if n < alpha.shape[1]:
+            a = np.concatenate((a, alpha[:, n:]), axis=1)
+            b = np.concatenate((b, beta[:, n:]), axis=1)
         alpha, beta = a, b
-    return alpha[0], beta[0]
+    return alpha[:, 0], beta[:, 0]
 
 
 def magnus_step(spinors, spec: LatticeSpec, plan: EvolutionPlan, m: int | range):
@@ -152,9 +170,11 @@ def magnus_step(spinors, spec: LatticeSpec, plan: EvolutionPlan, m: int | range)
     closed form as an SU(2) pair in one vectorized pass, the pairs are
     multiplied by pairwise levels, and the product is applied to the
     spinors once (module docstring); a slice costs O(L).  Raises
-    ValueError for an empty range, a step other than 1 or a slice
-    outside 1..M.
+    ValueError for an m that is neither an int (bool is not) nor a
+    range, an empty range, a step other than 1 or a slice outside 1..M.
     """
+    if not (is_int(m) or isinstance(m, range)):
+        raise ValueError(f"m must be an int or a range of slices, got {m!r}")
     slices = m if isinstance(m, range) else range(m, m + 1)
     if slices.step != 1 or len(slices) == 0:
         raise ValueError(f"slices must be a non-empty range of step 1, got {slices}")
@@ -326,16 +346,17 @@ def _block_overlap(psi, u, angle):
     """The module docstring's block product for spinors psi, phases u (..., L/2) and odd angle(s).
 
     Shape shape(angle) + shape(u)[:-1]; the angles run in blocks of at
-    most `_CHUNK_ELEMENTS` amplitudes, or of one angle where it has more.
-    A block holds q on its second axis, so the product over q multiplies
-    whole contiguous slabs, in the order of a per-row np.prod.
+    most `_SCAN_ELEMENTS` amplitudes, or of one angle where it has more,
+    so a block's temporaries stay in L2.  A block holds q on its second
+    axis, so the product over q multiplies whole contiguous slabs, in the
+    order of a per-row np.prod; how the rows are blocked changes no cell.
     """
     a, b = psi.T.reshape((2, -1) + (1,) * (u.ndim - 1))
     uc = np.ascontiguousarray(np.moveaxis(u, -1, 0)).conj()
     x, y = a + uc * b, b + uc * a  # (L/2,) + shape(u)[:-1]
     c, s = (np.reshape(v, (-1,) + (1,) * x.ndim) for v in _bond_block(angle, "real"))
     out = np.empty(c.shape[:1] + x.shape[1:])
-    rows = max(1, _CHUNK_ELEMENTS // x.size)
+    rows = max(1, _SCAN_ELEMENTS // x.size)
     for i in range(0, len(out), rows):
         amp = c[i : i + rows] * x
         amp += s[i : i + rows] * y

@@ -11,8 +11,9 @@ circuit and its angle derivatives have a dense route too:
 `scipy.linalg.expm` half-layers with forward-mode derivatives and no
 re-orthonormalization; its Bloch-block pass has the earlier
 per-component loop, which must match bit for bit.  The ramp's Bloch
-spinors have a one-slice-at-a-time route, and any Bloch spinors a map
-to real-space orbitals.  The overlap grid scan has a scalar route,
+spinors have a one-slice-at-a-time route and the earlier slice-major
+product, which must match bit for bit, and any Bloch spinors a map to
+real-space orbitals.  The overlap grid scan has a scalar route,
 one determinant per grid point, and a per-row route on the blocks.
 The extent of real-space orbitals has a per-column loop.
 Nothing here calls back into dqap_lab, so agreement is meaningful.
@@ -330,6 +331,49 @@ def sequential_ramp(spinors, L, boundary, T, M, slices, order=1):
         g = -1j * k * w
         a, b = (c - 1j * k * w_z) * a + g * b, (c + 1j * k * w_z) * b - g.conj() * a
     return np.stack([a, b], axis=1)
+
+
+def reference_slice_product(spinors, L, boundary, T, M, slices, order=1):
+    """Bloch spinors (L/2, 2) stepped through `slices` by the slice-major SU(2) product.
+
+    Each slice's block exponential is a pair (alpha, beta), and the pairs
+    are formed as (len(slices), L/2) arrays, slices on axis 0, multiplied
+    by pairwise levels (rows 2i and 2i+1 become U_{2i+1} U_{2i}, an odd
+    last row carried up) and applied to the spinors once.  This is the
+    layout the package ran before it went cell-major, with the same
+    elementwise operations in the same operand order, so the two must
+    agree bit for bit.
+    """
+    q = cell_momenta(L, boundary)
+    emiq, sin_q = np.exp(-1j * q), np.sin(q)
+    dt = T / M
+    m = np.arange(slices.start, slices.stop)[:, None]
+    s_prev, s_next = (m - 1) * dt / T, m * dt / T
+    w = -1.0 - 0.5 * (s_prev + s_next) * emiq
+    if order == 2:
+        w_z = (dt / 3.0 * (s_next - s_prev)) * sin_q
+        r = np.sqrt(w.real**2 + w.imag**2 + w_z**2)
+    else:
+        r = np.abs(w)
+    c = np.cos(dt * r)
+    k = np.sin(dt * r) / r
+    alpha = c - 1j * k * w_z if order == 2 else c
+    beta = -1j * k * w
+    while len(alpha) > 1:
+        n = len(alpha) & ~1
+        a0, a1, b0, b1 = alpha[0:n:2], alpha[1:n:2], beta[0:n:2], beta[1:n:2]
+        a = a1 * a0 - b1 * b0.conj()
+        b = a1 * b0 + b1 * a0.conj()
+        if n < len(alpha):
+            a, b = np.concatenate((a, alpha[n:])), np.concatenate((b, beta[n:]))
+        alpha, beta = a, b
+    alpha, beta = alpha[0], beta[0]
+    spinors = np.asarray(spinors)
+    a, b = spinors[:, 0], spinors[:, 1]
+    out = np.empty(spinors.shape, dtype=complex)
+    out[:, 0] = alpha * a + beta * b
+    out[:, 1] = alpha.conj() * b - beta.conj() * a
+    return out
 
 
 def mp_ramp_eps(L, boundary, T, M, dps=40):

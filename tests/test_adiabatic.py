@@ -43,6 +43,7 @@ from .oracles import (
     mp_ramp_eps,
     random_orthonormal,
     reference_scan_blocks,
+    reference_slice_product,
     scalar_grid_scan,
     sequential_ramp,
     spinor_orbitals,
@@ -101,6 +102,20 @@ def test_step_index_range_checked():
         magnus_step(sp, spec, plan, 5)
 
 
+@pytest.mark.parametrize("m", [True, 2.0, "2", np.int64(2)], ids=repr)
+def test_step_takes_an_int_or_a_range_of_slices(m):
+    # True would otherwise step slice 1, and a float or a str fail inside range()
+    spec = LatticeSpec.half_filling(8)
+    sp = _dimer_spinors(spec)
+    plan = EvolutionPlan(T=1.0, M=4)
+    if lattice.is_int(m):
+        np.testing.assert_array_equal(magnus_step(sp, spec, plan, m),
+                                      magnus_step(sp, spec, plan, range(2, 3)))
+    else:
+        with pytest.raises(ValueError, match="int or a range"):
+            magnus_step(sp, spec, plan, m)
+
+
 def test_step_rejects_wrong_spinor_shape():
     spec = LatticeSpec.half_filling(8)
     with pytest.raises(DimensionMismatch):
@@ -135,6 +150,38 @@ def test_slice_range_matches_sequential_slices(L, gamma, order, start, length):
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14)
     if length == 1:
         np.testing.assert_array_equal(magnus_step(sp, spec, plan, start), got)
+
+
+def test_magnus_step_is_bit_identical_to_the_slice_major_product(monkeypatch):
+    # closed shells: pbc at L = 2 mod 4, apbc at L = 0 mod 4; random times and starts
+    rng = np.random.default_rng(39)
+    for L in (2, 4, 6, 8, 10, 12, 30, 32, 62, 64, 126, 128):
+        spec = LatticeSpec.half_filling(L, gamma=+1 if L % 4 == 2 else -1)
+        for order in (1, 2):
+            plan = EvolutionPlan(T=float(rng.uniform(1.0, 300.0)), M=3000, order=order)
+            for length in (1, 2, 3, 6, 7, 64, 1023):
+                start = int(rng.integers(1, plan.M - length + 2))
+                slices = range(start, start + length)
+                sp = _random_spinors(rng, L // 2)
+                ref = reference_slice_product(sp, L, spec.boundary, plan.T, plan.M, slices, order)
+                assert np.array_equal(magnus_step(sp, spec, plan, slices), ref)
+                if length == 1:
+                    assert np.array_equal(magnus_step(sp, spec, plan, start), ref)
+    # a ramp of three chunks through evolve_linear_schedule, eps included
+    spec = LatticeSpec.half_filling(64)
+    for order in (1, 2):
+        plan = EvolutionPlan(T=250.0, M=5000, order=order)
+        state, eps = evolve_linear_schedule(spec, plan)
+
+        def slice_major_step(spinors, spec, plan, m):
+            return reference_slice_product(spinors, spec.L, spec.boundary, plan.T, plan.M, m,
+                                           plan.order)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(adiabatic, "magnus_step", slice_major_step)
+            ref_state, ref_eps = evolve_linear_schedule(spec, plan)
+        assert np.array_equal(state.orbitals, ref_state.orbitals)
+        assert eps == ref_eps
 
 
 @pytest.mark.parametrize("L, gamma", [(62, +1), (64, -1)])
@@ -670,10 +717,10 @@ def test_maximize_overlap_is_bit_identical_with_the_per_alpha_loop(monkeypatch):
         assert maximize_overlap(spec, params, m, alpha) == res
 
 
-@pytest.mark.parametrize("chunk", [1000, 4096, adiabatic._CHUNK_ELEMENTS])
+@pytest.mark.parametrize("chunk", [1000, 4096, adiabatic._SCAN_ELEMENTS, 1 << 16])
 @pytest.mark.parametrize("L", [8, 16, 128])
 def test_scan_grid_spans_chunks_within_the_bound(L, chunk, monkeypatch):
-    # every (alpha, chi, q) temporary of a scan holds at most _CHUNK_ELEMENTS
+    # every (alpha, chi, q) temporary of a scan holds at most _SCAN_ELEMENTS
     # entries, or one alpha row where a row holds more; the coarse
     # free-alpha grid spans several blocks and picks the per-row loop's point
     sizes = []
@@ -688,7 +735,7 @@ def test_scan_grid_spans_chunks_within_the_bound(L, chunk, monkeypatch):
     psi, theta = _scan_input(spec, params, 2)
     chis, alphas = adiabatic._GRID_CHIS[1:], adiabatic._GRID_CHIS
     ref = reference_scan_blocks(L, spec.boundary, psi, theta, chis, alphas)
-    monkeypatch.setattr(adiabatic, "_CHUNK_ELEMENTS", chunk)
+    monkeypatch.setattr(adiabatic, "_SCAN_ELEMENTS", chunk)
     monkeypatch.setattr(np, "prod", spy)
     got = adiabatic._scan_blocks(spec, psi, theta, chis, alphas)
     monkeypatch.undo()
