@@ -40,13 +40,16 @@ after half-layer k, component-major.  One loop over (c, s (z, z*),
 row k, row k + 1) writes it in place as s (z, z*) psi[::-1], then adds
 c psi: no scratch array, and since IEEE addition commutes it is
 c psi + s (z, z*) psi[::-1] bit for bit.  The pairs (z, z*) are cached
-per chain (`_phase_pairs`).  The stack is read-only and memoized
+per chain (`_phase_pairs`), with the generator seeds the derivative
+engine multiplies by.  The stack is read-only and memoized
 on (L, gamma, mode, table) for one table, so the pass of the last
 line-search trial the optimizer accepts is the pass its next
 `state_and_derivatives` reads.  The pass has four readers:
 
-- `block_energy`, the last row's energy sum_q <psi_q|H_q|psi_q>: the
-  optimizer's line-search energy.
+- `flat_energy`, the last row's energy sum_q <psi_q|H_q|psi_q> of the
+  table whose flat vector it is given: the optimizer's line-search
+  energy.  It reads the memo by the vector's bytes, so a trial builds no
+  `DqapParams`; `block_energy` is it on `params.flatten()`.
 - `state_and_derivatives`, the derivative engine, in closed form at
   cost O(M L).  Every B_k has determinant c^2 - s^2 = 1 in both modes,
   and for a 2x2 matrix U of determinant 1, U^T J U = J with
@@ -175,14 +178,20 @@ def build_imag_state(spec: LatticeSpec, params: DqapParams) -> SlaterState:
 
 @lru_cache(maxsize=16)
 def _phase_pairs(L, gamma, mode):
-    """(z, z*) of the even and odd family (z = 1), (2, 2, 1, L/2), and gen times them; read-only."""
+    """(z, z*) of the even and odd family (z = 1), (2, 2, 1, L/2), and gen times z* and times z.
+
+    The last two are the (2, L/2) views of one (2, 2, L/2) array of seeds
+    that `state_and_derivatives` multiplies by the blocks; all three are
+    read-only.
+    """
     emiq = _cell_momenta(L, gamma)[1]
     pairs = np.ones((2, 2, 1, L // 2), dtype=complex)
     pairs[0] = np.stack((emiq, emiq.conj()))[:, None]
     seeds = (1j if mode == "real" else 1.0) * pairs  # gen: -i V_q (real) or -V_q (imag)
     for arr in (pairs, seeds):
         arr.flags.writeable = False  # shared by every caller through the cache
-    return pairs, seeds
+    seeds = seeds.reshape(2, 2, L // 2)
+    return pairs, seeds[:, 1], seeds[:, 0]
 
 
 def _block_pass(spec: LatticeSpec, params: DqapParams, mode: str):
@@ -200,7 +209,7 @@ def _block_pass(spec: LatticeSpec, params: DqapParams, mode: str):
 @lru_cache(maxsize=1)
 def _table_pass(L, gamma, mode, flat):
     """`_block_pass` on the flat table whose float64 bytes are `flat`."""
-    pairs, _ = _phase_pairs(L, gamma, mode)
+    pairs = _phase_pairs(L, gamma, mode)[0]
     c, s = _bond_block(np.frombuffer(flat), mode)
     sz = (s.reshape(-1, 2, 1, 1, 1) * pairs).reshape(-1, 2, L // 2)
     rows = np.empty((len(c) + 1, 2, L // 2), dtype=complex)
@@ -252,8 +261,8 @@ def state_and_derivatives(spec: LatticeSpec, params: DqapParams, mode="real"):
     rows, norms = _block_pass(spec, params, mode)
     v = rows[1:].reshape(params.M, 2, 2, spec.N)  # (layer, family, component, q)
     v0, v1 = v[:, :, 0], v[:, :, 1]
-    gen = _phase_pairs(spec.L, spec.gamma, mode)[1].reshape(2, 2, spec.N)
-    tangents = (v0 * (gen[:, 1] * v0) - v1 * (gen[:, 0] * v1)).reshape(-1, spec.N)
+    _, gen_conj, gen = _phase_pairs(spec.L, spec.gamma, mode)
+    tangents = (v0 * (gen_conj * v0) - v1 * (gen * v1)).reshape(-1, spec.N)
     if mode == "imag":
         log_n = np.log(norms)
         suffix = np.zeros_like(log_n)  # sum_{j > k} log n_j
@@ -269,14 +278,24 @@ def block_energy(spec: LatticeSpec, params: DqapParams, mode="real") -> float:
     entry of H_q (`lattice._block_hopping`) and psi_q the unit-norm
     block of the last row of the pass: no real-space orbitals.
     It equals `slater.energy_expectation` of the built state up to
-    rounding.
+    rounding.  `flat_energy` of `params.flatten()`, bit for bit.
 
     Raises
     ------
     SingularOverlapError
         In imaginary mode, if a block coefficient overflows or a block's norm is 0.
     """
-    psi = _block_pass(spec, params, mode)[0][-1]
+    return flat_energy(spec, params.flatten(), mode)
+
+
+def flat_energy(spec: LatticeSpec, flat: np.ndarray, mode="real") -> float:
+    """`block_energy` of the table whose flat float64 vector (application order) is `flat`.
+
+    The optimizer's line search scores each trial here: the pass is
+    looked up by the vector's bytes, so no `DqapParams` is built per
+    trial.  Raises as `block_energy` does.
+    """
+    psi = _table_pass(spec.L, spec.gamma, mode, flat.tobytes())[0][-1]
     return 2.0 * float((psi[0].conj() * _block_hopping(spec) * psi[1]).real.sum())
 
 

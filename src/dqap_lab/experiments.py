@@ -531,9 +531,12 @@ def run_task(config: ExperimentConfig, spec: LatticeSpec, optimizer: dict):
     where the config sets none.  Runs the kind's ladder over the depths
     resolved for `spec` and hands both to the kind's body.  Returns
     (tables, outcome): the body's {table: rows}, and the task's manifest
-    record less its name and seed, {"ok", "wall_time_s", "summary"}.  A
-    task that raises returns no tables and {"ok", "wall_time_s", "error"},
-    the error its traceback.
+    record less its name and seed, {"ok", "wall_time_s", "ladder_s",
+    "body_s", "summary"}: ladder_s is the time up to the end of the
+    ladder (0 for kinds without one, bar resolving the depths), body_s
+    the body's.  A task that raises returns no tables and {"ok",
+    "wall_time_s", "error_type", "error"}: the exception's class name and
+    its traceback.
     """
     t0 = time.monotonic()
     kind = KINDS[config.kind]
@@ -542,7 +545,9 @@ def run_task(config: ExperimentConfig, spec: LatticeSpec, optimizer: dict):
         results = {}
         if kind.ladder is not None:
             results = ladder(spec, depths, OptimizerConfig(**optimizer), kind.ladder)
+        t_ladder = time.monotonic()
         tables = kind.body(spec, depths, results, config.options)
+        t_body = time.monotonic()
         summary = {"L": spec.L}
         if kind.ladder is not None:
             summary["stop_reason"] = {str(m): results[m].stop_reason for m in depths}
@@ -550,10 +555,16 @@ def run_task(config: ExperimentConfig, spec: LatticeSpec, optimizer: dict):
             table, column = kind.fit
             for row in tables[table]:  # a task writes one row, or none
                 summary[column] = row[kind.tables[table].index(column)]
-    except Exception:
-        return {}, {"ok": False, "wall_time_s": time.monotonic() - t0,
-                    "error": traceback.format_exc()}
-    return tables, {"ok": True, "wall_time_s": time.monotonic() - t0, "summary": summary}
+    except Exception as exc:
+        return {}, _failure(exc, time.monotonic() - t0)
+    return tables, {"ok": True, "wall_time_s": time.monotonic() - t0,
+                    "ladder_s": t_ladder - t0, "body_s": t_body - t_ladder, "summary": summary}
+
+
+def _failure(exc, seconds):
+    """Manifest record of a task that raised `exc`, inside an except block."""
+    return {"ok": False, "wall_time_s": seconds, "error_type": type(exc).__name__,
+            "error": traceback.format_exc()}
 
 
 def _format_cell(v):
@@ -580,8 +591,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, out_dir: str | None 
     directory is deleted; no other file is.  Returns the manifest, the
     dict written to manifest.json: "ok" is True only if every task
     succeeded, each record in "runs" carries its task's own
-    "wall_time_s", and "environment" names the interpreter, library
-    versions, platform and BLAS thread settings the run saw.  A jobs that
+    "wall_time_s" (and the phase times or the error of `run_task`), and
+    "environment" names the interpreter, library versions, platform and
+    BLAS thread settings the run saw.  A jobs that
     is not a positive int, or an output directory that cannot be
     created, is a ConfigError, raised before any task runs.
     """
@@ -611,9 +623,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, out_dir: str | None 
             for fut in futures:
                 try:
                     results.append(fut.result())
-                except Exception:  # the pool itself failed; the task was not timed
-                    results.append(({}, {"ok": False, "wall_time_s": None,
-                                         "error": traceback.format_exc()}))
+                except Exception as exc:  # the pool itself failed; the task was not timed
+                    results.append(({}, _failure(exc, None)))
 
     tables, runs = {}, []
     for (spec, optimizer), (task_tables, outcome) in zip(tasks, results):
@@ -660,8 +671,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, out_dir: str | None 
         "environment": _environment(),
     }
     with open(os.path.join(out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2) + "\n")
     return manifest
 
 

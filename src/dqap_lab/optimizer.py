@@ -8,13 +8,18 @@ the derivative engine (`ansatz.state_and_derivatives`) hands over these
 weights in closed form at cost O(M L).  `assemble_metric_and_force`
 returns the real system the solver solves, S + S* = 2 Re(conj(t) t^T)
 and f + f* = 2 Re(conj(t) w), formed on the real view of t at cost
-O(K^2 L), with the metric exactly symmetric.  The energy the run
-compares is the block energy (`ansatz.block_energy`, one block pass at
-cost O(M L)): the start, every line-search trial and the trace read it,
-and the run reports the last one.  The pass is memoized for one table,
-so the weights of the accepted trial come from the pass its energy ran:
-an iteration runs one block pass per trial and no other.  No real-space
-state is built.
+O(K^2 L), with the metric exactly symmetric.  The assembly reads the
+hopping entries and their conjugates from a per-chain cache.  The
+energy the run compares is the block energy (one block pass at cost
+O(M L)): the start, every line-search trial and the trace read it, and
+the run reports the last one.  The run keeps the accepted table as its
+flat vector in application order, and scores each trial
+flat + scale dtheta with `ansatz.flat_energy`, which looks the pass up
+by the vector's bytes; a `DqapParams` is built once per accepted step,
+for the derivative engine, not once per trial.  The pass is memoized for
+one table, so the weights of the accepted trial come from the pass its
+energy ran: an iteration runs one block pass per trial and no other.  No
+real-space state is built.
 
 Both modes optimize the same table type, `DqapParams`; the mode is
 named by the caller, through `optimize` (real) or `optimize_imaginary`.
@@ -39,17 +44,20 @@ by more than 0.1 in one iteration, which keeps the grown step inside
 the region where the line search finds descent.  Without the floor,
 runs of halvings can shrink delta_beta until a random start stalls far
 above its minimum; without the cap, grown steps can throw a random
-start onto a plateau where it stalls too.
+start onto a plateau where it stalls too.  The cap reads the largest
+|dtheta| entry, and the same value is the step's finiteness check: a
+NaN or infinite step raises `LinearSolveError` before any trial runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .ansatz import DqapParams, block_energy, state_and_derivatives
+from .ansatz import DqapParams, flat_energy, state_and_derivatives
 from .errors import LinearSolveError, SingularOverlapError
 from .lattice import LatticeSpec, _block_hopping, is_finite_nonnegative, is_finite_positive, is_int
 
@@ -128,6 +136,15 @@ class OptResult:
     stop_reason: str
 
 
+@lru_cache(maxsize=16)
+def _hopping_pair(spec):
+    """(conj(h01_q), h01_q) of the chain's Bloch blocks (`lattice._block_hopping`), read-only."""
+    h01 = _block_hopping(spec)
+    h01c = h01.conj()
+    h01c.flags.writeable = False  # shared by every caller through the cache
+    return h01c, h01
+
+
 def assemble_metric_and_force(
     spinors: np.ndarray, tangents: np.ndarray, spec: LatticeSpec
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -156,9 +173,9 @@ def assemble_metric_and_force(
     f + f* = 2 r w.view(float).  The cost is O(K^2 L).  K = 0 gives an
     empty metric and force.
     """
-    h01 = _block_hopping(spec)
+    h01c, h01 = _hopping_pair(spec)
     psi0, psi1 = spinors[:, 0], spinors[:, 1]
-    w = h01.conj() * psi0 * psi0 - h01 * psi1 * psi1
+    w = h01c * psi0 * psi0 - h01 * psi1 * psi1
     tr = tangents.view(float)
     return 2.0 * (tr @ tr.T), 2.0 * (tr @ w.view(float))
 
@@ -172,7 +189,9 @@ def _solve_step(metric, force, delta_beta: float, ridge: float):
     Modes below 1e-12 of the top eigenvalue carry force components that
     are pure cancellation noise, and the ridge alone would amplify that
     noise into wild parameter jumps; those modes are truncated, the rest
-    inverted with the ridge shift.
+    inverted with the ridge shift.  The step is returned unchecked: the
+    run loop tests it for NaN and inf with the same largest-entry scan
+    its trust cap reads.
     """
     b = -delta_beta * force
     try:
@@ -186,10 +205,7 @@ def _solve_step(metric, force, delta_beta: float, ridge: float):
     # The copy fixes the operand layout of both products; skipping it when
     # every mode is kept changes the step's last bits.
     vk = v[:, keep]
-    dtheta = vk @ ((vk.T @ b) / (w[keep] + ridge))
-    if not np.isfinite(dtheta).all():
-        raise LinearSolveError("natural-gradient system produced non-finite step")
-    return dtheta
+    return vk @ ((vk.T @ b) / (w[keep] + ridge))
 
 
 def linear_schedule_params(m_layers, scale):
@@ -215,7 +231,8 @@ def _initial_params(m_layers, config, init):
 
 
 def _run(spec, params, mode, config):
-    trace = [block_energy(spec, params, mode)]
+    flat = params.flatten()
+    trace = [flat_energy(spec, flat, mode)]
     stop_reason = "no_descent" if params.M == 0 else "max_iters"
     db = config.delta_beta
     while params.M and len(trace) - 1 < config.max_iters:
@@ -223,15 +240,16 @@ def _run(spec, params, mode, config):
             *state_and_derivatives(spec, params, mode=mode), spec
         )
         dtheta = _solve_step(metric, force, db, _RIDGE)
-        largest = np.abs(dtheta).max()
+        largest = np.abs(dtheta).max()  # NaN or inf if any entry is
+        if not math.isfinite(largest):
+            raise LinearSolveError("natural-gradient system produced non-finite step")
         if largest > _TRUST_CAP:
             dtheta *= _TRUST_CAP / largest
-        flat = params.flatten()
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
-            trial = DqapParams.from_flat(flat + scale * dtheta)
+            trial = flat + scale * dtheta
             try:
-                energy = block_energy(spec, trial, mode)
+                energy = flat_energy(spec, trial, mode)
             except SingularOverlapError:
                 energy = math.inf
             if math.isfinite(energy) and energy <= trace[-1]:
@@ -243,7 +261,8 @@ def _run(spec, params, mode, config):
             stop_reason = "no_descent"
             break
         db = db * _STEP_GROWTH if scale == 1.0 else max(config.delta_beta, db * scale)
-        params = trial
+        flat = trial
+        params = DqapParams.from_flat(trial)
         trace.append(energy)
         if abs(trace[-1] - trace[-2]) / (abs(trace[-1]) + 1.0) < config.energy_tol:
             stop_reason = "energy_tol"

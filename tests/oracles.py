@@ -16,7 +16,10 @@ product, which must match bit for bit, and any Bloch spinors a map to
 real-space orbitals.  The overlap grid scan has a scalar route,
 one determinant per grid point, and a per-row route on the blocks.
 The extent of real-space orbitals has a per-column loop.
-Nothing here calls back into dqap_lab, so agreement is meaningful.
+Nothing here calls back into dqap_lab, so agreement is meaningful, bar
+one exception: `reference_run` is the earlier natural-gradient run loop,
+which drives the package's own kernels with a table object per trial and
+must match `optimizer._run` bit for bit.
 """
 
 import numpy as np
@@ -477,3 +480,50 @@ def scalar_grid_scan(adjoints, chis, alphas, prefix_state):
             if f > f_best:
                 f_best, chi_best, al_best = f, float(chi), float(al)
     return f_best, chi_best, al_best
+
+
+def reference_run(spec, params, mode, config):
+    """The earlier `optimizer._run`: a `DqapParams` and a `block_energy` per
+    trial, and a finiteness scan of the step apart from the trust cap's."""
+    import math
+
+    from dqap_lab import (DqapParams, LinearSolveError, OptResult, SingularOverlapError,
+                          assemble_metric_and_force, block_energy, state_and_derivatives)
+    from dqap_lab.optimizer import (_MAX_HALVINGS, _RIDGE, _STEP_GROWTH, _TRUST_CAP,
+                                    _solve_step)
+
+    trace = [block_energy(spec, params, mode)]
+    stop_reason = "no_descent" if params.M == 0 else "max_iters"
+    db = config.delta_beta
+    while params.M and len(trace) - 1 < config.max_iters:
+        metric, force = assemble_metric_and_force(
+            *state_and_derivatives(spec, params, mode=mode), spec
+        )
+        dtheta = _solve_step(metric, force, db, _RIDGE)
+        if not np.isfinite(dtheta).all():
+            raise LinearSolveError("natural-gradient system produced non-finite step")
+        largest = np.abs(dtheta).max()
+        if largest > _TRUST_CAP:
+            dtheta *= _TRUST_CAP / largest
+        flat = params.flatten()
+        scale = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = DqapParams.from_flat(flat + scale * dtheta)
+            try:
+                energy = block_energy(spec, trial, mode)
+            except SingularOverlapError:
+                energy = math.inf
+            if math.isfinite(energy) and energy <= trace[-1]:
+                break
+            scale *= 0.5
+        else:
+            stop_reason = "no_descent"
+            break
+        db = db * _STEP_GROWTH if scale == 1.0 else max(config.delta_beta, db * scale)
+        params = trial
+        trace.append(energy)
+        if abs(trace[-1] - trace[-2]) / (abs(trace[-1]) + 1.0) < config.energy_tol:
+            stop_reason = "energy_tol"
+            break
+    converged = stop_reason != "max_iters"
+    return OptResult(params, trace[-1], np.asarray(trace), len(trace) - 1, converged, stop_reason)

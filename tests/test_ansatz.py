@@ -528,12 +528,15 @@ def test_imag_block_whose_norm_underflows_raises_typed_error():
 
 
 def test_phase_pairs_are_cached_and_read_only():
-    pairs, seeds = _phase_pairs(12, +1, "real")
+    pairs, seeds_conj, seeds = _phase_pairs(12, +1, "real")
     assert _phase_pairs(12, +1, "real")[0] is pairs
-    assert not pairs.flags.writeable and not seeds.flags.writeable
+    assert not any(a.flags.writeable for a in (pairs, seeds_conj, seeds))
     assert np.array_equal(pairs[1], np.ones((2, 1, 6)))
-    assert np.array_equal(seeds, 1j * pairs)
-    assert np.array_equal(_phase_pairs(12, +1, "imag")[1], pairs)
+    # gen times z* and times z: -i V_q in real mode, -V_q in imaginary mode
+    assert np.array_equal(seeds_conj, 1j * pairs[:, 1, 0])
+    assert np.array_equal(seeds, 1j * pairs[:, 0, 0])
+    _, imag_conj, imag = _phase_pairs(12, +1, "imag")
+    assert np.array_equal(imag_conj, pairs[:, 1, 0]) and np.array_equal(imag, pairs[:, 0, 0])
 
 
 @pytest.mark.parametrize("mode", ["real", "imag"])

@@ -638,6 +638,10 @@ def test_manifest_records_environment_and_task_times(tmp_path):
     seconds = [run["wall_time_s"] for run in manifest["runs"]]
     assert len(seconds) == 2 and all(s > 0.0 for s in seconds)
     assert sum(seconds) <= manifest["wall_time_s"]
+    # the per-phase times of each task fit inside its wall time
+    for run in manifest["runs"]:
+        assert run["ladder_s"] >= 0.0 and run["body_s"] >= 0.0
+        assert run["ladder_s"] + run["body_s"] <= run["wall_time_s"]
 
 
 def test_manifest_environment_is_read_on_every_run(tmp_path, monkeypatch):
@@ -707,6 +711,7 @@ def test_singular_real_space_build_fails_its_task(tmp_path, monkeypatch):
     assert code == 1
     (run,) = json.loads((out / "manifest.json").read_text())["runs"]
     assert not run["ok"]
+    assert run["error_type"] == "SingularOverlapError"
     assert "dqap_lab.errors.SingularOverlapError" in run["error"]
 
 
@@ -720,9 +725,10 @@ def test_process_pool_writes_what_a_single_process_writes(tmp_path):
                      "--out", str(out)]) == 0
     manifests = {j: json.loads((out / "manifest.json").read_text()) for j, out in outs.items()}
     assert manifests[2]["jobs"] == 2
-    # every record holds its task's own wall time, which differs between runs
-    seconds = [run.pop("wall_time_s") for m in manifests.values() for run in m["runs"]]
-    assert len(seconds) == 4 and all(isinstance(s, float) and s >= 0.0 for s in seconds)
+    # every record holds its task's own wall and phase times, which differ between runs
+    for key in ("wall_time_s", "ladder_s", "body_s"):
+        seconds = [run.pop(key) for m in manifests.values() for run in m["runs"]]
+        assert len(seconds) == 4 and all(isinstance(s, float) and s >= 0.0 for s in seconds)
     assert manifests[2]["runs"] == manifests[1]["runs"]
     assert [p.name for p in sorted(outs[1].glob("*.csv"))] == ["energy.csv"]
     assert (outs[2] / "energy.csv").read_bytes() == (outs[1] / "energy.csv").read_bytes()

@@ -9,6 +9,7 @@ import pytest
 from dqap_lab import (
     DqapParams,
     LatticeSpec,
+    LinearSolveError,
     OptimizerConfig,
     SingularOverlapError,
     ansatz,
@@ -28,7 +29,7 @@ from dqap_lab import (
     warm_start,
 )
 
-from .oracles import cell_momenta, central_difference, mp_imag_energy
+from .oracles import cell_momenta, central_difference, mp_imag_energy, reference_run
 
 
 def metric_and_force(spec, params, mode="real"):
@@ -239,7 +240,7 @@ def test_non_finite_start_table_rejected(run, bad, monkeypatch):
     def no_pass(*args):
         raise AssertionError("block pass ran on a non-finite start table")
 
-    monkeypatch.setattr(optimizer, "block_energy", no_pass)
+    monkeypatch.setattr(optimizer, "flat_energy", no_pass)
     spec = LatticeSpec.half_filling(8)
     with pytest.raises(ValueError, match="NaN or infinite"):
         run(spec, 2, init=DqapParams([[0.1, 0.2], [bad, 0.1]]))
@@ -267,14 +268,14 @@ def test_line_search_rejects_non_finite_energy(monkeypatch):
     # the first call is the start energy; the first trial energy reads
     # -inf, and it must not count as descent
     spec = LatticeSpec.half_filling(8)
-    real_energy = optimizer.block_energy
+    real_energy = optimizer.flat_energy
     calls = []
 
-    def first_trial_minus_inf(spec, params, mode):
-        calls.append(params)
-        return -np.inf if len(calls) == 2 else real_energy(spec, params, mode)
+    def first_trial_minus_inf(spec, flat, mode):
+        calls.append(flat)
+        return -np.inf if len(calls) == 2 else real_energy(spec, flat, mode)
 
-    monkeypatch.setattr(optimizer, "block_energy", first_trial_minus_inf)
+    monkeypatch.setattr(optimizer, "flat_energy", first_trial_minus_inf)
     res = optimize(spec, 2, OptimizerConfig(max_iters=1))
     assert res.iterations == 1
     assert len(calls) >= 3
@@ -286,22 +287,22 @@ def test_line_search_halves_a_trial_whose_block_overflows(monkeypatch):
     # the first call is the start energy; in the first trial's block pass
     # `_bond_block` meets a cosh that overflows, and the shift is halved
     spec = LatticeSpec.half_filling(8)
-    real_energy, real_block = optimizer.block_energy, ansatz._bond_block
+    real_energy, real_block = optimizer.flat_energy, ansatz._bond_block
     calls = []
 
-    def counted(spec, params, mode):
-        calls.append(params)
-        return real_energy(spec, params, mode)
+    def counted(spec, flat, mode):
+        calls.append(flat)
+        return real_energy(spec, flat, mode)
 
     def overflow_in_first_trial(angle, mode):
         return real_block(800.0 if len(calls) == 2 else angle, mode)
 
-    monkeypatch.setattr(optimizer, "block_energy", counted)
+    monkeypatch.setattr(optimizer, "flat_energy", counted)
     monkeypatch.setattr(ansatz, "_bond_block", overflow_in_first_trial)
     res = optimize_imaginary(spec, 2, OptimizerConfig(max_iters=1))
     assert res.iterations == 1
     assert len(calls) >= 3
-    assert not np.array_equal(res.params.angles, calls[1].angles)
+    assert not np.array_equal(res.params.flatten(), calls[1])
     assert np.all(np.isfinite(res.trace))
     assert res.trace[1] <= res.trace[0]
 
@@ -310,30 +311,30 @@ def test_line_search_stops_when_every_trial_overflows(monkeypatch):
     # the first call is the start energy; every trial's block pass then
     # raises, so the run ends on its start table
     spec = LatticeSpec.half_filling(8)
-    real_energy = optimizer.block_energy
+    real_energy = optimizer.flat_energy
     calls = []
 
-    def every_trial_singular(spec, params, mode):
-        calls.append(params)
+    def every_trial_singular(spec, flat, mode):
+        calls.append(flat)
         if len(calls) > 1:
             raise SingularOverlapError("block coefficient overflows")
-        return real_energy(spec, params, mode)
+        return real_energy(spec, flat, mode)
 
     start = linear_schedule_params(2, OptimizerConfig().init_scale)
-    monkeypatch.setattr(optimizer, "block_energy", every_trial_singular)
+    monkeypatch.setattr(optimizer, "flat_energy", every_trial_singular)
     res = optimize_imaginary(spec, 2)
     assert res.stop_reason == "no_descent" and res.converged
     assert res.iterations == 0
     assert len(calls) == 1 + optimizer._MAX_HALVINGS
     assert np.array_equal(res.params.angles, start.angles)
-    assert np.array_equal(res.trace, [real_energy(spec, start, "imag")])
+    assert np.array_equal(res.trace, [real_energy(spec, start.flatten(), "imag")])
 
 
 @pytest.mark.parametrize("run", [optimize, optimize_imaginary])
 def test_each_iteration_runs_one_block_pass(monkeypatch, run):
     # the derivatives read the pass of the accepted trial: every
     # `_bond_block` call of the run belongs to a block energy
-    real_block, real_energy = ansatz._bond_block, optimizer.block_energy
+    real_block, real_energy = ansatz._bond_block, optimizer.flat_energy
     real_derivs = optimizer.state_and_derivatives
     calls = {"block": 0, "energy": 0, "derivs": 0}
 
@@ -344,7 +345,7 @@ def test_each_iteration_runs_one_block_pass(monkeypatch, run):
         return counted
 
     monkeypatch.setattr(ansatz, "_bond_block", counter("block", real_block))
-    monkeypatch.setattr(optimizer, "block_energy", counter("energy", real_energy))
+    monkeypatch.setattr(optimizer, "flat_energy", counter("energy", real_energy))
     monkeypatch.setattr(optimizer, "state_and_derivatives", counter("derivs", real_derivs))
     ansatz._table_pass.cache_clear()
     spec = LatticeSpec.half_filling(16, gamma=+1)
@@ -353,24 +354,88 @@ def test_each_iteration_runs_one_block_pass(monkeypatch, run):
     assert calls["block"] == calls["energy"]
 
 
+def _assert_same_run(res, ref):
+    assert np.array_equal(res.params.angles, ref.params.angles)
+    assert np.array_equal(res.trace, ref.trace)
+    assert (res.iterations, res.stop_reason) == (ref.iterations, ref.stop_reason)
+
+
+@pytest.mark.parametrize("init_mode", ["linear-schedule", "random"])
+@pytest.mark.parametrize("L,gamma", [(16, -1), (14, +1)])
+@pytest.mark.parametrize("run,mode", [(optimize, "real"), (optimize_imaginary, "imag")])
+def test_run_is_bit_identical_to_the_per_trial_table_loop(run, mode, L, gamma, init_mode):
+    # the run scores each trial by its flat vector; the earlier loop built
+    # a table per trial and scanned the step twice, and must agree bit for bit
+    spec = LatticeSpec.half_filling(L, gamma=gamma)
+    config = OptimizerConfig(init_mode=init_mode, seed=5, max_iters=400)
+    res = run(spec, 3, config)
+    assert res.iterations > 0
+    _assert_same_run(res, reference_run(spec, optimizer._initial_params(3, config, None),
+                                        mode, config))
+
+
+def test_run_is_bit_identical_to_the_per_trial_table_loop_when_a_trial_overflows(monkeypatch):
+    # the first trial's block pass meets a cosh that overflows in both runs
+    spec = LatticeSpec.half_filling(14, gamma=+1)
+    config = OptimizerConfig(max_iters=20)
+    real_block = ansatz._bond_block
+    calls = []
+
+    def overflow_in_first_trial(angle, mode):
+        calls.append(angle)
+        return real_block(800.0 if len(calls) == 2 else angle, mode)
+
+    monkeypatch.setattr(ansatz, "_bond_block", overflow_in_first_trial)
+    results = []
+    for go in (lambda: optimize_imaginary(spec, 2, config),
+               lambda: reference_run(spec, optimizer._initial_params(2, config, None),
+                                     "imag", config)):
+        ansatz._table_pass.cache_clear()
+        calls.clear()
+        results.append(go())
+        assert len(calls) > 2  # the overflowing trial was halved
+    assert results[0].iterations > 0
+    _assert_same_run(*results)
+
+
+@pytest.mark.parametrize("run", [optimize, optimize_imaginary])
+def test_non_finite_step_raises_before_any_trial(monkeypatch, run):
+    real_assemble, real_energy = optimizer.assemble_metric_and_force, optimizer.flat_energy
+    energies = []
+
+    def nan_force(*args):
+        metric, force = real_assemble(*args)
+        return metric, np.full_like(force, np.nan)
+
+    def counted(spec, flat, mode):
+        energies.append(flat)
+        return real_energy(spec, flat, mode)
+
+    monkeypatch.setattr(optimizer, "assemble_metric_and_force", nan_force)
+    monkeypatch.setattr(optimizer, "flat_energy", counted)
+    with pytest.raises(LinearSolveError, match="non-finite step"):
+        run(LatticeSpec.half_filling(8), 2)
+    assert len(energies) == 1  # the start energy alone
+
+
 @pytest.mark.parametrize("run", [optimize, optimize_imaginary])
 def test_block_pass_cache_is_transparent(monkeypatch, run):
     # a run that recomputes every pass returns the same result bit for bit
     spec = LatticeSpec.half_filling(16, gamma=+1)
     config = OptimizerConfig(init_mode="random", seed=3, max_iters=30)
     cached = run(spec, 3, config)
-    real_pass = ansatz._block_pass
+    real_pass = ansatz._table_pass
 
     def uncached(*args):
-        ansatz._table_pass.cache_clear()
+        real_pass.cache_clear()
         return real_pass(*args)
 
-    monkeypatch.setattr(ansatz, "_block_pass", uncached)
+    monkeypatch.setattr(ansatz, "_table_pass", uncached)
     fresh = run(spec, 3, config)
     assert np.array_equal(fresh.params.angles, cached.params.angles)
     assert np.array_equal(fresh.trace, cached.trace)
     assert (fresh.iterations, fresh.stop_reason) == (cached.iterations, cached.stop_reason)
-    rows, norms = real_pass(spec, cached.params, "imag")
+    rows, norms = ansatz._block_pass(spec, cached.params, "imag")
     assert not rows.flags.writeable and not norms.flags.writeable
 
 
